@@ -1,17 +1,16 @@
-// E12a — matching-engine micro-benchmarks (google-benchmark).
+// E12a — matching micro-benchmarks (google-benchmark).
 //
 // The per-round connection matching is the simulator's inner loop; this
-// binary measures the three engines on synthetic connection problems shaped
-// like real rounds (requests ~ n·c, candidates ~ k + swarm backlog):
-//   * Dinic on the §2.3 flow network,
-//   * capacity-aware Hopcroft–Karp,
-//   * the incremental matcher repairing a previous round's assignment.
+// binary measures it on synthetic connection problems shaped like real
+// rounds (requests ~ n·c, candidates ~ k + swarm backlog):
+//   * Dinic on the §2.3 flow network, the from-scratch oracle,
+//   * the CSR engine's pieces: row patches, row rebuilds, and CsrMatcher
+//     repairing a previous round's matching.
 #include <benchmark/benchmark.h>
 
 #include "flow/bipartite.hpp"
 #include "flow/csr_matcher.hpp"
 #include "flow/csr_problem.hpp"
-#include "flow/matcher.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -43,47 +42,14 @@ void BM_Dinic(benchmark::State& state) {
   const auto boxes = static_cast<std::uint32_t>(state.range(0));
   const auto problem = make_problem(boxes, boxes * 4, 6, 8, 42);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(problem.solve(flow::Engine::kDinic).served);
+    benchmark::DoNotOptimize(problem.solve().served);
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           problem.request_count());
 }
 BENCHMARK(BM_Dinic)->Arg(64)->Arg(256)->Arg(1024);
 
-void BM_HopcroftKarp(benchmark::State& state) {
-  const auto boxes = static_cast<std::uint32_t>(state.range(0));
-  const auto problem = make_problem(boxes, boxes * 4, 6, 8, 42);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        problem.solve(flow::Engine::kHopcroftKarp).served);
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          problem.request_count());
-}
-BENCHMARK(BM_HopcroftKarp)->Arg(64)->Arg(256)->Arg(1024);
-
-// Incremental repair when 90% of the assignment carries over — the common
-// steady-state round (only new joiners and retirements change the problem).
-void BM_IncrementalRepair(benchmark::State& state) {
-  const auto boxes = static_cast<std::uint32_t>(state.range(0));
-  const auto problem = make_problem(boxes, boxes * 4, 6, 8, 42);
-  flow::IncrementalMatcher matcher(boxes);
-  const auto base =
-      matcher.solve(problem, std::vector<std::int32_t>(
-                                 problem.request_count(), -1));
-  // Invalidate 10% of the carried assignment.
-  auto carry = base.assignment;
-  for (std::size_t i = 0; i < carry.size(); i += 10) carry[i] = -1;
-  for (auto _ : state) {
-    flow::IncrementalMatcher fresh(boxes);
-    benchmark::DoNotOptimize(fresh.solve(problem, carry).served);
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          problem.request_count());
-}
-BENCHMARK(BM_IncrementalRepair)->Arg(64)->Arg(256)->Arg(1024);
-
-// --- sparse CSR path (E16) --------------------------------------------------
+// --- CSR round engine --------------------------------------------------------
 
 /// CSR mirror of make_problem's instance (same candidate sets).
 flow::CsrProblem make_csr(const flow::ConnectionProblem& problem) {
@@ -95,8 +61,8 @@ flow::CsrProblem make_csr(const flow::ConnectionProblem& problem) {
   return csr;
 }
 
-// Surgical row patches — the per-grant / per-expiry cost the sparse round
-// loop pays instead of a full candidate reconstruction.
+// Surgical row patches — the per-grant / per-expiry cost the CSR engine
+// pays instead of a full candidate reconstruction.
 void BM_CsrPointPatch(benchmark::State& state) {
   const auto boxes = static_cast<std::uint32_t>(state.range(0));
   const auto problem = make_problem(boxes, boxes * 4, 6, 8, 42);
@@ -137,8 +103,7 @@ void BM_CsrRowRebuild(benchmark::State& state) {
 BENCHMARK(BM_CsrRowRebuild)->Arg(256)->Arg(4096);
 
 // Matching repair with 10% of rows dirtied — CsrMatcher re-augments only the
-// dirty rows, where IncrementalMatcher (BM_IncrementalRepair above) re-walks
-// the whole carry vector each round.
+// dirty rows instead of re-solving the round (BM_Dinic above).
 void BM_CsrMatcherRepair(benchmark::State& state) {
   const auto boxes = static_cast<std::uint32_t>(state.range(0));
   const auto problem = make_problem(boxes, boxes * 4, 6, 8, 42);

@@ -1,8 +1,9 @@
 // E12b — simulator round-throughput benchmarks (google-benchmark).
 //
-// Measures full simulated rounds per second under a steady Zipf audience,
-// ablating the incremental matcher (reuse last round's connections) against
-// a from-scratch solve each round, and scaling n.
+// Measures full simulated rounds per second on the CSR round engine under a
+// steady Zipf audience, at workshop sizes and at n = 1e5, where the
+// rows_built/round counter shows how little candidate construction a round
+// pays once rows persist across rounds.
 #include <benchmark/benchmark.h>
 
 #include "alloc/permutation.hpp"
@@ -16,14 +17,12 @@ namespace {
 using namespace p2pvod;
 
 struct BenchWorld {
-  BenchWorld(std::uint32_t n, bool incremental, bool sparse = false)
+  explicit BenchWorld(std::uint32_t n)
       : catalog(std::max<std::uint32_t>(2, 4 * n / 6), 4, 16),
         profile(model::CapacityProfile::homogeneous(n, 2.0, 4.0)),
         rng(0xBEEF),
         allocation(alloc::PermutationAllocator().allocate(catalog, profile, 6,
                                                           rng)) {
-    options.incremental = incremental;
-    options.sparse = sparse;
     options.strict = false;
   }
 
@@ -34,9 +33,9 @@ struct BenchWorld {
   sim::SimulatorOptions options;
 };
 
-void run_rounds(benchmark::State& state, bool incremental) {
+void BM_SimulatorRounds(benchmark::State& state) {
   const auto n = static_cast<std::uint32_t>(state.range(0));
-  BenchWorld world(n, incremental);
+  BenchWorld world(n);
   for (auto _ : state) {
     state.PauseTiming();
     sim::PreloadingStrategy strategy;
@@ -52,49 +51,15 @@ void run_rounds(benchmark::State& state, bool incremental) {
       static_cast<double>(state.iterations()) * 32.0,
       benchmark::Counter::kIsRate);
 }
-
-void BM_SimulatorIncremental(benchmark::State& state) {
-  run_rounds(state, true);
-}
-BENCHMARK(BM_SimulatorIncremental)->Arg(64)->Arg(128)->Arg(256)
+BENCHMARK(BM_SimulatorRounds)->Arg(64)->Arg(128)->Arg(256)
     ->Unit(benchmark::kMillisecond);
 
-void BM_SimulatorFullRematch(benchmark::State& state) {
-  run_rounds(state, false);
-}
-BENCHMARK(BM_SimulatorFullRematch)->Arg(64)->Arg(128)->Arg(256)
-    ->Unit(benchmark::kMillisecond);
-
-// Sparse CSR round path (E16) at the same workshop sizes — apples-to-apples
-// with the two dense variants above.
-void BM_SimulatorSparse(benchmark::State& state) {
+// Candidate construction at production n: rows_built/round counts the rows
+// collected from ground truth, against the ~n·c/T live requests a round
+// holds.
+void BM_RoundLoopAtScale(benchmark::State& state) {
   const auto n = static_cast<std::uint32_t>(state.range(0));
-  BenchWorld world(n, /*incremental=*/true, /*sparse=*/true);
-  for (auto _ : state) {
-    state.PauseTiming();
-    sim::PreloadingStrategy strategy;
-    sim::Simulator simulator(world.catalog, world.profile, world.allocation,
-                             strategy, world.options);
-    workload::ZipfDemand zipf(world.catalog.video_count(), 0.8, 0.1, 0x51);
-    workload::GrowthLimiter limited(zipf, 1.3);
-    state.ResumeTiming();
-    benchmark::DoNotOptimize(simulator.run(limited, 32).chunks_served);
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 32);
-  state.counters["rounds/s"] = benchmark::Counter(
-      static_cast<double>(state.iterations()) * 32.0,
-      benchmark::Counter::kIsRate);
-}
-BENCHMARK(BM_SimulatorSparse)->Arg(64)->Arg(128)->Arg(256)
-    ->Unit(benchmark::kMillisecond);
-
-// Candidate construction at production n: the dense loop re-collects every
-// live row every round; the sparse loop only dirtied rows. The rows_built
-// counters exported per variant are the apples-to-apples work measure (the
-// E16 acceptance bar: sparse wins construction by >= 5x at n >= 1e5).
-void run_rounds_at_scale(benchmark::State& state, bool sparse) {
-  const auto n = static_cast<std::uint32_t>(state.range(0));
-  BenchWorld world(n, /*incremental=*/true, sparse);
+  BenchWorld world(n);
   std::uint64_t rows_built = 0;
   std::uint64_t rounds = 0;
   for (auto _ : state) {
@@ -114,18 +79,7 @@ void run_rounds_at_scale(benchmark::State& state, bool sparse) {
   state.counters["rows_built/round"] =
       static_cast<double>(rows_built) / static_cast<double>(rounds);
 }
-
-void BM_RoundLoopDenseAtScale(benchmark::State& state) {
-  run_rounds_at_scale(state, false);
-}
-BENCHMARK(BM_RoundLoopDenseAtScale)->Arg(100000)
-    ->Unit(benchmark::kMillisecond);
-
-void BM_RoundLoopSparseAtScale(benchmark::State& state) {
-  run_rounds_at_scale(state, true);
-}
-BENCHMARK(BM_RoundLoopSparseAtScale)->Arg(100000)
-    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_RoundLoopAtScale)->Arg(100000)->Unit(benchmark::kMillisecond);
 
 // Allocation cost (setup path, not the round loop).
 void BM_PermutationAllocate(benchmark::State& state) {

@@ -8,7 +8,6 @@
 #include <string>
 
 #include "alloc/allocator.hpp"
-#include "flow/bipartite.hpp"
 #include "model/ids.hpp"
 #include "sim/strategy.hpp"
 
@@ -38,8 +37,6 @@ struct SystemConfig {
   // --- machinery ---
   alloc::Scheme scheme = alloc::Scheme::kPermutation;
   sim::StrategyKind strategy = sim::StrategyKind::kPreloading;
-  flow::Engine engine = flow::Engine::kDinic;
-  bool incremental_matching = true;
   bool strict = true;
   std::uint64_t seed = 0x5eedULL;
 

@@ -52,8 +52,6 @@ VodSystem VodSystem::build(const SystemConfig& config) {
       allocator->allocate(*system.catalog_, system.profile_, cfg.k, rng));
   system.strategy_ = sim::make_strategy(cfg.strategy);
 
-  system.simulator_options_.engine = cfg.engine;
-  system.simulator_options_.incremental = cfg.incremental_matching;
   system.simulator_options_.strict = cfg.strict;
   system.install_topology();
   return system;
@@ -112,8 +110,6 @@ VodSystem VodSystem::build_heterogeneous(const SystemConfig& config,
   system.strategy_ =
       std::make_unique<hetero::RelayStrategy>(*system.compensation_);
 
-  system.simulator_options_.engine = cfg.engine;
-  system.simulator_options_.incremental = cfg.incremental_matching;
   system.simulator_options_.strict = cfg.strict;
   system.simulator_options_.capacity_override =
       system.compensation_->capacity_slots();

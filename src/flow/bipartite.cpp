@@ -3,19 +3,8 @@
 #include <stdexcept>
 
 #include "flow/dinic.hpp"
-#include "flow/hopcroft_karp.hpp"
 
 namespace p2pvod::flow {
-
-const char* engine_name(Engine engine) noexcept {
-  switch (engine) {
-    case Engine::kDinic:
-      return "dinic";
-    case Engine::kHopcroftKarp:
-      return "hopcroft-karp";
-  }
-  return "unknown";
-}
 
 std::vector<std::uint32_t> MatchResult::box_degrees(
     std::uint32_t box_count) const {
@@ -56,17 +45,7 @@ std::uint64_t ConnectionProblem::edge_count() const noexcept {
   return edges;
 }
 
-MatchResult ConnectionProblem::solve(Engine engine) const {
-  switch (engine) {
-    case Engine::kDinic:
-      return solve_dinic();
-    case Engine::kHopcroftKarp:
-      return solve_hopcroft_karp();
-  }
-  throw std::logic_error("ConnectionProblem::solve: bad engine");
-}
-
-MatchResult ConnectionProblem::solve_dinic() const {
+MatchResult ConnectionProblem::solve() const {
   // Network of §2.3: source -> box (cap ⌊u_b c⌋), box -> request (cap 1),
   // request -> sink (cap 1). Requests scaled by c so all capacities integral.
   const std::uint32_t boxes = box_count();
@@ -103,15 +82,6 @@ MatchResult ConnectionProblem::solve_dinic() const {
       }
     }
   }
-  return result;
-}
-
-MatchResult ConnectionProblem::solve_hopcroft_karp() const {
-  HopcroftKarp solver(candidates_, capacity_);
-  MatchResult result;
-  result.served = solver.solve();
-  result.assignment = solver.assignment();
-  result.complete = (result.served == request_count());
   return result;
 }
 

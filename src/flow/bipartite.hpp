@@ -15,14 +15,6 @@
 
 namespace p2pvod::flow {
 
-/// Solver backend selection (benchmarked against each other in E12).
-enum class Engine {
-  kDinic,         ///< max-flow on the §2.3 network (handles any capacities)
-  kHopcroftKarp,  ///< capacity-aware HK, specialized bipartite solver
-};
-
-[[nodiscard]] const char* engine_name(Engine engine) noexcept;
-
 struct MatchResult {
   /// assignment[r] = serving box for request r, or -1 if unserved.
   std::vector<std::int32_t> assignment;
@@ -63,8 +55,10 @@ class ConnectionProblem {
   }
   [[nodiscard]] std::uint64_t edge_count() const noexcept;
 
-  /// Solve with the requested engine.
-  [[nodiscard]] MatchResult solve(Engine engine = Engine::kDinic) const;
+  /// Maximum matching by Dinic max-flow on the §2.3 network. The round loop
+  /// runs on CsrMatcher (cost-blind) or MinCostMatcher (zones); this solve
+  /// is the from-scratch reference both are checked against.
+  [[nodiscard]] MatchResult solve() const;
 
   /// When infeasible, extract a witness violating Lemma 1: a set X of requests
   /// with total demanded stripes |X| exceeding the capacity of B(X). Derived
@@ -73,9 +67,6 @@ class ConnectionProblem {
   infeasibility_witness() const;
 
  private:
-  [[nodiscard]] MatchResult solve_dinic() const;
-  [[nodiscard]] MatchResult solve_hopcroft_karp() const;
-
   std::vector<std::uint32_t> capacity_;
   std::vector<std::vector<std::uint32_t>> candidates_;
 };

@@ -1,8 +1,8 @@
 // Incremental b-matching repair over a CsrProblem.
 //
-// The dense IncrementalMatcher re-derives the assignment every round from a
-// carry vector and clears an O(box_count) visited array per augmentation —
-// fine at workshop n, quadratic poison at a million boxes. CsrMatcher keeps
+// The cost-blind round engine's matcher. Re-deriving the assignment every
+// round and clearing an O(box_count) visited array per augmentation is fine
+// at workshop n and quadratic poison at a million boxes, so CsrMatcher keeps
 // the matching itself alive across rounds: retiring requests unassign their
 // slot, churned boxes bulk-unassign everything they served, and each round
 // only the currently unmatched slots seed augmenting paths.

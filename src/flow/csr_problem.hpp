@@ -1,10 +1,10 @@
-// Mutable CSR candidate adjacency for the million-box round loop.
+// Mutable CSR candidate adjacency for the cost-blind round engine.
 //
-// The dense round loop rebuilds a ConnectionProblem from scratch every round:
-// O(edges) collection, sorting and deduplication even for requests whose
-// candidate set did not change. CsrProblem is the persistent alternative: one
-// row per request slot, kept alive across rounds and edited surgically as
-// cache grants arrive, retention windows expire and boxes churn.
+// Rebuilding a ConnectionProblem from scratch every round costs O(edges) of
+// collection, sorting and deduplication even for requests whose candidate
+// set did not change. CsrProblem is the persistent alternative: one row per
+// request slot, kept alive across rounds and edited surgically as cache
+// grants arrive, retention windows expire and boxes churn.
 //
 // Each row stores its candidate boxes sorted and unique, paired with a
 // *source count* — how many independent reasons (one static replica, each

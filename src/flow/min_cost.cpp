@@ -94,7 +94,7 @@ MinCostResult MinCostMatcher::solve(const ConnectionProblem& problem,
   // feasibility solve is the answer (and the cheaper path).
   if (all_zero(costs)) {
     MinCostResult result;
-    result.match = problem.solve(Engine::kDinic);
+    result.match = problem.solve();
     return result;
   }
 

@@ -7,8 +7,8 @@
 // is most likely to introduce. validate_assignment checks the assignment
 // itself and throws std::logic_error naming the first offending request, so
 // a verification failure pinpoints the broken edge instead of reporting a
-// bare cardinality mismatch. Both the dense incremental path and the sparse
-// CSR path funnel through it.
+// bare cardinality mismatch. The CSR round engine's verify path funnels
+// through it.
 #pragma once
 
 #include "flow/bipartite.hpp"

@@ -69,16 +69,21 @@ Counter& dropped_counter() {
 void record(TraceEvent event) {
   TraceState& s = state();
   ThreadBuffer& buffer = local_buffer();
-  const std::lock_guard lock(buffer.mutex);
   // A buffer first touched (or left over) from another session resets lazily.
-  if (buffer.epoch != s.epoch.load(std::memory_order_acquire)) {
-    std::uint64_t epoch;
-    std::size_t capacity;
-    {
-      const std::lock_guard state_lock(s.mutex);
-      epoch = s.epoch.load(std::memory_order_relaxed);
-      capacity = s.ring_capacity;
-    }
+  // The session's epoch and ring capacity are read before the buffer lock is
+  // taken: stop() holds TraceState::mutex while it takes each buffer lock, so
+  // taking them the other way round here could deadlock. Only the owning
+  // thread writes buffer.epoch, so it may read it unlocked.
+  const bool stale = buffer.epoch != s.epoch.load(std::memory_order_acquire);
+  std::uint64_t epoch = 0;
+  std::size_t capacity = 0;
+  if (stale) {
+    const std::lock_guard state_lock(s.mutex);
+    epoch = s.epoch.load(std::memory_order_relaxed);
+    capacity = s.ring_capacity;
+  }
+  const std::lock_guard lock(buffer.mutex);
+  if (stale) {
     buffer.epoch = epoch;
     buffer.capacity = capacity;
     buffer.events.clear();

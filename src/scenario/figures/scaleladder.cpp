@@ -1,17 +1,18 @@
 // E16 (extension, not in the paper) — the million-box scale ladder.
 //
 // The paper argues the allocation works at "set-top box population" scale;
-// the dense round loop cannot show it (per-round candidate reconstruction is
-// O(n) even when nothing changed). E16 climbs n from 10^3 to 10^6 on the
-// sparse CSR round path (SimulatorOptions::sparse): persistent candidate
-// rows patched by grant/expiry/churn deltas and an incrementally repaired
-// matching. Every rung runs the same Zipf audience plus a deterministic
-// round-robin churn drizzle; the table reports only deterministic counters
-// (served, stalls, matcher edges, rows built, row patches, kept
-// connections) so the BENCH document is byte-stable across thread counts —
+// a round loop that rebuilt every candidate row each round could not show
+// it (per-round reconstruction is O(n) even when nothing changed). E16
+// climbs n from 10^3 to 10^6 on the CSR round engine every run without a
+// topology uses: persistent candidate rows patched by grant/expiry/churn
+// deltas and an incrementally repaired matching. Every rung runs the same
+// Zipf audience plus a deterministic round-robin churn drizzle; the table
+// reports only deterministic counters (served, stalls, matcher edges, rows
+// built, row patches, kept connections) so the BENCH document is
+// byte-stable across thread counts —
 // throughput lives in the per-stage wall_seconds field of the JSON, which
 // the baseline differ ignores. Small rungs run with verify_incremental: the
-// sparse assignment is structurally validated against a dense reference
+// CSR assignment is structurally validated against a dense reference
 // solve every round, so the ladder self-checks before it gets expensive.
 #include <algorithm>
 #include <cstdint>
@@ -68,7 +69,6 @@ LadderOutcome run_rung(std::uint32_t n) {
   sim::PreloadingStrategy strategy;
   sim::SimulatorOptions options;
   options.strict = false;
-  options.sparse = true;
   // Self-check rungs: cheap enough below a few thousand boxes to validate
   // the sparse assignment against a dense reference solve every round.
   options.verify_incremental = n <= 4000;

@@ -35,15 +35,18 @@ struct RunReport {
   std::uint32_t peak_swarm = 0;
 
   // --- matcher accounting ---
+  /// Connections carried over from the previous round / newly augmented
+  /// (CSR engine only; a zone-aware run re-solves from scratch).
   std::uint64_t kept_connections = 0;
   std::uint64_t new_connections = 0;
   std::uint64_t matcher_edges = 0;       ///< total candidate edges examined
 
-  // --- candidate-construction accounting (sparse-vs-dense comparisons) ---
-  /// Candidate rows collected from ground truth. The dense path pays one per
-  /// live request per round; the sparse path only for dirtied rows.
+  // --- candidate-construction accounting ---
+  /// Candidate rows collected from ground truth. The zone-aware dense path
+  /// pays one per live request per round; the CSR engine only for dirtied
+  /// rows.
   std::uint64_t rows_built = 0;
-  std::uint64_t row_patches = 0;          ///< surgical CSR row edits (sparse)
+  std::uint64_t row_patches = 0;          ///< surgical CSR row edits
   std::uint64_t sparse_full_rebuilds = 0; ///< dirty-fraction fallback trips
 
   // --- topology (zone-aware matching extension; all zero without one) ---

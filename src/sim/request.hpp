@@ -67,22 +67,21 @@ struct ActiveRequest {
   }
 };
 
-/// Sparse-path slot id of a live request; kNoSparseSlot when the simulator
-/// runs the dense engine (no SparseRoundState attached).
+/// CSR-engine slot id of a live request; kNoSparseSlot when the simulator
+/// runs the zone-aware engine (no SparseRoundState attached).
 inline constexpr std::uint32_t kNoSparseSlot = static_cast<std::uint32_t>(-1);
 
 /// Struct-of-arrays storage for the live request set. The round loop scans
 /// these fields linearly every round (candidate building, retirement, zone
 /// accounting), so parallel arrays keep each scan on the one field it needs
 /// instead of striding over whole ActiveRequest records — the difference is
-/// real cache traffic at the million-box scale the sparse engine targets.
+/// real cache traffic at the million-box scale the CSR engine targets.
 struct LiveRequestSoA {
   std::vector<model::StripeId> stripe;
   std::vector<model::Round> issue;
   std::vector<model::BoxId> requester;
   std::vector<SessionId> session;
-  std::vector<std::int32_t> carry;  ///< previous round's server, or -1
-  std::vector<std::uint32_t> slot;  ///< sparse slot id, or kNoSparseSlot
+  std::vector<std::uint32_t> slot;  ///< CSR slot id, or kNoSparseSlot
 
   [[nodiscard]] std::size_t size() const noexcept { return stripe.size(); }
   [[nodiscard]] bool empty() const noexcept { return stripe.empty(); }
@@ -93,7 +92,6 @@ struct LiveRequestSoA {
     issue.push_back(i);
     requester.push_back(r);
     session.push_back(id);
-    carry.push_back(-1);
     slot.push_back(sparse_slot);
   }
 
@@ -103,7 +101,6 @@ struct LiveRequestSoA {
     issue[dst] = issue[src];
     requester[dst] = requester[src];
     session[dst] = session[src];
-    carry[dst] = carry[src];
     slot[dst] = slot[src];
   }
 
@@ -112,7 +109,6 @@ struct LiveRequestSoA {
     issue.resize(n);
     requester.resize(n);
     session.resize(n);
-    carry.resize(n);
     slot.resize(n);
   }
 

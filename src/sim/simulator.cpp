@@ -33,7 +33,6 @@ struct SimCounters {
   obs::Counter& cross_zone_chunks;
   obs::Counter& link_cap_rejections;
   obs::Counter& link_cap_rescues;
-  obs::Counter& sparse_topology_downgrades;
   obs::Histogram& round_active_requests;
 };
 
@@ -50,16 +49,15 @@ SimCounters& sim_counters() {
       registry.counter("sim/cross_zone_chunks"),
       registry.counter("sim/link_cap_rejections"),
       registry.counter("sim/link_cap_rescues"),
-      registry.counter("sim/sparse_topology_downgrades"),
       registry.histogram("sim/round_active_requests", obs::pow2_bounds(16)),
   };
   return *counters;
 }
 
-/// Sparse-path work counters, mirrored once per round from the engine's
-/// cumulative SparseStats (as deltas) so the E16 scale ladder shows up in
-/// --metrics output like the dense path does. kStable for the same reason
-/// as SimCounters: each trial's round loop is sequential and seed-determined.
+/// CSR-engine work counters, mirrored once per round from the engine's
+/// cumulative SparseStats (as deltas) so they show up in --metrics output.
+/// kStable for the same reason as SimCounters: each trial's round loop is
+/// sequential and seed-determined.
 struct SparseCounters {
   obs::Counter& rows_built;
   obs::Counter& row_patches;
@@ -84,8 +82,9 @@ SparseCounters& sparse_counters() {
 
 }  // namespace
 
-// solve_zone_aware feeds net::Cost values into flow::EdgeCosts; the aliases
-// live in layers that don't include each other, so pin their agreement here.
+// solve_round_zone_aware feeds net::Cost values into flow::EdgeCosts; the
+// aliases live in layers that don't include each other, so pin their
+// agreement here.
 static_assert(std::is_same_v<net::Cost, flow::Cost>,
               "net::Cost and flow::Cost must be the same type");
 
@@ -100,8 +99,8 @@ Simulator::Simulator(const model::Catalog& catalog,
       options_(std::move(options)),
       swarms_(catalog.video_count()),
       cache_(catalog.stripe_count(), catalog.duration()),
-      matcher_(profile.size()),
-      busy_until_(profile.size(), 0) {
+      busy_until_(profile.size(), 0),
+      last_session_(profile.size(), kInvalidSession) {
   if (allocation_.box_count() != profile_.size())
     throw std::invalid_argument("Simulator: allocation/profile size mismatch");
   if (allocation_.stripe_count() != catalog_.stripe_count())
@@ -126,26 +125,16 @@ Simulator::Simulator(const model::Catalog& catalog,
   nominal_capacity_ = capacity_slots_;
   online_.assign(profile_.size(), true);
 
-  // The sparse engine repairs last round's matching and is blind to costs,
-  // so it cannot honor a topology. Asking for both in code is a config
-  // error; the P2PVOD_SPARSE env override instead downgrades to dense with a
-  // counter, so re-running a scenario suite under the knob doesn't crash the
-  // zone-aware scenarios.
+  // The CSR engine repairs last round's matching and is blind to costs, so
+  // it cannot honor a topology: asking for both is a config error.
   if (options_.sparse && options_.topology != nullptr)
     throw std::invalid_argument(
         "Simulator: sparse engine cannot honor a topology (cost-aware "
         "matching is dense-only)");
-  if (util::env_positive_long("P2PVOD_SPARSE").value_or(0) > 0) {
-    if (options_.topology != nullptr) {
-      sim_counters().sparse_topology_downgrades.add();
-    } else {
-      options_.sparse = true;
-    }
-  }
   if (const auto pct = util::env_positive_long("P2PVOD_SPARSE_REBUILD_PCT"))
     options_.sparse_rebuild_fraction =
         static_cast<double>(std::min(*pct, 100L)) / 100.0;
-  if (options_.sparse) {
+  if (options_.topology == nullptr) {
     sparse_ = std::make_unique<SparseRoundState>(
         profile_.size(), catalog_.stripe_count(), catalog_.duration(),
         options_.sparse_rebuild_fraction);
@@ -216,6 +205,7 @@ void Simulator::admit(const Demand& demand) {
   sessions_.push_back({demand.box, demand.video, now_, playback_start, ends,
                        network_requests});
   busy_until_[demand.box] = ends;
+  last_session_[demand.box] = session_id;
   end_events_[ends].push_back(session_id);
 
   // Start-up delay measured from the start of the arrival interval [t-1, t[:
@@ -258,7 +248,7 @@ void Simulator::solve_round() {
   OBS_SPAN("sim/solve_round");
 
   const std::uint32_t served =
-      sparse_ != nullptr ? solve_round_sparse() : solve_round_dense();
+      sparse_ != nullptr ? solve_round_sparse() : solve_round_zone_aware();
 
   report_.chunks_served += served;
   sim_counters().chunks_matched.add(served);
@@ -309,42 +299,6 @@ void Simulator::record_stall_witness() {
     report_.stall_witness_size = static_cast<std::uint32_t>(witness->size());
 }
 
-std::uint32_t Simulator::solve_round_dense() {
-  flow::ConnectionProblem problem = build_connection_problem();
-  report_.rows_built += live_.size();  // dense collects every row, every round
-  report_.matcher_edges += problem.edge_count();
-  sim_counters().matcher_edges.add(problem.edge_count());
-
-  flow::MatchResult result;
-  {
-    OBS_SPAN("sim/match");
-    if (options_.topology != nullptr) {
-      result = solve_zone_aware(problem);
-    } else if (options_.incremental) {
-      result = matcher_.solve(problem, live_.carry);
-      if (options_.verify_incremental) {
-        flow::validate_assignment(problem, result);
-        const flow::MatchResult reference = problem.solve(options_.engine);
-        if (reference.served != result.served)
-          throw std::logic_error(
-              "Simulator: incremental matcher disagrees with reference solve");
-      }
-    } else {
-      result = problem.solve(options_.engine);
-    }
-  }
-
-  const std::uint32_t served = result.served;
-  live_.carry = std::move(result.assignment);
-  // Connection-reuse accounting comes from the incremental matcher, which a
-  // topology supersedes — don't report stats from a matcher that never ran.
-  if (options_.incremental && options_.topology == nullptr) {
-    report_.kept_connections = matcher_.stats().kept_connections;
-    report_.new_connections = matcher_.stats().new_connections;
-  }
-  return served;
-}
-
 std::uint32_t Simulator::solve_round_sparse() {
   const auto collect = [this](model::StripeId stripe, model::Round issue,
                               model::BoxId requester,
@@ -361,8 +315,6 @@ std::uint32_t Simulator::solve_round_sparse() {
   }
   report_.matcher_edges += sparse_->edge_count();
   sim_counters().matcher_edges.add(sparse_->edge_count());
-  for (std::size_t i = 0; i < live_.size(); ++i)
-    live_.carry[i] = sparse_->assignment(live_.slot[i]);
   const SparseStats& stats = sparse_->stats();
   report_.kept_connections = stats.kept_connections;
   report_.new_connections = stats.new_connections;
@@ -384,25 +336,35 @@ std::uint32_t Simulator::solve_round_sparse() {
 
   if (options_.verify_incremental) {
     // Reconstruct the round's dense problem from ground truth and validate
-    // the sparse assignment against it: membership and capacity violations
-    // surface here with the offending request named, and a served-count
-    // mismatch against the reference solve catches lost maximality.
+    // the CSR assignment against it: membership and capacity violations
+    // surface here with the offending request named, an edge-count mismatch
+    // catches rows that drifted from ground truth, and a served-count
+    // mismatch against the Dinic oracle catches lost maximality.
     const flow::ConnectionProblem problem = build_connection_problem();
+    if (problem.edge_count() != sparse_->edge_count())
+      throw std::logic_error(
+          "Simulator: CSR rows disagree with the dense problem's edges");
     flow::MatchResult check;
-    check.assignment = live_.carry;
+    check.assignment.resize(live_.size());
+    for (std::size_t i = 0; i < live_.size(); ++i)
+      check.assignment[i] = sparse_->assignment(live_.slot[i]);
     check.served = served;
     check.complete = served == live_.size();
     flow::validate_assignment(problem, check);
-    const flow::MatchResult reference = problem.solve(options_.engine);
-    if (reference.served != served)
+    if (problem.solve().served != served)
       throw std::logic_error(
           "Simulator: sparse matcher disagrees with reference solve");
   }
   return served;
 }
 
-flow::MatchResult Simulator::solve_zone_aware(
-    const flow::ConnectionProblem& problem) {
+std::uint32_t Simulator::solve_round_zone_aware() {
+  const flow::ConnectionProblem problem = build_connection_problem();
+  report_.rows_built += live_.size();  // every row, every round
+  report_.matcher_edges += problem.edge_count();
+  sim_counters().matcher_edges.add(problem.edge_count());
+  OBS_SPAN("sim/match");
+
   const net::Topology& topology = *options_.topology;
 
   // Candidate edge (b, r) costs the zone-pair transit from b's zone into the
@@ -441,7 +403,7 @@ flow::MatchResult Simulator::solve_zone_aware(
     report_.cross_zone_fraction.add(static_cast<double>(cross) /
                                     static_cast<double>(intra + cross));
   }
-  return result;
+  return result.served;
 }
 
 // The topology's "no cap" sentinel must be flow's "no group / unlimited
@@ -510,8 +472,8 @@ void Simulator::abort_session(SessionId id) {
   ++report_.sessions_aborted;
   busy_until_[session.box] = std::min(busy_until_[session.box], now_);
 
-  // Drop the session's live requests (order-preserving, keeps carry aligned)
-  // and its not-yet-activated pending requests.
+  // Drop the session's live requests (order-preserving) and its
+  // not-yet-activated pending requests.
   std::size_t write = 0;
   for (std::size_t i = 0; i < live_.size(); ++i) {
     if (live_.session[i] == id) {
@@ -569,26 +531,25 @@ void Simulator::set_box_online(model::BoxId box, bool online) {
     sparse_->on_box_offline(box, allocation_.stored(box),
                             scratch_cache_stripes_);
 
-  // Abort every playback the box was watching and every session that relied
-  // on it as the downloading requester (the §4 relay channel).
-  std::vector<bool> doomed(sessions_.size(), false);
-  for (SessionId id = 0; id < sessions_.size(); ++id) {
-    const Session& session = sessions_[id];
-    if (!session.aborted && session.ends > now_ && session.box == box)
-      doomed[id] = true;
-  }
+  // Abort the playback the box was watching (only its last session can
+  // still be running) and every session that relied on it as the
+  // downloading requester (the §4 relay channel). Ascending id order keeps
+  // the CSR slot recycling order independent of how the set was gathered.
+  std::vector<SessionId> doomed;
+  if (last_session_[box] != kInvalidSession)
+    doomed.push_back(last_session_[box]);
   for (std::size_t i = 0; i < live_.size(); ++i) {
-    if (live_.requester[i] == box) doomed[live_.session[i]] = true;
+    if (live_.requester[i] == box) doomed.push_back(live_.session[i]);
   }
   for (const auto& [round, pending] : pending_) {
     for (const PendingRequest& p : pending) {
-      if (p.plan.requester == box) doomed[p.session] = true;
+      if (p.plan.requester == box) doomed.push_back(p.session);
     }
     (void)round;
   }
-  for (SessionId id = 0; id < sessions_.size(); ++id) {
-    if (doomed[id]) abort_session(id);
-  }
+  std::sort(doomed.begin(), doomed.end());
+  doomed.erase(std::unique(doomed.begin(), doomed.end()), doomed.end());
+  for (const SessionId id : doomed) abort_session(id);
 }
 
 void Simulator::step(const std::vector<Demand>& demands) {

@@ -25,7 +25,6 @@
 
 #include "alloc/allocation.hpp"
 #include "flow/bipartite.hpp"
-#include "flow/matcher.hpp"
 #include "flow/min_cost.hpp"
 #include "model/capacity.hpp"
 #include "net/topology.hpp"
@@ -52,11 +51,11 @@ struct Demand {
 };
 
 struct SimulatorOptions {
-  flow::Engine engine = flow::Engine::kDinic;
-  /// Reuse last round's connections and only rewire the difference (E12).
-  bool incremental = true;
-  /// Cross-check the incremental matcher against a from-scratch solve every
-  /// round (tests; expensive).
+  /// Cross-check every CSR round against the Dinic oracle on the round's
+  /// dense ConnectionProblem, rebuilt from ground truth: the assignment must
+  /// be structurally valid, serve as many requests as the oracle, and the
+  /// CSR rows must hold as many edges as the dense problem (tests;
+  /// expensive).
   bool verify_incremental = false;
   /// Stop at the first unserved request (the paper's feasibility semantics).
   /// When false, stalls are counted and positions advance (continuity metric).
@@ -64,24 +63,20 @@ struct SimulatorOptions {
   /// Per-box upload override in stripe slots (hetero relay reserves upload);
   /// empty = ⌊u_b c⌋ from the capacity profile.
   std::vector<std::uint32_t> capacity_override;
-  /// Zone topology (not owned; must outlive the simulator). When set, each
-  /// round's matching minimizes total zone-pair cost among maximum matchings
-  /// (flow/min_cost) and cross-zone traffic is accounted in RunReport; link
-  /// caps, when present, admission-control per-zone-pair connections.
-  /// Supersedes `incremental` — connection reuse is not cost-aware.
+  /// Zone topology (not owned; must outlive the simulator). It picks the
+  /// round engine. Without one, rounds run on the cost-blind CSR engine: a
+  /// persistent candidate adjacency patched by deltas and last round's
+  /// matching repaired from the unmatched slots only (a maximum matching,
+  /// like a from-scratch solve). With one, each round's dense problem is
+  /// solved from scratch for the minimum total zone-pair cost among maximum
+  /// matchings (flow/min_cost), cross-zone traffic is accounted in
+  /// RunReport, and link caps, when present, admission-control per-zone-pair
+  /// connections.
   const net::Topology* topology = nullptr;
-  /// Million-box path (E16): keep the candidate adjacency in a persistent
-  /// CSR structure patched by deltas instead of rebuilt per round, and
-  /// repair last round's matching from the unmatched slots only. Serves
-  /// exactly as many requests as the dense solve (both are maximum
-  /// matchings; verify_incremental cross-checks the assignment itself);
-  /// connection-level assignments may differ. Incompatible with `topology` —
-  /// cost-aware matching is dense-only, and asking for both throws
-  /// std::invalid_argument. Env: P2PVOD_SPARSE=1 forces it on for any run
-  /// without a topology; zone-aware runs stay dense and count the downgrade
-  /// (sim/sparse_topology_downgrades).
+  /// Inert: the topology picks the engine. Setting it together with a
+  /// topology throws std::invalid_argument (the CSR engine is cost-blind).
   bool sparse = false;
-  /// Dirty-row fraction above which the sparse path rebuilds every row from
+  /// Dirty-row fraction above which the CSR engine rebuilds every row from
   /// ground truth instead of patching (patch bookkeeping stops paying once
   /// most rows changed anyway). Env: P2PVOD_SPARSE_REBUILD_PCT (0..100).
   double sparse_rebuild_fraction = 0.5;
@@ -142,7 +137,7 @@ class Simulator {
   [[nodiscard]] std::uint64_t total_capacity_slots() const noexcept {
     return total_capacity_slots_;
   }
-  /// True when rounds run on the sparse CSR engine (options or env knob).
+  /// True when rounds run on the CSR engine (no topology attached).
   [[nodiscard]] bool sparse_active() const noexcept {
     return sparse_ != nullptr;
   }
@@ -166,21 +161,19 @@ class Simulator {
   void admit(const Demand& demand);
   void activate_pending();
   void solve_round();
-  /// Dense engine: build this round's ConnectionProblem from scratch and
-  /// solve it (zone-aware / incremental / plain). Returns requests served.
-  std::uint32_t solve_round_dense();
-  /// Sparse engine: patch-and-repair round on the persistent CSR state.
+  /// CSR engine: patch-and-repair round on the persistent CSR state.
+  /// Returns requests served.
   std::uint32_t solve_round_sparse();
+  /// Zone-aware engine (topology set): build the round's dense
+  /// ConnectionProblem, min-cost solve, link-cap admission control,
+  /// cross-zone accounting. Returns requests served.
+  std::uint32_t solve_round_zone_aware();
   /// The round's dense ConnectionProblem, collected from ground truth (also
-  /// the reference the sparse verify path validates against).
+  /// the reference the CSR verify path validates against).
   [[nodiscard]] flow::ConnectionProblem build_connection_problem();
   /// Hall-violating witness for the first stall (rebuilds the round's
   /// problem; runs once per run at most).
   void record_stall_witness();
-  /// Cost-aware matching for the round (options_.topology set): min-cost
-  /// solve, link-cap admission control, cross-zone accounting.
-  [[nodiscard]] flow::MatchResult solve_zone_aware(
-      const flow::ConnectionProblem& problem);
   /// Link-cap enforcement: maps each candidate edge to its directed
   /// zone-pair group and delegates to flow::enforce_group_caps (pass-1
   /// admission drops are RunReport::link_cap_rejections, pass-2 re-seats are
@@ -202,8 +195,7 @@ class Simulator {
 
   SwarmRegistry swarms_;
   CacheIndex cache_;
-  flow::IncrementalMatcher matcher_;
-  /// Persistent CSR adjacency + matching; null on the dense engine.
+  /// Persistent CSR adjacency + matching; null on the zone-aware engine.
   std::unique_ptr<SparseRoundState> sparse_;
   /// SparseStats values already mirrored into the obs counters; the stats
   /// are cumulative per state, so each round adds only the delta.
@@ -211,9 +203,14 @@ class Simulator {
 
   std::vector<Session> sessions_;
   std::vector<model::Round> busy_until_;
+  /// Per box: the last session admitted, or kInvalidSession. Admission
+  /// needs an idle box, so every earlier session of the box has ended or
+  /// been aborted: this is the only playback of the box that a failure can
+  /// still cut short.
+  std::vector<SessionId> last_session_;
   std::map<model::Round, std::vector<PendingRequest>> pending_;
   std::map<model::Round, std::vector<SessionId>> end_events_;
-  LiveRequestSoA live_;  ///< live requests + carry, struct-of-arrays
+  LiveRequestSoA live_;  ///< live requests, struct-of-arrays
   std::vector<std::uint32_t> capacity_slots_;
   std::vector<std::uint32_t> nominal_capacity_;  ///< restored on recovery
   std::vector<bool> online_;

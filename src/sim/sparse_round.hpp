@@ -1,10 +1,11 @@
-// Cross-round sparse candidate index + incremental matching repair.
+// The cost-blind round engine: cross-round candidate index + incremental
+// matching repair.
 //
-// The dense round loop rebuilds every request's candidate list every round
-// (collect, sort, unique) and re-derives the matching from a carry vector.
-// SparseRoundState is the million-box replacement: it owns a flow::CsrProblem
-// whose rows persist across rounds and a flow::CsrMatcher whose matching
-// persists across rounds, and maintains both by deltas:
+// Rebuilding every request's candidate list every round (collect, sort,
+// unique) and re-deriving the matching costs O(live requests) even when
+// nothing changed. SparseRoundState instead owns a flow::CsrProblem whose
+// rows persist across rounds and a flow::CsrMatcher whose matching persists
+// across rounds, and maintains both by deltas:
 //
 //   - a cache grant point-inserts one source into the live rows of its
 //     stripe (and schedules its retention-window expiry);
@@ -23,8 +24,8 @@
 // replica while online, plus each in-window cache entry with entry < issue).
 // Every source is added exactly once (insert or rebuild) and retired exactly
 // once (its calendar event, an offline bulk-removal, or the row's rebuild
-// folding it in), so rows never drift from what the dense collector would
-// produce — the equivalence the simulator's verify path asserts.
+// folding it in), so rows never drift from what a from-scratch collection
+// would produce — the equivalence the simulator's verify path asserts.
 #pragma once
 
 #include <cstdint>
@@ -39,8 +40,7 @@
 
 namespace p2pvod::sim {
 
-/// Cumulative work counters for the sparse path (reported like
-/// flow::IncrementalStats).
+/// Cumulative work counters of the CSR engine (RunReport mirrors them).
 struct SparseStats {
   std::uint64_t rounds = 0;
   std::uint64_t rows_built = 0;     ///< rows collected from ground truth
@@ -53,9 +53,9 @@ struct SparseStats {
 
 class SparseRoundState {
  public:
-  /// Ground-truth candidate collection for one request, exactly what the
-  /// dense path feeds ConnectionProblem::add_request (duplicates allowed;
-  /// each occurrence is one source).
+  /// Ground-truth candidate collection for one request: the boxes
+  /// Simulator::build_connection_problem collects before de-duplicating
+  /// (each occurrence is one source).
   using RowCollector =
       std::function<void(model::StripeId stripe, model::Round issue,
                          model::BoxId requester, std::vector<model::BoxId>&)>;

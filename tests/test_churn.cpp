@@ -68,6 +68,36 @@ TEST(Churn, FailedViewerAbortsItsSession) {
   EXPECT_EQ(sim.report().sessions_completed, 0u);  // aborted != completed
 }
 
+TEST(Churn, FailureAfterCompletedSessionsAbortsOnlyTheLiveOne) {
+  // Box 0 watches two videos to the end, then fails halfway through a third
+  // while box 1 watches the same video: only box 0's live session dies.
+  ChurnWorld world(4, 1, 2.0, /*T=*/4, /*videos=*/2);
+  s::PreloadingStrategy strategy;
+  s::SimulatorOptions options;
+  options.verify_incremental = true;
+  s::Simulator sim(world.catalog, world.profile, world.allocation, strategy,
+                   options);
+  for (const m::VideoId video : {0u, 1u}) {
+    sim.step({{0, video}});
+    while (!sim.box_idle(0)) sim.step({});
+  }
+  sim.step({{0, 1}, {1, 1}});  // settles the second session, admits two
+  EXPECT_EQ(sim.report().sessions_completed, 2u);
+  sim.step({});
+  ASSERT_FALSE(sim.box_idle(0));
+  EXPECT_EQ(sim.swarms().size(1), 2u);
+
+  sim.set_box_online(0, false);
+  EXPECT_EQ(sim.report().sessions_aborted, 1u);
+  EXPECT_EQ(sim.swarms().size(1), 1u);
+  EXPECT_GT(sim.active_request_count(), 0u);  // box 1 keeps downloading
+  while (!sim.box_idle(1)) sim.step({});
+  sim.step({});
+  EXPECT_TRUE(sim.report().success);
+  EXPECT_EQ(sim.report().sessions_completed, 3u);
+  EXPECT_EQ(sim.report().sessions_aborted, 1u);
+}
+
 TEST(Churn, FailedSoleHolderStallsViewer) {
   ChurnWorld world(3, 1, 1.0);
   s::PreloadingStrategy strategy;

@@ -1,15 +1,17 @@
-// Unit tests for src/flow: Dinic max-flow, Hopcroft-Karp b-matching, the
-// connection-problem reduction, Hall checking, incremental matching, and the
-// min-cost matching engine (successive shortest paths with potentials).
+// Unit tests for src/flow: Dinic max-flow, the connection-problem reduction
+// (cross-checked against CsrMatcher, the round loop's cost-blind matcher),
+// Hall checking, CsrMatcher's cross-round repair, and the min-cost matching
+// engine (successive shortest paths with potentials).
 #include <gtest/gtest.h>
 
 #include "flow/bipartite.hpp"
+#include "flow/csr_matcher.hpp"
+#include "flow/csr_problem.hpp"
 #include "flow/dinic.hpp"
 #include "flow/graph.hpp"
 #include "flow/hall.hpp"
-#include "flow/hopcroft_karp.hpp"
-#include "flow/matcher.hpp"
 #include "flow/min_cost.hpp"
+#include "flow/verify.hpp"
 #include "util/rng.hpp"
 
 namespace f = p2pvod::flow;
@@ -115,44 +117,6 @@ TEST(Dinic, FlowConservationAtInternalNodes) {
   EXPECT_EQ(in3, net.flow_on(edges[4]));
 }
 
-// ----------------------------------------------------------------- hk
-
-TEST(HopcroftKarp, PerfectMatchingUnitCaps) {
-  const std::vector<std::vector<std::uint32_t>> adj{{0, 1}, {0}, {1, 2}};
-  f::HopcroftKarp hk(adj, {1, 1, 1});
-  EXPECT_EQ(hk.solve(), 3u);
-  const auto& match = hk.assignment();
-  EXPECT_EQ(match[1], 0);  // request 1 can only use box 0
-}
-
-TEST(HopcroftKarp, RespectsBoxCapacity) {
-  // Three requests all wanting box 0 with capacity 2.
-  const std::vector<std::vector<std::uint32_t>> adj{{0}, {0}, {0}};
-  f::HopcroftKarp hk(adj, {2});
-  EXPECT_EQ(hk.solve(), 2u);
-}
-
-TEST(HopcroftKarp, AugmentsThroughSaturatedBoxes) {
-  // r0 -> {b0}; r1 -> {b0, b1}. Greedy could give r1 b0 and starve r0;
-  // augmenting must fix it.
-  const std::vector<std::vector<std::uint32_t>> adj{{0}, {0, 1}};
-  f::HopcroftKarp hk(adj, {1, 1});
-  EXPECT_EQ(hk.solve(), 2u);
-}
-
-TEST(HopcroftKarp, EmptyCandidatesUnmatched) {
-  const std::vector<std::vector<std::uint32_t>> adj{{}, {0}};
-  f::HopcroftKarp hk(adj, {1});
-  EXPECT_EQ(hk.solve(), 1u);
-  EXPECT_EQ(hk.assignment()[0], -1);
-}
-
-TEST(HopcroftKarp, ZeroCapacityBoxUnusable) {
-  const std::vector<std::vector<std::uint32_t>> adj{{0}};
-  f::HopcroftKarp hk(adj, {0});
-  EXPECT_EQ(hk.solve(), 0u);
-}
-
 // ----------------------------------------------------------------- problem
 
 namespace {
@@ -174,6 +138,32 @@ f::ConnectionProblem random_problem(p2pvod::util::Rng& rng,
     problem.add_request(std::move(cands));
   }
   return problem;
+}
+
+/// CSR mirror of `problem`'s candidate rows.
+f::CsrProblem to_csr(const f::ConnectionProblem& problem) {
+  f::CsrProblem csr;
+  if (problem.request_count() > 0) csr.ensure_row(problem.request_count() - 1);
+  for (std::uint32_t r = 0; r < problem.request_count(); ++r) {
+    for (const std::uint32_t b : problem.candidates(r)) csr.add_source(r, b);
+  }
+  return csr;
+}
+
+/// Solve `problem` from scratch with CsrMatcher: augment every row once.
+f::MatchResult csr_solve(const f::ConnectionProblem& problem) {
+  const f::CsrProblem csr = to_csr(problem);
+  f::CsrMatcher matcher(problem.box_count());
+  matcher.ensure_rows(problem.request_count());
+  f::MatchResult result;
+  for (std::uint32_t r = 0; r < problem.request_count(); ++r) {
+    if (matcher.augment(csr, problem.capacities(), r)) ++result.served;
+  }
+  // Read back only now: later augmentations re-seat earlier rows.
+  for (std::uint32_t r = 0; r < problem.request_count(); ++r)
+    result.assignment.push_back(matcher.assignment(r));
+  result.complete = result.served == problem.request_count();
+  return result;
 }
 }  // namespace
 
@@ -199,13 +189,15 @@ TEST(ConnectionProblem, InfeasibleWhenOversubscribed) {
   EXPECT_EQ(result.served, 1u);
 }
 
+// Dinic (the oracle) and CsrMatcher (the round loop's engine) are
+// independent implementations: they must agree on the maximum.
 TEST(ConnectionProblem, EnginesAgreeOnRandomInstances) {
   p2pvod::util::Rng rng(77);
   for (int trial = 0; trial < 50; ++trial) {
     auto problem = random_problem(rng, 8, 12, 3, 0.3);
-    const auto dinic = problem.solve(f::Engine::kDinic);
-    const auto hk = problem.solve(f::Engine::kHopcroftKarp);
-    ASSERT_EQ(dinic.served, hk.served) << "trial " << trial;
+    const auto dinic = problem.solve();
+    const auto csr = csr_solve(problem);
+    ASSERT_EQ(dinic.served, csr.served) << "trial " << trial;
   }
 }
 
@@ -213,8 +205,7 @@ TEST(ConnectionProblem, AssignmentRespectsCapacities) {
   p2pvod::util::Rng rng(88);
   for (int trial = 0; trial < 25; ++trial) {
     auto problem = random_problem(rng, 6, 15, 2, 0.4);
-    for (const auto engine : {f::Engine::kDinic, f::Engine::kHopcroftKarp}) {
-      const auto result = problem.solve(engine);
+    for (const auto& result : {problem.solve(), csr_solve(problem)}) {
       const auto degrees = result.box_degrees(problem.box_count());
       for (std::uint32_t b = 0; b < problem.box_count(); ++b)
         EXPECT_LE(degrees[b], problem.capacity(b));
@@ -340,69 +331,61 @@ TEST(Hall, Lemma1EquivalenceOnRandomInstances) {
   EXPECT_GT(infeasible_count, 0);
 }
 
-// ----------------------------------------------------------------- matcher
+// ----------------------------------------------------------------- repair
 
-TEST(IncrementalMatcher, MatchesFromScratch) {
-  f::ConnectionProblem p(2);
-  p.set_capacity(0, 1);
-  p.set_capacity(1, 1);
-  p.add_request({0, 1});
-  p.add_request({0});
-  f::IncrementalMatcher matcher(2);
-  const auto result = matcher.solve(p, {-1, -1});
-  EXPECT_TRUE(result.complete);
-}
-
-TEST(IncrementalMatcher, KeepsValidCarries) {
-  f::ConnectionProblem p(2);
-  p.set_capacity(0, 1);
-  p.set_capacity(1, 1);
-  p.add_request({0, 1});
-  p.add_request({0, 1});
-  f::IncrementalMatcher matcher(2);
-  const auto result = matcher.solve(p, {1, 0});  // previous round's wiring
-  EXPECT_TRUE(result.complete);
-  EXPECT_EQ(result.assignment[0], 1);
-  EXPECT_EQ(result.assignment[1], 0);
-  EXPECT_EQ(matcher.stats().kept_connections, 2u);
-  EXPECT_EQ(matcher.stats().new_connections, 0u);
-}
-
-TEST(IncrementalMatcher, DropsInvalidCarries) {
-  f::ConnectionProblem p(2);
-  p.set_capacity(0, 1);
-  p.set_capacity(1, 1);
-  p.add_request({1});  // box 0 no longer a candidate
-  f::IncrementalMatcher matcher(2);
-  const auto result = matcher.solve(p, {0});
-  EXPECT_TRUE(result.complete);
-  EXPECT_EQ(result.assignment[0], 1);
-}
-
-TEST(IncrementalMatcher, AgreesWithDinicOnRandomSequences) {
+// Cross-round repair, the way the CSR round engine drives CsrMatcher: each
+// round rewrites some rows, drops assignments the rewritten rows no longer
+// allow, and augments only the unmatched rows. The matching kept across
+// rounds must stay valid and as large as Dinic's from-scratch maximum.
+TEST(CsrMatcher, RepairAgreesWithDinicOnRandomSequences) {
   p2pvod::util::Rng rng(555);
-  f::IncrementalMatcher matcher(8);
-  std::vector<std::int32_t> carry;
+  constexpr std::uint32_t kBoxes = 8;
+  constexpr std::uint32_t kRows = 10;
+  f::ConnectionProblem problem = random_problem(rng, kBoxes, kRows, 2, 0.35);
+  f::CsrProblem csr = to_csr(problem);
+  f::CsrMatcher matcher(kBoxes);
+  matcher.ensure_rows(kRows);
+  std::uint64_t kept = 0;
   for (int round = 0; round < 40; ++round) {
-    auto problem = random_problem(rng, 8, 10, 2, 0.35);
-    carry.resize(problem.request_count(), -1);
-    const auto incremental = matcher.solve(problem, carry);
-    const auto reference = problem.solve(f::Engine::kDinic);
-    ASSERT_EQ(incremental.served, reference.served) << "round " << round;
-    carry = incremental.assignment;
+    if (round > 0) {
+      // Rewrite every third row (rotating) with a fresh candidate set.
+      f::ConnectionProblem next(kBoxes);
+      next.set_capacities(problem.capacities());
+      for (std::uint32_t r = 0; r < kRows; ++r) {
+        std::vector<std::uint32_t> cands = problem.candidates(r);
+        if ((r + static_cast<std::uint32_t>(round)) % 3 == 0) {
+          cands.clear();
+          for (std::uint32_t b = 0; b < kBoxes; ++b) {
+            if (rng.next_bool(0.35)) cands.push_back(b);
+          }
+          const std::vector<std::uint32_t> counts(cands.size(), 1);
+          csr.assign_row(r, cands, counts);
+          const std::int32_t assigned = matcher.assignment(r);
+          if (assigned >= 0 &&
+              !csr.contains(r, static_cast<std::uint32_t>(assigned)))
+            matcher.unassign(r);
+        }
+        next.add_request(std::move(cands));
+      }
+      problem = std::move(next);
+    }
+    f::MatchResult result;
+    for (std::uint32_t r = 0; r < kRows; ++r) {
+      if (matcher.assignment(r) >= 0) {
+        ++kept;
+        ++result.served;
+      } else if (matcher.augment(csr, problem.capacities(), r)) {
+        ++result.served;
+      }
+    }
+    for (std::uint32_t r = 0; r < kRows; ++r)
+      result.assignment.push_back(matcher.assignment(r));
+    result.complete = result.served == kRows;
+    ASSERT_NO_THROW(f::validate_assignment(problem, result))
+        << "round " << round;
+    ASSERT_EQ(result.served, problem.solve().served) << "round " << round;
   }
-  EXPECT_GT(matcher.stats().kept_connections, 0u);
-}
-
-TEST(IncrementalMatcher, RejectsBoxCountChange) {
-  f::IncrementalMatcher matcher(3);
-  f::ConnectionProblem p(2);
-  EXPECT_THROW((void)matcher.solve(p, {}), std::invalid_argument);
-}
-
-TEST(EngineName, Strings) {
-  EXPECT_STREQ(f::engine_name(f::Engine::kDinic), "dinic");
-  EXPECT_STREQ(f::engine_name(f::Engine::kHopcroftKarp), "hopcroft-karp");
+  EXPECT_GT(kept, 0u);
 }
 
 // ----------------------------------------------------------------- min-cost
@@ -471,7 +454,7 @@ TEST(MinCostMatcher, ZeroCostsDegradeToDinic) {
     for (std::uint32_t r = 0; r < problem.request_count(); ++r)
       zero[r].assign(problem.candidates(r).size(), 0);
     const auto mincost = f::MinCostMatcher::solve(problem, zero);
-    const auto dinic = problem.solve(f::Engine::kDinic);
+    const auto dinic = problem.solve();
     ASSERT_EQ(mincost.match.served, dinic.served) << "trial " << trial;
     ASSERT_EQ(mincost.match.assignment, dinic.assignment) << "trial " << trial;
     ASSERT_EQ(mincost.total_cost, 0);
@@ -502,7 +485,7 @@ TEST(MinCostMatcher, ServedCountMatchesDinicUnderAnyCosts) {
     auto problem = random_problem(rng, 8, 14, 3, 0.3);
     const auto costs = random_costs(rng, problem, 9);
     const auto mincost = f::MinCostMatcher::solve(problem, costs);
-    const auto dinic = problem.solve(f::Engine::kDinic);
+    const auto dinic = problem.solve();
     ASSERT_EQ(mincost.match.served, dinic.served) << "trial " << trial;
     check_valid(problem, mincost);
   }
@@ -579,7 +562,9 @@ void check_group_budgets(const f::ConnectionProblem& problem,
     if (g != f::kUncappedGroup) ++used[g];
   }
   for (std::size_t g = 0; g < caps.size(); ++g) {
-    if (caps[g] != f::kUncappedGroup) ASSERT_LE(used[g], caps[g]);
+    if (caps[g] != f::kUncappedGroup) {
+      ASSERT_LE(used[g], caps[g]);
+    }
   }
 }
 
@@ -653,7 +638,7 @@ TEST(GroupCaps, UnlimitedBudgetAndUncappedEdgesNeverDrop) {
     groups.push_back({r % 2 == 0 ? 0u : f::kUncappedGroup});
   }
   const std::vector<std::uint32_t> caps{f::kUncappedGroup};
-  auto result = p.solve(f::Engine::kDinic);
+  auto result = p.solve();
   ASSERT_EQ(result.served, 8u);
   const auto outcome = f::enforce_group_caps(p, costs, groups, caps, result);
   EXPECT_EQ(outcome.rejections, 0u);
@@ -685,7 +670,7 @@ TEST(GroupCaps, RejectsBadShapesAndGroupIds) {
   f::ConnectionProblem p(1);
   p.set_capacity(0, 1);
   p.add_request({0});
-  auto result = p.solve(f::Engine::kDinic);
+  auto result = p.solve();
   // Row-count mismatch.
   EXPECT_THROW((void)f::enforce_group_caps(p, {{0}}, {}, {1}, result),
                std::invalid_argument);

@@ -7,6 +7,7 @@
 #include "alloc/permutation.hpp"
 #include "analysis/impossibility.hpp"
 #include "core/vod_system.hpp"
+#include "net/topology.hpp"
 #include "sim/simulator.hpp"
 #include "workload/adversarial.hpp"
 #include "workload/flash_crowd.hpp"
@@ -159,32 +160,42 @@ TEST(Integration, EndToEndDeterminism) {
   EXPECT_EQ(r1.success, r2.success);
 }
 
-// Matcher engines and incremental mode give identical feasibility verdicts.
+// The round engine follows the topology: the CSR engine without one, the
+// zone-aware dense engine with one. Both compute maximum matchings, so they
+// serve and stall identically round by round — with all-zero costs (the
+// Dinic fallback of the min-cost solver) and with real cross-zone costs.
 TEST(Integration, EngineChoiceDoesNotChangeOutcome) {
   const std::uint32_t n = 24, c = 4, k = 4;
   const m::Catalog catalog(12, c, 10);
-  const auto profile = m::CapacityProfile::homogeneous(n, 1.5, 4.0);
+  const auto profile = m::CapacityProfile::homogeneous(n, 0.75, 4.0);
   p2pvod::util::Rng rng(12);
   const auto allocation =
       a::PermutationAllocator().allocate(catalog, profile, k, rng);
   s::PreloadingStrategy strategy;
+  const auto free_zones = p2pvod::net::Topology::uniform(n, 3);
+  const p2pvod::net::Topology costly_zones =
+      p2pvod::net::Topology::uniform(n, 3).set_uniform_cost(0, 1);
 
-  auto run_with = [&](bool incremental, p2pvod::flow::Engine engine) {
+  auto run_with = [&](const p2pvod::net::Topology* topology) {
     s::SimulatorOptions options;
-    options.incremental = incremental;
-    options.engine = engine;
+    options.strict = false;  // compare every round, stalls included
+    options.topology = topology;
     s::Simulator sim(catalog, profile, allocation, strategy, options);
-    w::ZipfDemand zipf(12, 0.8, 0.2, 31);
+    EXPECT_EQ(sim.sparse_active(), topology == nullptr);
+    w::ZipfDemand zipf(12, 0.8, 0.4, 31);
     return sim.run(zipf, 30);
   };
 
-  const auto a1 = run_with(true, p2pvod::flow::Engine::kDinic);
-  const auto a2 = run_with(false, p2pvod::flow::Engine::kDinic);
-  const auto a3 = run_with(false, p2pvod::flow::Engine::kHopcroftKarp);
-  EXPECT_EQ(a1.success, a2.success);
-  EXPECT_EQ(a2.success, a3.success);
-  EXPECT_EQ(a1.chunks_served, a2.chunks_served);
-  EXPECT_EQ(a2.chunks_served, a3.chunks_served);
+  const auto csr = run_with(nullptr);
+  ASSERT_GT(csr.chunks_stalled, 0u);  // the instance is tight enough to bind
+  for (const auto* topology : {&free_zones, &costly_zones}) {
+    const auto dense = run_with(topology);
+    EXPECT_EQ(csr.chunks_served, dense.chunks_served);
+    EXPECT_EQ(csr.chunks_stalled, dense.chunks_stalled);
+    EXPECT_EQ(csr.first_stall, dense.first_stall);
+    EXPECT_EQ(csr.stall_witness_size, dense.stall_witness_size);
+    EXPECT_EQ(csr.matcher_edges, dense.matcher_edges);
+  }
 }
 
 // The binge viewer exercises the "end of previous + start of current" cache

@@ -5,13 +5,16 @@
 // metric slice of a scenario run is identical at 1, 4, and 8 threads.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdint>
 #include <cstdlib>
 #include <filesystem>
+#include <future>
 #include <optional>
 #include <set>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "obs/clock.hpp"
@@ -322,6 +325,46 @@ TEST(ObsTrace, StopToFileWritesParseableFileAndCreatesDirectories) {
   const u::json::Value doc = u::json::parse_file(path);
   ASSERT_TRUE(doc.at("traceEvents").is_array());
   EXPECT_EQ(doc.at("traceEvents").as_array().size(), 1u);
+}
+
+// Pool workers record while the main thread cycles sessions, so each
+// worker's first event of a session resets its buffer while stop() may be
+// walking the buffers. Under TSan (the CI job runs *Concurrency*) this
+// catches a lock-order inversion between the buffer and session locks, not
+// only an actual deadlock.
+TEST(TraceConcurrency, WorkersRecordWhileSessionsStartAndStop) {
+  ASSERT_FALSE(obs::TraceSession::active());
+  constexpr int kWorkers = 4;
+  u::ThreadPool pool(kWorkers);
+  std::atomic<bool> done{false};
+  std::atomic<std::uint64_t> recorded{0};
+  std::vector<std::future<void>> workers;
+  for (int i = 0; i < kWorkers; ++i) {
+    workers.push_back(pool.submit([&done, &recorded] {
+      while (!done.load(std::memory_order_acquire)) {
+        OBS_INSTANT("test/worker");
+        recorded.fetch_add(1, std::memory_order_acq_rel);
+      }
+    }));
+  }
+  obs::TraceSession::Options options;
+  options.ring_capacity = 64;
+  std::size_t events_seen = 0;
+  for (int cycle = 0; cycle < 100; ++cycle) {
+    obs::TraceSession::start(options);
+    // Let the workers get some events in before the session closes.
+    const std::uint64_t before = recorded.load(std::memory_order_acquire);
+    while (recorded.load(std::memory_order_acquire) < before + 2 * kWorkers)
+      std::this_thread::yield();
+    const std::vector<obs::TraceEvent> events = obs::TraceSession::stop();
+    EXPECT_LE(events.size(), kWorkers * options.ring_capacity);
+    for (const obs::TraceEvent& event : events)
+      EXPECT_EQ(event.name, "test/worker");
+    events_seen += events.size();
+  }
+  done.store(true, std::memory_order_release);
+  for (std::future<void>& worker : workers) worker.get();
+  EXPECT_GT(events_seen, 0u);
 }
 
 // --- scenario integration ---------------------------------------------------

@@ -4,7 +4,7 @@
 //     instance family
 //   * allocation schemes preserve structural invariants across seeds
 //   * simulator feasibility is monotone in upload capacity and replication
-//   * incremental matcher == reference matcher along whole simulations
+//   * the CSR round engine == the Dinic oracle along whole simulations
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -13,6 +13,8 @@
 #include "alloc/allocator.hpp"
 #include "analysis/calibrate.hpp"
 #include "flow/bipartite.hpp"
+#include "flow/csr_matcher.hpp"
+#include "flow/csr_problem.hpp"
 #include "flow/hall.hpp"
 #include "model/capacity.hpp"
 #include "model/catalog.hpp"
@@ -50,18 +52,28 @@ TEST_P(Lemma1Sweep, FlowFeasibilityEqualsHallCondition) {
       problem.set_capacity(
           b, static_cast<std::uint32_t>(rng.next_below(p.max_capacity + 1)));
     }
+    f::CsrProblem csr;
+    csr.ensure_row(p.requests - 1);
     for (std::uint32_t r = 0; r < p.requests; ++r) {
       std::vector<std::uint32_t> cands;
       for (std::uint32_t b = 0; b < p.boxes; ++b) {
-        if (rng.next_bool(p.edge_prob)) cands.push_back(b);
+        if (rng.next_bool(p.edge_prob)) {
+          cands.push_back(b);
+          csr.add_source(r, b);
+        }
       }
       problem.add_request(std::move(cands));
     }
-    const bool by_flow = problem.solve(f::Engine::kDinic).complete;
-    const bool by_hk = problem.solve(f::Engine::kHopcroftKarp).complete;
+    f::CsrMatcher matcher(p.boxes);
+    matcher.ensure_rows(p.requests);
+    bool by_csr = true;
+    for (std::uint32_t r = 0; r < p.requests; ++r) {
+      if (!matcher.augment(csr, problem.capacities(), r)) by_csr = false;
+    }
+    const bool by_flow = problem.solve().complete;
     const bool by_hall = f::HallChecker::feasible(problem);
     ASSERT_EQ(by_flow, by_hall);
-    ASSERT_EQ(by_hk, by_hall);
+    ASSERT_EQ(by_csr, by_hall);
   }
 }
 

@@ -1,13 +1,12 @@
-// Tests for the million-box sparse round path: CsrProblem delta maintenance,
-// CsrMatcher incremental repair, validate_assignment (the strengthened
-// verify_incremental check), the ±delta capacity bookkeeping under churn, and
-// dense-vs-sparse lockstep equivalence across churn / strict / override /
-// engine configurations.
+// Tests for the CSR round engine: CsrProblem delta maintenance, CsrMatcher
+// incremental repair, validate_assignment (the verify_incremental check), the
+// ±delta capacity bookkeeping under churn, and whole runs checked against the
+// Dinic oracle every round across churn / strict / override / rebuild /
+// adversarial configurations.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <map>
-#include <optional>
+#include <memory>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -23,6 +22,10 @@
 #include "sim/sparse_round.hpp"
 #include "sim/strategy.hpp"
 #include "util/rng.hpp"
+#include "workload/adversarial.hpp"
+#include "workload/distinct.hpp"
+#include "workload/flash_crowd.hpp"
+#include "workload/limiter.hpp"
 #include "workload/zipf.hpp"
 
 namespace s = p2pvod::sim;
@@ -30,34 +33,6 @@ namespace m = p2pvod::model;
 namespace a = p2pvod::alloc;
 namespace f = p2pvod::flow;
 namespace w = p2pvod::workload;
-
-namespace {
-
-class ScopedEnv {
- public:
-  ScopedEnv(std::string name, const std::string& value)
-      : name_(std::move(name)) {
-    if (const char* old = std::getenv(name_.c_str()); old != nullptr) {
-      old_ = old;
-    }
-    setenv(name_.c_str(), value.c_str(), 1);
-  }
-  ~ScopedEnv() {
-    if (old_.has_value()) {
-      setenv(name_.c_str(), old_->c_str(), 1);
-    } else {
-      unsetenv(name_.c_str());
-    }
-  }
-  ScopedEnv(const ScopedEnv&) = delete;
-  ScopedEnv& operator=(const ScopedEnv&) = delete;
-
- private:
-  std::string name_;
-  std::optional<std::string> old_;
-};
-
-}  // namespace
 
 // ------------------------------------------------------------- CsrProblem
 
@@ -507,122 +482,144 @@ TEST(Churn, CapacityDeltaRespectsOverride) {
   EXPECT_EQ(sim.total_capacity_slots(), 10u);
 }
 
-// ----------------------------------------- dense vs sparse lockstep twins
+// ------------------------------------- CSR runs checked against the oracle
 
 namespace {
 
+enum class Audience { kZipf, kAvoider, kFlashCrowd, kDistinct };
+
 struct TwinConfig {
-  std::uint32_t boxes = 48;
-  std::uint32_t videos = 24;
-  std::uint32_t chunks = 4;   // c
-  m::Round duration = 12;     // T
-  double upload = 2.0;        // u
-  std::uint32_t replicas = 6; // k
-  double alpha = 0.8;
-  double demand_prob = 0.25;
-  m::Round rounds = 40;
-  std::uint64_t seed = 0x5EED0;
-  double fail_prob = 0.0;     // per-box per-round crash probability
-  m::Round outage = 5;        // rounds a crashed box stays down
-  s::SimulatorOptions options;  // sparse/verify flags set by the harness
+  std::uint32_t boxes = 48;             // n
+  std::uint32_t videos = 24;            // m
+  std::uint32_t chunks = 4;             // c
+  m::Round duration = 12;               // T
+  double upload = 2.0;                  // u
+  double storage = 8.0;                 // d
+  std::uint32_t replicas = 6;           // k
+  Audience audience = Audience::kZipf;  // demand source
+  double alpha = 0.8;                   // Zipf exponent
+  double demand_prob = 0.25;            // Zipf demand chance per idle box
+  double mu = 1.3;                      // growth bound of the adversaries
+  m::Round rounds = 40;                 // rounds to run
+  std::uint64_t seed = 0x5EED0;         // allocation, demand and churn
+  double fail_prob = 0.0;               // per-box per-round crash chance
+  m::Round outage = 5;                  // rounds a crashed box stays down
+  s::SimulatorOptions options;          // verify forced on by run_twins
 };
 
-/// Drive a dense and a sparse simulator in lockstep on one demand stream and
-/// one churn schedule, asserting the per-round metrics that must be identical
-/// (served, stalled, edges — the matchings are both maximum) every round.
-/// The sparse twin runs with verify_incremental, so every round's assignment
-/// is also structurally validated against the dense ground-truth problem.
-void run_twins(TwinConfig cfg) {
+/// A run's demand source; the adversaries sit behind the growth limiter as
+/// in Calibrator::run_trial.
+struct AudienceFeed {
+  std::unique_ptr<w::DemandGenerator> inner;
+  std::unique_ptr<w::GrowthLimiter> limited;  ///< null: `inner` feeds alone
+
+  explicit AudienceFeed(const TwinConfig& cfg) {
+    switch (cfg.audience) {
+      case Audience::kZipf:
+        inner = std::make_unique<w::ZipfDemand>(
+            cfg.videos, cfg.alpha, cfg.demand_prob, cfg.seed ^ 0xA0D1EBCE);
+        return;
+      case Audience::kAvoider:
+        inner = std::make_unique<w::AvoiderAdversary>(cfg.seed ^ 0xA701D);
+        break;
+      case Audience::kFlashCrowd:
+        inner = std::make_unique<w::FlashCrowd>(
+            static_cast<m::VideoId>(cfg.seed % cfg.videos), cfg.mu);
+        return;
+      case Audience::kDistinct:
+        inner = std::make_unique<w::DistinctVideosSweep>(cfg.seed ^ 0xD157,
+                                                         /*repeat=*/true);
+        break;
+    }
+    limited = std::make_unique<w::GrowthLimiter>(*inner, cfg.mu);
+  }
+
+  [[nodiscard]] w::DemandGenerator& feed() const {
+    return limited != nullptr ? *limited : *inner;
+  }
+};
+
+/// Drive one simulator on the CSR engine with verify_incremental on. Every
+/// round the dense problem is rebuilt from ground truth and stands in for a
+/// dense twin: the CSR rows must hold exactly its edges, the assignment
+/// must be valid for it, and the served count must equal its Dinic solve.
+/// Any disagreement throws out of step().
+s::RunReport run_twins(TwinConfig cfg) {
   const m::Catalog catalog(cfg.videos, cfg.chunks, cfg.duration);
   const auto profile =
-      m::CapacityProfile::homogeneous(cfg.boxes, cfg.upload, 8.0);
+      m::CapacityProfile::homogeneous(cfg.boxes, cfg.upload, cfg.storage);
   p2pvod::util::Rng alloc_rng(cfg.seed);
   const a::Allocation allocation = a::PermutationAllocator().allocate(
       catalog, profile, cfg.replicas, alloc_rng);
 
-  s::SimulatorOptions dense_options = cfg.options;
-  dense_options.sparse = false;
-  s::SimulatorOptions sparse_options = cfg.options;
-  sparse_options.sparse = true;
-  sparse_options.verify_incremental = true;
-  s::PreloadingStrategy dense_strategy;
-  s::PreloadingStrategy sparse_strategy;
-  s::Simulator dense(catalog, profile, allocation, dense_strategy,
-                     dense_options);
-  s::Simulator sparse(catalog, profile, allocation, sparse_strategy,
-                      sparse_options);
-  ASSERT_FALSE(dense.sparse_active());
-  ASSERT_TRUE(sparse.sparse_active());
+  s::SimulatorOptions options = cfg.options;
+  options.verify_incremental = true;
+  s::PreloadingStrategy strategy;
+  s::Simulator sim(catalog, profile, allocation, strategy, options);
+  EXPECT_TRUE(sim.sparse_active());
 
-  w::ZipfDemand audience(cfg.videos, cfg.alpha, cfg.demand_prob,
-                         cfg.seed ^ 0xA0D1EBCE);
+  const AudienceFeed audience(cfg);
   p2pvod::util::Rng churn_rng(cfg.seed ^ 0xC84);
   std::vector<m::Round> down_until(cfg.boxes, -1);
   for (m::Round round = 0; round < cfg.rounds; ++round) {
     for (m::BoxId b = 0; b < cfg.boxes; ++b) {
       if (down_until[b] >= 0) {
         if (round >= down_until[b]) {
-          dense.set_box_online(b, true);
-          sparse.set_box_online(b, true);
+          sim.set_box_online(b, true);
           down_until[b] = -1;
         }
       } else if (cfg.fail_prob > 0 && churn_rng.next_bool(cfg.fail_prob)) {
-        dense.set_box_online(b, false);
-        sparse.set_box_online(b, false);
+        sim.set_box_online(b, false);
         down_until[b] = round + cfg.outage;
       }
     }
-    // Both twins have identical admission state, so one demand stream (drawn
-    // against the dense twin) is valid for both.
-    const auto demands = audience.demands(dense);
-    dense.step(demands);
-    sparse.step(demands);
-    ASSERT_EQ(dense.report().chunks_served, sparse.report().chunks_served)
-        << "round " << round;
-    ASSERT_EQ(dense.report().chunks_stalled, sparse.report().chunks_stalled)
-        << "round " << round;
-    ASSERT_EQ(dense.report().matcher_edges, sparse.report().matcher_edges)
-        << "round " << round;
-    ASSERT_EQ(dense.active_request_count(), sparse.active_request_count())
-        << "round " << round;
-    ASSERT_EQ(dense.stalled(), sparse.stalled()) << "round " << round;
-    if (dense.stalled() && dense_options.strict) break;
+    const auto demands = audience.feed().demands(sim);
+    EXPECT_NO_THROW(sim.step(demands)) << "round " << round;
+    if (sim.stalled() && options.strict) break;
   }
-  EXPECT_EQ(dense.report().success, sparse.report().success);
-  EXPECT_EQ(dense.report().first_stall, sparse.report().first_stall);
-  EXPECT_EQ(dense.report().stall_witness_size,
-            sparse.report().stall_witness_size);
-  EXPECT_EQ(dense.report().requests_issued, sparse.report().requests_issued);
-  EXPECT_EQ(dense.report().demands_admitted, sparse.report().demands_admitted);
-  EXPECT_EQ(dense.report().sessions_completed,
-            sparse.report().sessions_completed);
-  // The point of the sparse path: it collects only dirtied rows, the dense
-  // path collects every live row every round.
-  EXPECT_LT(sparse.report().rows_built, dense.report().rows_built);
-  EXPECT_GT(sparse.report().rows_built, 0u);
+  const s::RunReport& report = sim.report();
+  EXPECT_GT(report.rows_built, 0u);
+  // The zone-aware engine collects every live row every round; the CSR
+  // engine never collects more.
+  EXPECT_LE(static_cast<double>(report.rows_built),
+            report.active_requests.sum());
+  return report;
+}
+
+/// The point of the CSR engine: once requests outlive a round, it collects
+/// only dirtied rows, strictly fewer than one per live request per round.
+void expect_patched(const s::RunReport& report) {
+  EXPECT_LT(static_cast<double>(report.rows_built),
+            report.active_requests.sum());
 }
 
 }  // namespace
 
-TEST(SparseTwins, PlainRun) { run_twins({}); }
+TEST(SparseTwins, PlainRun) { expect_patched(run_twins({})); }
 
 TEST(SparseTwins, UnderChurn) {
   TwinConfig cfg;
   cfg.fail_prob = 0.02;
   cfg.rounds = 50;
-  run_twins(cfg);
+  const s::RunReport report = run_twins(cfg);
+  EXPECT_GT(report.sessions_aborted, 0u);
+  expect_patched(report);
 }
 
 TEST(SparseTwins, StrictModeStallsIdentically) {
   TwinConfig cfg;
   cfg.boxes = 24;
   cfg.videos = 8;
-  cfg.upload = 1.0;
+  cfg.upload = 0.75;
   cfg.replicas = 2;
   cfg.demand_prob = 0.9;
   cfg.rounds = 30;
   cfg.options.strict = true;
-  run_twins(cfg);
+  const s::RunReport report = run_twins(cfg);
+  EXPECT_FALSE(report.success);
+  EXPECT_EQ(report.rounds, report.first_stall + 1);  // strict: stops there
+  // The Hall witness comes from the dense problem of the stalled round.
+  EXPECT_GT(report.stall_witness_size, 0u);
 }
 
 TEST(SparseTwins, CapacityOverride) {
@@ -631,14 +628,7 @@ TEST(SparseTwins, CapacityOverride) {
   for (std::uint32_t b = 0; b < cfg.boxes; ++b) {
     cfg.options.capacity_override[b] = b % 3 + 1;
   }
-  run_twins(cfg);
-}
-
-TEST(SparseTwins, HopcroftKarpReference) {
-  TwinConfig cfg;
-  cfg.options.engine = p2pvod::flow::Engine::kHopcroftKarp;
-  cfg.rounds = 25;
-  run_twins(cfg);
+  expect_patched(run_twins(cfg));
 }
 
 TEST(SparseTwins, EagerRebuildFallback) {
@@ -648,13 +638,12 @@ TEST(SparseTwins, EagerRebuildFallback) {
   cfg.options.sparse_rebuild_fraction = 0.0;
   cfg.fail_prob = 0.02;
   cfg.rounds = 30;
-  run_twins(cfg);
+  EXPECT_GT(run_twins(cfg).sparse_full_rebuilds, 0u);
 }
 
 TEST(SparseTwins, RandomizedChurnProperty) {
   // Seeded property sweep: modest world, random churn + Zipf demands; every
-  // round's served/stalled/edges must match and every sparse assignment must
-  // validate (verify_incremental inside run_twins).
+  // round must agree with the oracle (verify_incremental inside run_twins).
   for (const std::uint64_t seed : {1ull, 2ull, 3ull}) {
     TwinConfig cfg;
     cfg.boxes = 64;
@@ -665,27 +654,46 @@ TEST(SparseTwins, RandomizedChurnProperty) {
     cfg.demand_prob = 0.35;
     cfg.rounds = 45;
     SCOPED_TRACE("seed " + std::to_string(seed));
-    run_twins(cfg);
+    expect_patched(run_twins(cfg));
   }
 }
 
-// ------------------------------------------------------------- env plumbing
-
-TEST(SparseEnv, EnvKnobForcesSparsePath) {
-  const ScopedEnv env("P2PVOD_SPARSE", "1");
-  const m::Catalog catalog(1, 4, 12);
-  const auto profile = m::CapacityProfile::homogeneous(4, 2.0, 100.0);
-  std::vector<a::Allocation::Placement> placements;
-  for (std::uint32_t i = 0; i < 4; ++i) placements.push_back({3, i});
-  const a::Allocation allocation(4, 4, std::move(placements));
-  s::PreloadingStrategy strategy;
-  s::Simulator sim(catalog, profile, allocation, strategy, {});
-  EXPECT_TRUE(sim.sparse_active());
+TEST(SparseTwins, StrictThresholdAdversaries) {
+  // The regime the paper's claim is measured on: strict trials at u = 1
+  // (threshold_trials' protocol, n = 100, k = 4, T = 24) driven by the
+  // adversaries of the full suite rather than a Zipf audience.
+  std::uint32_t stalled = 0;
+  for (const Audience audience :
+       {Audience::kAvoider, Audience::kFlashCrowd, Audience::kDistinct}) {
+    for (const std::uint64_t seed : {1ull, 2ull}) {
+      TwinConfig cfg;
+      cfg.boxes = 100;
+      cfg.upload = 1.0;
+      cfg.storage = 4.0;
+      cfg.replicas = 4;
+      cfg.videos = 100;  // ⌊d·n/k⌋
+      cfg.duration = 24;
+      cfg.rounds = 72;
+      cfg.audience = audience;
+      cfg.seed = seed;
+      cfg.options.strict = true;
+      SCOPED_TRACE("audience " + std::to_string(static_cast<int>(audience)) +
+                   " seed " + std::to_string(seed));
+      const s::RunReport report = run_twins(cfg);
+      EXPECT_GT(report.chunks_served, 0u);
+      if (!report.success) ++stalled;
+    }
+  }
+  // Both outcomes occur at the threshold, so both paths get checked.
+  EXPECT_GT(stalled, 0u);
+  EXPECT_LT(stalled, 6u);
 }
 
+// ------------------------------------------------------------ engine choice
+
 TEST(SparseEnv, ExplicitSparseWithTopologyIsConfigError) {
-  // The sparse engine is cost-blind; asking for it together with a topology
-  // used to silently downgrade to dense. It is now a hard config error.
+  // The CSR engine is cost-blind: asking for it together with a topology is
+  // a config error.
   const m::Catalog catalog(1, 4, 12);
   const auto profile = m::CapacityProfile::homogeneous(4, 2.0, 100.0);
   std::vector<a::Allocation::Placement> placements;
@@ -698,21 +706,11 @@ TEST(SparseEnv, ExplicitSparseWithTopologyIsConfigError) {
   options.topology = &topology;
   EXPECT_THROW(s::Simulator(catalog, profile, allocation, strategy, options),
                std::invalid_argument);
-}
-
-TEST(SparseEnv, EnvSparseWithTopologyDowngradesToDense) {
-  // The env knob re-runs whole suites; zone-aware runs must not crash under
-  // it. They stay dense and count the downgrade instead.
-  const ScopedEnv env("P2PVOD_SPARSE", "1");
-  const m::Catalog catalog(1, 4, 12);
-  const auto profile = m::CapacityProfile::homogeneous(4, 2.0, 100.0);
-  std::vector<a::Allocation::Placement> placements;
-  for (std::uint32_t i = 0; i < 4; ++i) placements.push_back({3, i});
-  const a::Allocation allocation(4, 4, std::move(placements));
-  const auto topology = p2pvod::net::Topology::uniform(4, 2);
-  s::PreloadingStrategy strategy;
-  s::SimulatorOptions options;
-  options.topology = &topology;
-  s::Simulator sim(catalog, profile, allocation, strategy, options);
-  EXPECT_FALSE(sim.sparse_active());
+  // The topology alone picks the zone-aware engine; no topology, the CSR one.
+  options.sparse = false;
+  const s::Simulator zone_aware(catalog, profile, allocation, strategy,
+                                options);
+  EXPECT_FALSE(zone_aware.sparse_active());
+  const s::Simulator csr(catalog, profile, allocation, strategy, {});
+  EXPECT_TRUE(csr.sparse_active());
 }
