@@ -23,9 +23,8 @@
 //   --wall-factor X  wall-time budget multiplier   (default 3; 0 disables)
 //   --wall-slack X   wall-time absolute slack, sec (default 0.25)
 //
-// Scenario stdout (tables, commentary) is byte-identical to the legacy
-// bench_fig_* binaries and is the only thing written to stdout; progress and
-// diagnostics go to stderr so output stays diffable.
+// Scenario stdout (tables, commentary) is the only thing written to stdout;
+// progress and diagnostics go to stderr so output stays diffable.
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
@@ -189,9 +188,7 @@ int main(int argc, char** argv) {
   std::vector<scenario::ResultSink*> sinks;
   if (!args.get_bool("no-tables", false)) sinks.push_back(&table_sink);
   if (const auto dir = args.get("csv-dir"); dir.has_value()) {
-    // Notices to stderr: stdout carries scenario tables only (the legacy
-    // shims keep "[csv]" on stdout for byte-compatibility; the driver does
-    // not have that constraint and promises diffable stdout).
+    // Notices to stderr: stdout carries scenario tables only.
     csv_sink.emplace(*dir, &std::cerr);
     sinks.push_back(&*csv_sink);
   }

@@ -3,8 +3,7 @@
 // Each maker returns the Scenario that reproduces one artifact of the paper
 // (or a documented extension); register_builtin_scenarios() installs all of
 // them, in figure order, into a registry. Definitions live in
-// src/scenario/figures/<id>.cpp and preserve the exact output bytes of the
-// pre-registry bench/bench_fig_*.cpp binaries (which are now thin shims).
+// src/scenario/figures/<id>.cpp; `p2pvod_bench <id>` runs one.
 #pragma once
 
 #include "scenario/registry.hpp"

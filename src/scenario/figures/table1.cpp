@@ -1,8 +1,7 @@
 // E1 — Table 1 of the paper: the model's key parameters, plus the derived
 // protocol values (ν, u′, d′, k, m) that Theorem 1/2 attach to reference
-// configurations. Migrated from bench/bench_table1_parameters.cpp with
-// byte-identical output; the closed-form evaluations run as (cheap) grid
-// points so the JSON sink records the derived values per configuration.
+// configurations. The closed-form evaluations run as (cheap) grid points so
+// the JSON sink records the derived values per configuration.
 #include <cstdint>
 
 #include "analysis/bounds.hpp"

@@ -1,11 +1,11 @@
 // Process-wide scenario registry.
 //
 // The registry maps scenario ids to their definitions; the unified
-// p2pvod_bench driver, the legacy per-figure shim binaries, and the tests
-// all resolve scenarios through it. Instances are cheap (tests build their
-// own); builtin() is the lazily-populated singleton holding the 14 builtin
-// figure/table scenarios, registered explicitly (no static-initializer
-// tricks, so nothing depends on object-file link order).
+// p2pvod_bench driver and the tests resolve scenarios through it. Instances
+// are cheap (tests build their own); builtin() is the lazily-populated
+// singleton holding the builtin figure/table scenarios, registered
+// explicitly (no static-initializer tricks, so nothing depends on
+// object-file link order).
 #pragma once
 
 #include <cstddef>

@@ -11,7 +11,6 @@
 #include "obs/profile.hpp"
 #include "obs/timeseries.hpp"
 #include "obs/trace.hpp"
-#include "scenario/registry.hpp"
 
 namespace p2pvod::scenario {
 
@@ -137,26 +136,6 @@ double run_scenario(const Scenario& scenario,
 
   emitter.complete(run, elapsed);
   return elapsed;
-}
-
-int run_figure_main(const std::string& id) {
-  try {
-    const Scenario& scenario = ScenarioRegistry::builtin().at(id);
-    TableSink table_sink(std::cout);
-    std::optional<CsvSink> csv_sink;
-    std::vector<ResultSink*> sinks{&table_sink};
-    if (const char* dir = std::getenv("P2PVOD_CSV_DIR"); dir != nullptr) {
-      csv_sink.emplace(dir);
-      sinks.push_back(&*csv_sink);
-    }
-    RunOptions options;
-    apply_obs_env(options);
-    run_scenario(scenario, sinks, options);
-    return 0;
-  } catch (const std::exception& error) {
-    std::cerr << "error: " << error.what() << "\n";
-    return 1;
-  }
 }
 
 }  // namespace p2pvod::scenario

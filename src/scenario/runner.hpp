@@ -44,9 +44,4 @@ double run_scenario(const Scenario& scenario,
                     const std::vector<ResultSink*>& sinks,
                     const RunOptions& options = {});
 
-/// Entry point shared by the legacy per-figure shim binaries: run builtin
-/// scenario `id` with the stdout table sink (plus a CSV sink when
-/// P2PVOD_CSV_DIR is set) and map exceptions to a non-zero exit code.
-int run_figure_main(const std::string& id);
-
 }  // namespace p2pvod::scenario

@@ -23,14 +23,14 @@ void TableSink::on_text(const Scenario& /*scenario*/, const std::string& text) {
 }
 
 CsvSink::CsvSink(std::string dir, std::ostream* notice)
-    : dir_(std::move(dir)), notice_(notice == nullptr ? &std::cout : notice) {}
+    : dir_(std::move(dir)), notice_(notice) {}
 
 void CsvSink::on_table(const Scenario& /*scenario*/, const util::Table& table,
                        const std::string& table_id) {
   const std::string path = dir_ + "/" + table_id + ".csv";
   try {
     table.write_csv(path);
-    *notice_ << "[csv] " << path << "\n";
+    if (notice_ != nullptr) *notice_ << "[csv] " << path << "\n";
   } catch (const std::exception& error) {
     ++failures_;
     std::cerr << "[csv] failed: " << error.what() << "\n";

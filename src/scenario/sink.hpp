@@ -2,10 +2,10 @@
 //
 // A run is a stream of events — banner, tables, free text, completion — and
 // every sink sees all of them:
-//   * TableSink renders the exact stdout the legacy figure binaries printed
-//     (banner block, aligned tables, trailing commentary),
-//   * CsvSink writes each table as <dir>/<table_id>.csv and echoes the
-//     legacy "[csv] <path>" notice,
+//   * TableSink renders the human stdout (banner block, aligned tables,
+//     trailing commentary),
+//   * CsvSink writes each table as <dir>/<table_id>.csv and echoes a
+//     "[csv] <path>" notice,
 //   * JsonSink writes one machine-readable BENCH_<id>.json per scenario with
 //     wall time and per-point metrics — the artifact the --baseline
 //     regression diff consumes,
@@ -52,9 +52,9 @@ class TableSink final : public ResultSink {
   std::ostream& out_;
 };
 
-/// Writes <dir>/<table_id>.csv per table. `notice` (default std::cout)
-/// receives the legacy "[csv] <path>" confirmation line; failures go to
-/// stderr and do not abort the run.
+/// Writes <dir>/<table_id>.csv per table. `notice` (nullable) receives one
+/// "[csv] <path>" line per file; failures go to stderr and do not abort the
+/// run.
 class CsvSink final : public ResultSink {
  public:
   explicit CsvSink(std::string dir, std::ostream* notice = nullptr);
@@ -63,8 +63,8 @@ class CsvSink final : public ResultSink {
                 const std::string& table_id) override;
 
   /// Tables whose CSV could not be written (failures are logged, never
-  /// thrown, so the legacy shims keep running; drivers may turn a non-zero
-  /// count into a failing exit code).
+  /// thrown, so the run keeps going; drivers may turn a non-zero count into
+  /// a failing exit code).
   [[nodiscard]] std::size_t failure_count() const noexcept {
     return failures_;
   }

@@ -1,8 +1,11 @@
-// RunReport: everything a simulation run measured.
+// RunReport: everything a simulation run measured, and the table that
+// publishes its counts as the sim/ obs metrics.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <string>
+#include <string_view>
 
 #include "model/ids.hpp"
 #include "util/stats.hpp"
@@ -11,7 +14,9 @@ namespace p2pvod::sim {
 
 struct RunReport {
   // --- outcome ---
-  bool success = true;           ///< no request-round went unserved
+  /// Strict-mode flag: false once a strict run stalls. A non-strict run
+  /// counts its stalls in chunks_stalled and keeps it true.
+  bool success = true;
   model::Round first_stall = -1; ///< round of the first unserved request (-1 if none)
   std::uint32_t stall_witness_size = 0;  ///< |X| of the Hall-violating set at first stall
 
@@ -48,6 +53,8 @@ struct RunReport {
   std::uint64_t rows_built = 0;
   std::uint64_t row_patches = 0;          ///< surgical CSR row edits
   std::uint64_t sparse_full_rebuilds = 0; ///< dirty-fraction fallback trips
+  /// Cache retention-window expiry events processed (CSR engine only).
+  std::uint64_t expiry_events = 0;
 
   // --- topology (zone-aware matching extension; all zero without one) ---
   std::uint64_t intra_zone_chunks = 0;   ///< chunks served within a zone
@@ -83,5 +90,47 @@ struct RunReport {
 
   [[nodiscard]] std::string summary() const;
 };
+
+/// One cumulative RunReport count and the obs counter it is published to.
+struct ReportCounter {
+  std::uint64_t RunReport::*field;
+  std::string_view metric;
+};
+
+/// RunReport counts published as sim/ obs counters. The simulator writes each
+/// count once, into its report; Simulator::publish() adds each row's growth
+/// since its last publish to the row's counter, so a metric cannot disagree
+/// with its field. kStable: each run's round loop is sequential and
+/// seed-determined, and the multiset of runs a sweep evaluates is
+/// thread-count-invariant (speculative calibration excepted; see the
+/// Observability notes in the README).
+inline constexpr std::array kReportCounters{
+    ReportCounter{&RunReport::demands_admitted, "sim/demands_admitted"},
+    ReportCounter{&RunReport::demands_rejected, "sim/demands_rejected"},
+    ReportCounter{&RunReport::requests_issued, "sim/requests_issued"},
+    ReportCounter{&RunReport::chunks_served, "sim/chunks_matched"},
+    ReportCounter{&RunReport::chunks_stalled, "sim/chunks_unmatched"},
+    ReportCounter{&RunReport::sessions_completed, "sim/sessions_completed"},
+    ReportCounter{&RunReport::box_failures, "sim/box_failures"},
+    ReportCounter{&RunReport::sessions_aborted, "sim/sessions_aborted"},
+    ReportCounter{&RunReport::kept_connections, "sim/sparse_kept_connections"},
+    ReportCounter{&RunReport::new_connections, "sim/sparse_new_connections"},
+    ReportCounter{&RunReport::matcher_edges, "sim/matcher_edges"},
+    ReportCounter{&RunReport::rows_built, "sim/sparse_rows_built"},
+    ReportCounter{&RunReport::row_patches, "sim/sparse_row_patches"},
+    ReportCounter{&RunReport::sparse_full_rebuilds, "sim/sparse_full_rebuilds"},
+    ReportCounter{&RunReport::expiry_events, "sim/sparse_expiry_events"},
+    ReportCounter{&RunReport::intra_zone_chunks, "sim/intra_zone_chunks"},
+    ReportCounter{&RunReport::cross_zone_chunks, "sim/cross_zone_chunks"},
+    ReportCounter{&RunReport::link_cap_rejections, "sim/link_cap_rejections"},
+    ReportCounter{&RunReport::link_cap_rescues, "sim/link_cap_rescues"},
+};
+
+/// Derived rows, published beside the table: a counter of RunReport::rounds
+/// (a model::Round, not a std::uint64_t field), and a histogram observing
+/// once per round the pre-solve |Y| that RunReport::active_requests received.
+inline constexpr std::string_view kRoundsMetric = "sim/rounds";
+inline constexpr std::string_view kActiveRequestsMetric =
+    "sim/round_active_requests";
 
 }  // namespace p2pvod::sim

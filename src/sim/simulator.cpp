@@ -9,78 +9,9 @@
 #include "obs/metrics.hpp"
 #include "obs/timeseries.hpp"
 #include "obs/trace.hpp"
-#include "util/cli.hpp"
 #include "workload/demand.hpp"
 
 namespace p2pvod::sim {
-
-namespace {
-
-// Round-loop work counters, aggregated across every Simulator instance in
-// the process. kStable: each trial is sequential and fully determined by its
-// seed, and the multiset of trials evaluated is thread-count-invariant under
-// the repo's seeding contract. (Exception: speculative calibration evaluates
-// a thread-count-dependent probe set — see the Observability notes in the
-// README; pin P2PVOD_PROBE_WIDTH=1 to compare across thread counts there.)
-struct SimCounters {
-  obs::Counter& rounds;
-  obs::Counter& demands_admitted;
-  obs::Counter& demands_rejected;
-  obs::Counter& chunks_matched;
-  obs::Counter& chunks_unmatched;
-  obs::Counter& matcher_edges;
-  obs::Counter& intra_zone_chunks;
-  obs::Counter& cross_zone_chunks;
-  obs::Counter& link_cap_rejections;
-  obs::Counter& link_cap_rescues;
-  obs::Histogram& round_active_requests;
-};
-
-SimCounters& sim_counters() {
-  auto& registry = obs::MetricsRegistry::global();
-  static auto* counters = new SimCounters{
-      registry.counter("sim/rounds"),
-      registry.counter("sim/demands_admitted"),
-      registry.counter("sim/demands_rejected"),
-      registry.counter("sim/chunks_matched"),
-      registry.counter("sim/chunks_unmatched"),
-      registry.counter("sim/matcher_edges"),
-      registry.counter("sim/intra_zone_chunks"),
-      registry.counter("sim/cross_zone_chunks"),
-      registry.counter("sim/link_cap_rejections"),
-      registry.counter("sim/link_cap_rescues"),
-      registry.histogram("sim/round_active_requests", obs::pow2_bounds(16)),
-  };
-  return *counters;
-}
-
-/// CSR-engine work counters, mirrored once per round from the engine's
-/// cumulative SparseStats (as deltas) so they show up in --metrics output.
-/// kStable for the same reason as SimCounters: each trial's round loop is
-/// sequential and seed-determined.
-struct SparseCounters {
-  obs::Counter& rows_built;
-  obs::Counter& row_patches;
-  obs::Counter& full_rebuilds;
-  obs::Counter& expiry_events;
-  obs::Counter& kept_connections;
-  obs::Counter& new_connections;
-};
-
-SparseCounters& sparse_counters() {
-  auto& registry = obs::MetricsRegistry::global();
-  static auto* counters = new SparseCounters{
-      registry.counter("sim/sparse_rows_built"),
-      registry.counter("sim/sparse_row_patches"),
-      registry.counter("sim/sparse_full_rebuilds"),
-      registry.counter("sim/sparse_expiry_events"),
-      registry.counter("sim/sparse_kept_connections"),
-      registry.counter("sim/sparse_new_connections"),
-  };
-  return *counters;
-}
-
-}  // namespace
 
 // solve_round_zone_aware feeds net::Cost values into flow::EdgeCosts; the
 // aliases live in layers that don't include each other, so pin their
@@ -131,9 +62,6 @@ Simulator::Simulator(const model::Catalog& catalog,
     throw std::invalid_argument(
         "Simulator: sparse engine cannot honor a topology (cost-aware "
         "matching is dense-only)");
-  if (const auto pct = util::env_positive_long("P2PVOD_SPARSE_REBUILD_PCT"))
-    options_.sparse_rebuild_fraction =
-        static_cast<double>(std::min(*pct, 100L)) / 100.0;
   if (options_.topology == nullptr) {
     sparse_ = std::make_unique<SparseRoundState>(
         profile_.size(), catalog_.stripe_count(), catalog_.duration(),
@@ -160,7 +88,6 @@ void Simulator::admit(const Demand& demand) {
     throw std::out_of_range("Simulator: demand from unknown box");
   if (!online_[demand.box] || !box_idle(demand.box)) {
     ++report_.demands_rejected;
-    sim_counters().demands_rejected.add();
     return;
   }
   ++report_.demands_admitted;
@@ -193,13 +120,10 @@ void Simulator::admit(const Demand& demand) {
       swarms_.leave(demand.video);  // roll back the enter() above
       --report_.demands_admitted;
       ++report_.demands_rejected;
-      sim_counters().demands_rejected.add();
       return;
     }
     ++network_requests;
   }
-  // Global counter only after the rollback window: counters are monotonic.
-  sim_counters().demands_admitted.add();
 
   const auto session_id = static_cast<SessionId>(sessions_.size());
   sessions_.push_back({demand.box, demand.video, now_, playback_start, ends,
@@ -251,9 +175,7 @@ void Simulator::solve_round() {
       sparse_ != nullptr ? solve_round_sparse() : solve_round_zone_aware();
 
   report_.chunks_served += served;
-  sim_counters().chunks_matched.add(served);
   const std::uint64_t unserved = live_.size() - served;
-  sim_counters().chunks_unmatched.add(unserved);
   if (unserved > 0) {
     report_.chunks_stalled += unserved;
     if (report_.first_stall < 0) {
@@ -314,25 +236,13 @@ std::uint32_t Simulator::solve_round_sparse() {
     served = sparse_->solve(now_, capacity_slots_, collect);
   }
   report_.matcher_edges += sparse_->edge_count();
-  sim_counters().matcher_edges.add(sparse_->edge_count());
   const SparseStats& stats = sparse_->stats();
   report_.kept_connections = stats.kept_connections;
   report_.new_connections = stats.new_connections;
   report_.rows_built = stats.rows_built;
   report_.row_patches = stats.row_patches;
   report_.sparse_full_rebuilds = stats.full_rebuilds;
-  SparseCounters& mirrored = sparse_counters();
-  mirrored.rows_built.add(stats.rows_built - sparse_reported_.rows_built);
-  mirrored.row_patches.add(stats.row_patches - sparse_reported_.row_patches);
-  mirrored.full_rebuilds.add(stats.full_rebuilds -
-                             sparse_reported_.full_rebuilds);
-  mirrored.expiry_events.add(stats.expiry_events -
-                             sparse_reported_.expiry_events);
-  mirrored.kept_connections.add(stats.kept_connections -
-                                sparse_reported_.kept_connections);
-  mirrored.new_connections.add(stats.new_connections -
-                               sparse_reported_.new_connections);
-  sparse_reported_ = stats;
+  report_.expiry_events = stats.expiry_events;
 
   if (options_.verify_incremental) {
     // Reconstruct the round's dense problem from ground truth and validate
@@ -362,7 +272,6 @@ std::uint32_t Simulator::solve_round_zone_aware() {
   const flow::ConnectionProblem problem = build_connection_problem();
   report_.rows_built += live_.size();  // every row, every round
   report_.matcher_edges += problem.edge_count();
-  sim_counters().matcher_edges.add(problem.edge_count());
   OBS_SPAN("sim/match");
 
   const net::Topology& topology = *options_.topology;
@@ -397,8 +306,6 @@ std::uint32_t Simulator::solve_round_zone_aware() {
   }
   report_.intra_zone_chunks += intra;
   report_.cross_zone_chunks += cross;
-  sim_counters().intra_zone_chunks.add(intra);
-  sim_counters().cross_zone_chunks.add(cross);
   if (intra + cross > 0) {
     report_.cross_zone_fraction.add(static_cast<double>(cross) /
                                     static_cast<double>(intra + cross));
@@ -440,8 +347,6 @@ void Simulator::enforce_link_caps(const flow::ConnectionProblem& problem,
       flow::enforce_group_caps(problem, costs, groups, caps, result);
   report_.link_cap_rejections += outcome.rejections;
   report_.link_cap_rescues += outcome.rescues;
-  sim_counters().link_cap_rejections.add(outcome.rejections);
-  sim_counters().link_cap_rescues.add(outcome.rescues);
 }
 
 void Simulator::retire_completed() {
@@ -518,7 +423,7 @@ void Simulator::set_box_online(model::BoxId box, bool online) {
     busy_until_[box] = now_;  // rejoins idle; static storage is intact
     if (sparse_ != nullptr)
       sparse_->on_box_online(box, allocation_.stored(box));
-    return;
+    return;  // a recovery changes no RunReport count: nothing to publish
   }
 
   ++report_.box_failures;
@@ -550,6 +455,43 @@ void Simulator::set_box_online(model::BoxId box, bool online) {
   std::sort(doomed.begin(), doomed.end());
   doomed.erase(std::unique(doomed.begin(), doomed.end()), doomed.end());
   for (const SessionId id : doomed) abort_session(id);
+  publish();
+}
+
+void Simulator::publish() {
+  struct Handles {
+    std::array<obs::Counter*, kReportCounters.size()> counters{};
+    obs::Counter* rounds = nullptr;
+    obs::Histogram* active_requests = nullptr;
+  };
+  static const Handles handles = [] {
+    auto& registry = obs::MetricsRegistry::global();
+    Handles resolved;
+    for (std::size_t i = 0; i < kReportCounters.size(); ++i)
+      resolved.counters[i] = &registry.counter(kReportCounters[i].metric);
+    resolved.rounds = &registry.counter(kRoundsMetric);
+    resolved.active_requests =
+        &registry.histogram(kActiveRequestsMetric, obs::pow2_bounds(16));
+    return resolved;
+  }();
+
+  for (std::size_t i = 0; i < kReportCounters.size(); ++i) {
+    const std::uint64_t value = report_.*kReportCounters[i].field;
+    if (value == published_.counts[i]) continue;
+    handles.counters[i]->add(value - published_.counts[i]);
+    published_.counts[i] = value;
+  }
+  if (report_.rounds == published_.rounds) return;
+  // step() publishes every round, so the rounds grew by one and
+  // active_requests by one |Y|: the growth of its sum, exact because the
+  // samples are integers.
+  const double active_sum = report_.active_requests.sum();
+  handles.rounds->add(
+      static_cast<std::uint64_t>(report_.rounds - published_.rounds));
+  handles.active_requests->observe(
+      static_cast<std::uint64_t>(active_sum - published_.active_requests_sum));
+  published_.rounds = report_.rounds;
+  published_.active_requests_sum = active_sum;
 }
 
 void Simulator::step(const std::vector<Demand>& demands) {
@@ -576,20 +518,18 @@ void Simulator::step(const std::vector<Demand>& demands) {
 
   // 6. Connection matching for this round.
   report_.active_requests.add(static_cast<double>(live_.size()));
-  sim_counters().rounds.add();
-  sim_counters().round_active_requests.observe(live_.size());
   solve_round();
 
   // 7. Retire requests whose final chunk was delivered.
   if (!(stalled_ && options_.strict)) retire_completed();
 
+  report_.peak_swarm = swarms_.peak_size();
+  report_.rounds = now_ + 1;
+  publish();
   // End-of-round time-series sample (one relaxed load when disabled). The
   // label is the round just simulated.
   if (obs::RoundSeries::active()) obs::RoundSeries::tick(now_);
-
-  report_.peak_swarm = swarms_.peak_size();
   ++now_;
-  report_.rounds = now_;
 }
 
 RunReport Simulator::run(workload::DemandGenerator& generator,

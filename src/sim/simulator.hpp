@@ -18,6 +18,7 @@
 //   7. requests that received their last chunk retire
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -78,7 +79,7 @@ struct SimulatorOptions {
   bool sparse = false;
   /// Dirty-row fraction above which the CSR engine rebuilds every row from
   /// ground truth instead of patching (patch bookkeeping stops paying once
-  /// most rows changed anyway). Env: P2PVOD_SPARSE_REBUILD_PCT (0..100).
+  /// most rows changed anyway).
   double sparse_rebuild_fraction = 0.5;
 };
 
@@ -183,6 +184,11 @@ class Simulator {
                          flow::MatchResult& result);
   void retire_completed();
   void abort_session(SessionId id);
+  /// Add each kReportCounters row's growth since the last publish to its
+  /// obs counter, and the derived rows' (the round count, one |Y|
+  /// observation per round). Runs at the end of step() and of
+  /// set_box_online().
+  void publish();
   /// Debug builds: assert total_capacity_slots_ matches a full rescan after
   /// a ±delta update.
   void debug_check_capacity_total() const;
@@ -197,9 +203,6 @@ class Simulator {
   CacheIndex cache_;
   /// Persistent CSR adjacency + matching; null on the zone-aware engine.
   std::unique_ptr<SparseRoundState> sparse_;
-  /// SparseStats values already mirrored into the obs counters; the stats
-  /// are cumulative per state, so each round adds only the delta.
-  SparseStats sparse_reported_;
 
   std::vector<Session> sessions_;
   std::vector<model::Round> busy_until_;
@@ -217,6 +220,13 @@ class Simulator {
   std::uint64_t total_capacity_slots_ = 0;
 
   RunReport report_;
+  /// The report values publish() last added to the obs metrics.
+  struct Published {
+    std::array<std::uint64_t, kReportCounters.size()> counts{};
+    model::Round rounds = 0;
+    double active_requests_sum = 0.0;
+  };
+  Published published_;
   model::Round now_ = 0;
   bool stalled_ = false;
 

@@ -171,7 +171,6 @@ void SparseRoundState::process_expiries(model::Round now) {
 std::uint32_t SparseRoundState::solve(model::Round now,
                                       const std::vector<std::uint32_t>& capacity,
                                       const RowCollector& collect) {
-  ++stats_.rounds;
   {
     OBS_SPAN("sim/sparse_expiry");
     process_expiries(now);

@@ -40,9 +40,10 @@
 
 namespace p2pvod::sim {
 
-/// Cumulative work counters of the CSR engine (RunReport mirrors them).
+/// Cumulative work counters of the CSR engine. The simulator copies them
+/// into its RunReport after each solve, and publishes its obs metrics from
+/// there.
 struct SparseStats {
-  std::uint64_t rounds = 0;
   std::uint64_t rows_built = 0;     ///< rows collected from ground truth
   std::uint64_t row_patches = 0;    ///< surgical source inserts/removals
   std::uint64_t expiry_events = 0;  ///< calendar events processed

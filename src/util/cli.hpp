@@ -5,7 +5,7 @@
 //         double u = args.get_double("u", 1.25);
 // Every option also falls back to environment variable P2PVOD_<UPPERNAME> so
 // bench binaries can be scaled without editing the command line
-// (e.g. P2PVOD_SCALE=3 ./bench_fig_threshold).
+// (e.g. P2PVOD_SCALE=3 ./p2pvod_bench threshold).
 #pragma once
 
 #include <cstdint>

@@ -1,22 +1,33 @@
 // Tests for the observability layer (src/obs/): metric registry semantics,
 // sharded counter exactness under parallel increments, histogram bucketing,
 // snapshot/delta/stability filtering, trace session recording and Chrome
-// trace-event output, and the headline determinism contract — the kStable
-// metric slice of a scenario run is identical at 1, 4, and 8 threads.
+// trace-event output, the headline determinism contract — the kStable
+// metric slice of a scenario run is identical at 1, 4, and 8 threads — and
+// run accounting: the sim/ metrics equal the RunReports they are published
+// from.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
+#include <deque>
 #include <filesystem>
 #include <future>
+#include <latch>
 #include <optional>
 #include <set>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <thread>
+#include <utility>
 #include <vector>
 
+#include "alloc/permutation.hpp"
+#include "model/capacity.hpp"
+#include "model/catalog.hpp"
+#include "net/topology.hpp"
 #include "obs/clock.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -24,12 +35,22 @@
 #include "scenario/runner.hpp"
 #include "scenario/scenario.hpp"
 #include "scenario/sink.hpp"
+#include "sim/report.hpp"
+#include "sim/simulator.hpp"
+#include "sim/strategy.hpp"
 #include "util/json.hpp"
+#include "util/rng.hpp"
 #include "util/thread_pool.hpp"
+#include "workload/zipf.hpp"
 
+namespace a = p2pvod::alloc;
+namespace m = p2pvod::model;
+namespace n = p2pvod::net;
 namespace obs = p2pvod::obs;
+namespace s = p2pvod::sim;
 namespace sc = p2pvod::scenario;
 namespace u = p2pvod::util;
+namespace w = p2pvod::workload;
 
 namespace {
 
@@ -479,4 +500,236 @@ TEST(ObsScenario, ApplyObsEnvReadsTheKnobs) {
     EXPECT_FALSE(off.collect_metrics);
     EXPECT_TRUE(off.trace_dir.empty());
   }
+}
+
+// --- run accounting: RunReport is the source of the sim/ metrics ------------
+
+namespace {
+
+/// Every cumulative std::uint64_t count of RunReport and the metric it must
+/// be published as. Written out independently of sim::kReportCounters, so a
+/// row missing from (or added to) that table fails the tests below.
+struct ExpectedRow {
+  std::uint64_t s::RunReport::*field;
+  std::string_view metric;
+};
+constexpr ExpectedRow kExpectedRows[] = {
+    {&s::RunReport::demands_admitted, "sim/demands_admitted"},
+    {&s::RunReport::demands_rejected, "sim/demands_rejected"},
+    {&s::RunReport::requests_issued, "sim/requests_issued"},
+    {&s::RunReport::chunks_served, "sim/chunks_matched"},
+    {&s::RunReport::chunks_stalled, "sim/chunks_unmatched"},
+    {&s::RunReport::sessions_completed, "sim/sessions_completed"},
+    {&s::RunReport::box_failures, "sim/box_failures"},
+    {&s::RunReport::sessions_aborted, "sim/sessions_aborted"},
+    {&s::RunReport::kept_connections, "sim/sparse_kept_connections"},
+    {&s::RunReport::new_connections, "sim/sparse_new_connections"},
+    {&s::RunReport::matcher_edges, "sim/matcher_edges"},
+    {&s::RunReport::rows_built, "sim/sparse_rows_built"},
+    {&s::RunReport::row_patches, "sim/sparse_row_patches"},
+    {&s::RunReport::sparse_full_rebuilds, "sim/sparse_full_rebuilds"},
+    {&s::RunReport::expiry_events, "sim/sparse_expiry_events"},
+    {&s::RunReport::intra_zone_chunks, "sim/intra_zone_chunks"},
+    {&s::RunReport::cross_zone_chunks, "sim/cross_zone_chunks"},
+    {&s::RunReport::link_cap_rejections, "sim/link_cap_rejections"},
+    {&s::RunReport::link_cap_rescues, "sim/link_cap_rescues"},
+};
+
+/// The sim/ names benchmark/workloads.cpp reads from the registry.
+constexpr std::string_view kBenchmarkSimMetrics[] = {
+    "sim/rounds",
+    "sim/round_active_requests",
+    "sim/demands_admitted",
+    "sim/demands_rejected",
+    "sim/chunks_matched",
+    "sim/chunks_unmatched",
+    "sim/matcher_edges",
+    "sim/sparse_expiry_events",
+    "sim/sparse_kept_connections",
+    "sim/sparse_new_connections",
+    "sim/link_cap_rejections",
+    "sim/link_cap_rescues",
+    "sim/intra_zone_chunks",
+    "sim/cross_zone_chunks",
+};
+
+/// Table rows plus the two derived rows.
+bool is_report_metric(std::string_view name) {
+  if (name == s::kRoundsMetric || name == s::kActiveRequestsMetric)
+    return true;
+  return std::any_of(
+      s::kReportCounters.begin(), s::kReportCounters.end(),
+      [name](const s::ReportCounter& row) { return row.metric == name; });
+}
+
+/// One simulated run of the accounting tests.
+struct AccountingConfig {
+  const char* name;
+  std::uint32_t boxes;
+  double upload;
+  std::uint32_t zones;     ///< 0: no topology, the CSR engine
+  std::uint32_t link_cap;  ///< 0: uncapped
+  bool strict;
+  std::uint32_t churn;  ///< boxes failing per round, each back 3 rounds later
+  m::Round rounds;
+};
+
+constexpr AccountingConfig kAccountingConfigs[] = {
+    {"csr_churn", 120, 0.9, 0, 0, false, 2, 40},
+    {"zone_link_caps", 64, 1.5, 8, 2, false, 0, 40},
+    {"strict_stall", 80, 0.6, 0, 0, true, 0, 40},
+};
+
+/// Run `config` to completion. A churned run ends with one more failure
+/// after its last step: a box still watching a video goes offline.
+s::RunReport run_accounting(const AccountingConfig& config,
+                            std::uint64_t seed) {
+  const m::Catalog catalog(config.boxes * 2 / 3, 4, 10);
+  const auto profile =
+      m::CapacityProfile::homogeneous(config.boxes, config.upload, 4.0);
+  u::Rng rng(seed);
+  const a::Allocation allocation =
+      a::PermutationAllocator().allocate(catalog, profile, 6, rng);
+  std::optional<n::Topology> topology;
+  s::SimulatorOptions options;
+  options.strict = config.strict;
+  if (config.zones > 0) {
+    topology.emplace(n::Topology::uniform(config.boxes, config.zones));
+    topology->set_uniform_cost(0, 1);
+    if (config.link_cap > 0) topology->set_uniform_link_cap(config.link_cap);
+    options.topology = &*topology;
+  }
+  s::PreloadingStrategy strategy;
+  s::Simulator sim(catalog, profile, allocation, strategy, options);
+  w::ZipfDemand audience(catalog.video_count(), 0.8, 0.4, seed + 1);
+
+  std::deque<std::pair<m::Round, m::BoxId>> down;
+  m::BoxId cursor = 0;
+  for (m::Round round = 0; round < config.rounds; ++round) {
+    while (!down.empty() && down.front().first <= round) {
+      sim.set_box_online(down.front().second, true);
+      down.pop_front();
+    }
+    for (std::uint32_t i = 0; i < config.churn; ++i) {
+      const m::BoxId victim = cursor;
+      cursor = (cursor + 1) % config.boxes;
+      if (!sim.box_online(victim)) continue;
+      sim.set_box_online(victim, false);
+      down.emplace_back(round + 3, victim);
+    }
+    sim.step(audience.demands(sim));
+  }
+  if (config.churn > 0) {
+    for (m::BoxId b = 0; b < config.boxes; ++b) {
+      if (sim.box_online(b) && !sim.box_idle(b)) {
+        sim.set_box_online(b, false);
+        break;
+      }
+    }
+  }
+  return sim.report();
+}
+
+std::uint64_t counter_delta(const obs::MetricsSnapshot& delta,
+                            std::string_view name) {
+  const auto it = delta.values.find(std::string(name));
+  return it == delta.values.end() ? 0 : it->second.count;
+}
+
+/// The registry delta of one or more runs equals the sum of their reports,
+/// row by row, and holds no sim/ counter the table does not publish.
+void expect_metrics_equal_reports(const obs::MetricsSnapshot& delta,
+                                  const std::vector<s::RunReport>& reports) {
+  for (const ExpectedRow& row : kExpectedRows) {
+    std::uint64_t total = 0;
+    for (const s::RunReport& report : reports) total += report.*row.field;
+    EXPECT_EQ(counter_delta(delta, row.metric), total) << row.metric;
+  }
+  std::uint64_t rounds = 0;
+  double active_sum = 0.0;
+  for (const s::RunReport& report : reports) {
+    rounds += static_cast<std::uint64_t>(report.rounds);
+    active_sum += report.active_requests.sum();
+  }
+  EXPECT_EQ(counter_delta(delta, s::kRoundsMetric), rounds);
+  const auto histogram =
+      delta.values.find(std::string(s::kActiveRequestsMetric));
+  ASSERT_NE(histogram, delta.values.end());
+  EXPECT_EQ(histogram->second.count, rounds);
+  EXPECT_EQ(static_cast<double>(histogram->second.sum), active_sum);
+
+  for (const auto& [name, value] : delta.values) {
+    if (name.rfind("sim/", 0) != 0 ||
+        value.kind != obs::MetricValue::Kind::kCounter)
+      continue;
+    EXPECT_TRUE(is_report_metric(name)) << name << " has no RunReport row";
+  }
+}
+
+}  // namespace
+
+TEST(RunReportMetrics, TableMapsEveryCountAndEveryBenchmarkName) {
+  ASSERT_EQ(s::kReportCounters.size(), std::size(kExpectedRows));
+  for (const ExpectedRow& expected : kExpectedRows) {
+    const auto row = std::find_if(
+        s::kReportCounters.begin(), s::kReportCounters.end(),
+        [&](const s::ReportCounter& r) { return r.field == expected.field; });
+    ASSERT_NE(row, s::kReportCounters.end()) << expected.metric;
+    EXPECT_EQ(row->metric, expected.metric);
+  }
+  for (const std::string_view name : kBenchmarkSimMetrics)
+    EXPECT_TRUE(is_report_metric(name)) << name;
+}
+
+TEST(RunReportMetrics, PublishedMetricsEqualTheReport) {
+  auto& registry = obs::MetricsRegistry::global();
+  for (const AccountingConfig& config : kAccountingConfigs) {
+    SCOPED_TRACE(config.name);
+    const obs::MetricsSnapshot before = registry.snapshot();
+    const s::RunReport report = run_accounting(config, 7);
+    expect_metrics_equal_reports(registry.snapshot().delta_since(before),
+                                 {report});
+
+    // Each config must reach the accounting it exists to cover.
+    EXPECT_GT(report.rounds, 0);
+    EXPECT_GT(report.rows_built, 0u);
+    if (config.churn > 0) {
+      EXPECT_GT(report.sessions_aborted, 0u);
+      EXPECT_GT(report.expiry_events, 0u);
+      EXPECT_GT(report.chunks_stalled, 0u);
+    }
+    if (config.link_cap > 0) {
+      EXPECT_GT(report.link_cap_rejections, 0u);
+      EXPECT_GT(report.link_cap_rescues, 0u);
+    }
+    if (config.strict) {
+      EXPECT_FALSE(report.success);
+      EXPECT_GT(report.chunks_stalled, 0u);
+    }
+  }
+}
+
+// Nine simulators step on the pool at once; the registry deltas must equal
+// the sum of their reports. The gcc-tsan CI job runs this (*Concurrency*).
+TEST(AccountingConcurrency, ConcurrentRunsPublishTheSumOfTheirReports) {
+  constexpr std::size_t kConfigs = std::size(kAccountingConfigs);
+  constexpr std::size_t kRuns = kConfigs * 3;
+  static_assert(kRuns >= 8);
+  std::vector<s::RunReport> reports(kRuns);
+  auto& registry = obs::MetricsRegistry::global();
+  const obs::MetricsSnapshot before = registry.snapshot();
+  {
+    u::ThreadPool pool(kRuns);
+    std::latch start(kRuns);
+    std::vector<std::future<void>> done;
+    for (std::size_t i = 0; i < kRuns; ++i) {
+      done.push_back(pool.submit([&, i] {
+        start.arrive_and_wait();
+        reports[i] = run_accounting(kAccountingConfigs[i % kConfigs], 11 + i);
+      }));
+    }
+    for (std::future<void>& run : done) run.get();
+  }
+  expect_metrics_equal_reports(registry.snapshot().delta_since(before),
+                               reports);
 }

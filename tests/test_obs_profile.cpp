@@ -560,9 +560,10 @@ obs::MetricsSnapshot stable_metrics_with_threads(const std::string& id,
 
 }  // namespace
 
-// The sparse round path's mirrored counters (rows built, row patches, full
-// rebuilds, ...) are kStable: identical at 1, 4, and 8 threads. Uses the E16
-// scale ladder, the only builtin scenario that exercises the sparse engine.
+// The CSR engine's work counters (rows built, row patches, full rebuilds,
+// ...), published from RunReport, are kStable: identical at 1, 4, and 8
+// threads. Uses the E16 scale ladder, the scenario that runs the CSR engine
+// at the largest sizes (every scenario without a topology runs on it).
 TEST(ObsSparseCounters, SparsePathCountersAreThreadCountIndependent) {
   const ScopedEnv scale("P2PVOD_SCALE", "0.001");
   const obs::MetricsSnapshot serial =

@@ -1,8 +1,8 @@
 // p2pvod_perfgate — statistical wall-time regression gate.
 //
-//   p2pvod_perfgate --trajectory baselines/PERF_trajectory.json \
-//       [--label STR] [--append] [--out PATH] [--warn-only] \
-//       [--rel-tol X] [--mad-factor X] [--abs-slack X] \
+//   p2pvod_perfgate --trajectory baselines/PERF_trajectory.json
+//       [--label STR] [--append] [--out PATH] [--warn-only]
+//       [--rel-tol X] [--mad-factor X] [--abs-slack X]
 //       <BENCH_<id>.json | dir>...
 //
 // Positional arguments are BENCH result documents from k repeated
