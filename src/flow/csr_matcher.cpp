@@ -71,66 +71,63 @@ bool CsrMatcher::augment(const CsrProblem& csr,
   OBS_SPAN("flow/csr_augment");
   AugmentCounters& counters = AugmentCounters::get();
   counters.calls.add();
-  std::size_t max_depth = 1;
+  std::size_t max_depth = 0;
   next_epoch();
   stack_.clear();
-  stack_.push_back({row, 0, 0, false});
-  while (!stack_.empty()) {
-    Frame& f = stack_.back();
-    const auto candidates = csr.row(f.row);
-    if (!f.in_box) {
-      bool descended = false;
-      while (f.ci < candidates.size()) {
-        const std::uint32_t box = candidates[f.ci];
-        if (visit_mark_[box] == epoch_) {
-          ++f.ci;
-          continue;
+  std::uint32_t entering = row;  // the root, then each row being displaced
+  for (;;) {
+    max_depth = std::max(max_depth, stack_.size() + 1);
+    // Look-ahead: a free candidate ends the search here. Commit the whole
+    // alternating path: `entering` takes the free slot; every ancestor
+    // overwrites the serving its child vacated (served_by_ positions stay
+    // put, so no vector churn along the path).
+    const auto candidates = csr.row(entering);
+    const auto spare = std::find_if(
+        candidates.begin(), candidates.end(),
+        [&](std::uint32_t box) { return degree_[box] < capacity[box]; });
+    if (spare != candidates.end()) {
+      assignment_[entering] = static_cast<std::int32_t>(*spare);
+      served_by_[*spare].push_back(entering);
+      ++degree_[*spare];
+      for (const Frame& parent : stack_) {
+        const std::uint32_t parent_box = csr.row(parent.row)[parent.ci];
+        served_by_[parent_box][parent.si] = parent.row;
+        assignment_[parent.row] = static_cast<std::int32_t>(parent_box);
+      }
+      counters.depth.observe(max_depth);
+      return true;
+    }
+    // No degree moves before the commit, so every candidate of every row
+    // on the stack is saturated: walk the depth-first search to the next
+    // row it could displace, each box visited once.
+    stack_.push_back({entering, 0, 0, false});
+    for (;;) {
+      if (stack_.empty()) {
+        counters.depth.observe(max_depth);
+        return false;
+      }
+      Frame& f = stack_.back();
+      const auto boxes = csr.row(f.row);
+      if (f.in_box) {
+        const auto& servings = served_by_[boxes[f.ci]];
+        if (f.si < servings.size()) {
+          entering = servings[f.si];
+          break;
         }
-        visit_mark_[box] = epoch_;
-        if (degree_[box] < capacity[box]) {
-          // Free slot found: commit the whole alternating path. The tail
-          // row takes the free slot; every ancestor overwrites the serving
-          // its child vacated (served_by_ positions stay put, so no vector
-          // churn along the path).
-          assignment_[f.row] = static_cast<std::int32_t>(box);
-          served_by_[box].push_back(f.row);
-          ++degree_[box];
-          for (std::size_t i = stack_.size() - 1; i-- > 0;) {
-            const Frame& parent = stack_[i];
-            const std::uint32_t parent_box = csr.row(parent.row)[parent.ci];
-            served_by_[parent_box][parent.si] = parent.row;
-            assignment_[parent.row] = static_cast<std::int32_t>(parent_box);
-          }
-          counters.depth.observe(max_depth);
-          return true;
-        }
-        // Box saturated: try to displace one of the rows it serves.
+        f.in_box = false;
+        ++f.ci;
+      }
+      while (f.ci < boxes.size() && visit_mark_[boxes[f.ci]] == epoch_) ++f.ci;
+      if (f.ci < boxes.size()) {
+        visit_mark_[boxes[f.ci]] = epoch_;
         f.in_box = true;
         f.si = 0;
-        descended = true;
-        break;
-      }
-      if (!descended) {
-        stack_.pop_back();
-        if (!stack_.empty()) ++stack_.back().si;
         continue;
       }
+      stack_.pop_back();
+      if (!stack_.empty()) ++stack_.back().si;
     }
-    const std::uint32_t box = candidates[f.ci];
-    const auto& servings = served_by_[box];
-    if (f.si >= servings.size()) {
-      f.in_box = false;
-      f.si = 0;
-      ++f.ci;
-      continue;
-    }
-    // Descend: can servings[f.si] be rerouted elsewhere? (Push invalidates
-    // `f`; the loop re-derives the reference next iteration.)
-    stack_.push_back({servings[f.si], 0, 0, false});
-    max_depth = std::max(max_depth, stack_.size());
   }
-  counters.depth.observe(max_depth);
-  return false;
 }
 
 }  // namespace p2pvod::flow

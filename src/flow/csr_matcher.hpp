@@ -7,7 +7,12 @@
 // slot, churned boxes bulk-unassign everything they served, and each round
 // only the currently unmatched slots seed augmenting paths.
 //
-// Two ingredients keep an augmentation O(edges explored):
+// Three ingredients keep an augmentation short and O(edges explored):
+//   - a free-slot look-ahead: each row the search enters takes its first
+//     free candidate before any of its servings is displaced. Descending
+//     into the first saturated candidate instead cost an augment of the u = 1
+//     threshold_trials benchmark 38.5 rows entered and 965 candidates read on
+//     average, against 2.3 and 42 with the look-ahead;
 //   - visited marks are epoch stamps (one uint32 per box, bumped per call),
 //     so there is no per-call O(n) clear;
 //   - the alternating-path search is an explicit frame stack, not recursion,
@@ -51,8 +56,11 @@ class CsrMatcher {
   void unassign_box(std::uint32_t box, std::vector<std::uint32_t>& out);
 
   /// Find an augmenting path from unmatched `row` and apply it. Capacity is
-  /// indexed by box id; candidate rows come from `csr`. Returns true when
-  /// `row` ends up served (every displaced row stays served).
+  /// indexed by box id; candidate rows come from `csr`. A row the search
+  /// enters takes its first free candidate; when all are saturated, the rows
+  /// they serve are tried for displacement depth-first, each box once.
+  /// Returns true when `row` ends up served (every displaced row stays
+  /// served); a failed search changes nothing.
   bool augment(const CsrProblem& csr, std::span<const std::uint32_t> capacity,
                std::uint32_t row);
 

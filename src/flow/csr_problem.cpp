@@ -39,9 +39,7 @@ void CsrProblem::ensure_row(std::uint32_t row) {
 void CsrProblem::clear_row(std::uint32_t row) {
   RowRef& ref = rows_.at(row);
   edges_ -= ref.size;
-  abandoned_ += ref.capacity;
-  ref = RowRef{};
-  maybe_compact();
+  ref.size = 0;
 }
 
 void CsrProblem::assign_row(std::uint32_t row,

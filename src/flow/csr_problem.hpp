@@ -18,7 +18,8 @@
 // parallel vectors). In-place edits shift within the row's capacity; growth
 // beyond it relocates the row to the pool tail with slack (amortized O(1)
 // per insert), and the pool compacts itself once more than half of it is
-// abandoned spans.
+// abandoned spans. A cleared row keeps its span, so the next request on a
+// recycled slot refills it in place instead of relocating.
 #pragma once
 
 #include <cstdint>
@@ -33,7 +34,7 @@ class CsrProblem {
 
   /// Grow the row table so `row` is addressable; new rows are empty.
   void ensure_row(std::uint32_t row);
-  /// Empty `row`. Its pool span is abandoned and reclaimed on compaction.
+  /// Empty `row`. Its pool span is kept for the slot's next request.
   void clear_row(std::uint32_t row);
 
   /// Replace `row`'s contents. `boxes` must be sorted unique and `counts`

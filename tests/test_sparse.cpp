@@ -7,6 +7,7 @@
 
 #include <map>
 #include <memory>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -18,6 +19,7 @@
 #include "flow/csr_problem.hpp"
 #include "flow/verify.hpp"
 #include "net/topology.hpp"
+#include "obs/metrics.hpp"
 #include "sim/simulator.hpp"
 #include "sim/sparse_round.hpp"
 #include "sim/strategy.hpp"
@@ -33,6 +35,20 @@ namespace m = p2pvod::model;
 namespace a = p2pvod::alloc;
 namespace f = p2pvod::flow;
 namespace w = p2pvod::workload;
+
+namespace {
+
+p2pvod::obs::Counter& relocations() {
+  return p2pvod::obs::MetricsRegistry::global().counter(
+      "flow/csr_row_relocations");
+}
+
+p2pvod::obs::Counter& compactions() {
+  return p2pvod::obs::MetricsRegistry::global().counter(
+      "flow/csr_pool_compactions");
+}
+
+}  // namespace
 
 // ------------------------------------------------------------- CsrProblem
 
@@ -105,22 +121,23 @@ TEST(CsrProblem, AssignRowReplacesAndClearRowEmpties) {
 }
 
 TEST(CsrProblem, RelocationAndCompactionStress) {
-  // Interleaved growth across rows forces relocations; periodic clears leave
-  // abandoned spans that compaction must fold without corrupting survivors.
-  // A per-row reference map is the ground truth.
+  // Interleaved growth across rows forces relocations, whose abandoned spans
+  // compaction must fold without corrupting survivors; rare clears empty a
+  // row in place. A per-row reference map is the ground truth.
   f::CsrProblem csr;
-  constexpr std::uint32_t kRows = 5;
+  constexpr std::uint32_t kRows = 64;
   std::vector<std::map<std::uint32_t, std::uint32_t>> truth(kRows);
   for (std::uint32_t r = 0; r < kRows; ++r) csr.ensure_row(r);
+  const std::uint64_t compactions_before = compactions().value();
   p2pvod::util::Rng rng(0xC5A11);
-  for (std::uint32_t step = 0; step < 4000; ++step) {
+  for (std::uint32_t step = 0; step < 40000; ++step) {
     const auto r = static_cast<std::uint32_t>(rng.next_below(kRows));
-    const auto box = static_cast<std::uint32_t>(rng.next_below(64));
+    const auto box = static_cast<std::uint32_t>(rng.next_below(256));
     const double roll = rng.next_double();
     if (roll < 0.60) {
       csr.add_source(r, box);
       ++truth[r][box];
-    } else if (roll < 0.90) {
+    } else if (roll < 0.98) {
       const bool left = csr.remove_source(r, box);
       auto it = truth[r].find(box);
       if (it == truth[r].end()) {
@@ -147,11 +164,118 @@ TEST(CsrProblem, RelocationAndCompactionStress) {
     edges += row.size();
   }
   EXPECT_EQ(csr.edge_count(), edges);
+  EXPECT_GT(compactions().value(), compactions_before);
   // Compaction keeps the pool proportional to live content, not churn.
   EXPECT_LT(csr.pool_size(), 8192u);
 }
 
+TEST(CsrProblem, ClearedRowRefillsItsSpan) {
+  // A retired request's slot is recycled by the next one: the cleared row
+  // keeps its span, so a smaller refill lands in place.
+  f::CsrProblem csr;
+  csr.ensure_row(0);
+  const std::vector<std::uint32_t> five = {1, 3, 5, 7, 9};
+  const std::vector<std::uint32_t> three = {2, 4, 6};
+  const std::vector<std::uint32_t> ones(5, 1);
+  csr.assign_row(0, five, ones);
+  const std::uint64_t relocations_before = relocations().value();
+  const std::size_t pool_before = csr.pool_size();
+  csr.clear_row(0);
+  EXPECT_EQ(csr.row(0).size(), 0u);
+  EXPECT_EQ(csr.edge_count(), 0u);
+  csr.assign_row(0, three, std::span(ones).first(3));
+  EXPECT_EQ(relocations().value() - relocations_before, 0u);
+  EXPECT_EQ(csr.pool_size(), pool_before);
+  const auto row = csr.row(0);
+  EXPECT_EQ(std::vector<std::uint32_t>(row.begin(), row.end()), three);
+  EXPECT_EQ(csr.edge_count(), 3u);
+}
+
 // ------------------------------------------------------------- CsrMatcher
+
+namespace {
+
+struct MatchState {
+  std::vector<std::int32_t> assignment;  ///< per row
+  std::vector<std::uint32_t> degree;     ///< per box
+};
+
+MatchState snapshot(const f::CsrMatcher& matcher, std::uint32_t rows,
+                    std::size_t boxes) {
+  MatchState state;
+  for (std::uint32_t r = 0; r < rows; ++r)
+    state.assignment.push_back(matcher.assignment(r));
+  for (std::uint32_t b = 0; b < boxes; ++b)
+    state.degree.push_back(matcher.degree(b));
+  return state;
+}
+
+/// augment(row) with the contract of one call checked. A success serves
+/// `row`, grows exactly one box's degree by one, keeps every row served
+/// before served, and leaves each served row on one of its candidates with
+/// no box over capacity; a failure changes nothing. `moved` counts served
+/// rows the call rerouted to another box.
+bool checked_augment(f::CsrMatcher& matcher, const f::CsrProblem& csr,
+                     const std::vector<std::uint32_t>& cap, std::uint32_t row,
+                     std::uint32_t& moved) {
+  const std::uint32_t rows = csr.row_count();
+  const MatchState before = snapshot(matcher, rows, cap.size());
+  const bool ok = matcher.augment(csr, cap, row);
+  const MatchState after = snapshot(matcher, rows, cap.size());
+  if (!ok) {
+    EXPECT_EQ(after.assignment, before.assignment) << "failed augment moved";
+    EXPECT_EQ(after.degree, before.degree) << "failed augment moved";
+    return false;
+  }
+  EXPECT_GE(after.assignment[row], 0);
+  std::uint32_t grown = 0;
+  for (std::size_t b = 0; b < cap.size(); ++b) {
+    if (after.degree[b] == before.degree[b] + 1) {
+      ++grown;
+    } else {
+      EXPECT_EQ(after.degree[b], before.degree[b]) << "box " << b;
+    }
+  }
+  EXPECT_EQ(grown, 1u);
+  std::vector<std::uint32_t> load(cap.size(), 0);
+  for (std::uint32_t r = 0; r < rows; ++r) {
+    if (before.assignment[r] >= 0) {
+      EXPECT_GE(after.assignment[r], 0) << "row " << r << " lost its server";
+      if (after.assignment[r] != before.assignment[r]) ++moved;
+    } else if (r != row) {
+      EXPECT_EQ(after.assignment[r], -1) << "row " << r;
+    }
+    if (after.assignment[r] < 0) continue;
+    const auto box = static_cast<std::uint32_t>(after.assignment[r]);
+    EXPECT_TRUE(csr.contains(r, box)) << "row " << r << " box " << box;
+    ++load[box];
+  }
+  EXPECT_EQ(load, after.degree);
+  for (std::size_t b = 0; b < cap.size(); ++b) EXPECT_LE(load[b], cap[b]);
+  return true;
+}
+
+/// Random candidate rows over `boxes` boxes (each box a candidate with
+/// probability 1/4), mirrored into a ConnectionProblem for the Dinic oracle.
+void random_rows(p2pvod::util::Rng& rng, std::uint32_t rows,
+                 const std::vector<std::uint32_t>& cap, f::CsrProblem& csr,
+                 f::ConnectionProblem& dense) {
+  const auto boxes = static_cast<std::uint32_t>(cap.size());
+  csr.ensure_row(rows - 1);
+  dense.set_capacities(cap);
+  for (std::uint32_t r = 0; r < rows; ++r) {
+    std::vector<std::uint32_t> cands;
+    for (std::uint32_t b = 0; b < boxes; ++b) {
+      if (rng.next_bool(0.25)) {
+        csr.add_source(r, b);
+        cands.push_back(b);
+      }
+    }
+    dense.add_request(std::move(cands));
+  }
+}
+
+}  // namespace
 
 TEST(CsrMatcher, AugmentDisplacesAlongAlternatingPath) {
   f::CsrProblem csr;
@@ -171,6 +295,25 @@ TEST(CsrMatcher, AugmentDisplacesAlongAlternatingPath) {
   EXPECT_EQ(matcher.assignment(1), 1);
   EXPECT_EQ(matcher.degree(0), 1u);
   EXPECT_EQ(matcher.degree(1), 1u);
+}
+
+TEST(CsrMatcher, AugmentTakesFreeCandidateBeforeDisplacing) {
+  // Row 1's first candidate is taken but its second is free: the search
+  // takes the free slot instead of displacing row 0 onto box 2.
+  f::CsrProblem csr;
+  csr.ensure_row(1);
+  csr.add_source(0, 0);
+  csr.add_source(0, 2);
+  csr.add_source(1, 0);
+  csr.add_source(1, 1);
+  const std::vector<std::uint32_t> cap = {1, 1, 1};
+  f::CsrMatcher matcher(3);
+  matcher.ensure_rows(2);
+  EXPECT_TRUE(matcher.augment(csr, cap, 0));
+  EXPECT_TRUE(matcher.augment(csr, cap, 1));
+  EXPECT_EQ(matcher.assignment(0), 0);
+  EXPECT_EQ(matcher.assignment(1), 1);
+  EXPECT_EQ(matcher.degree(2), 0u);
 }
 
 TEST(CsrMatcher, AugmentFailsWhenNoPathExists) {
@@ -211,34 +354,64 @@ TEST(CsrMatcher, UnassignBoxReleasesItsRows) {
 TEST(CsrMatcher, ExhaustiveAugmentationMatchesDenseSolve) {
   // Berge: augmenting every unmatched row from any partial matching reaches a
   // maximum matching — so the served count must equal ConnectionProblem's.
+  // Every call must also keep checked_augment's per-call contract.
   p2pvod::util::Rng rng(0xBE26E);
   for (int trial = 0; trial < 20; ++trial) {
     constexpr std::uint32_t kBoxes = 16;
     const auto rows = static_cast<std::uint32_t>(rng.next_between(1, 40));
-    f::CsrProblem csr;
-    csr.ensure_row(rows - 1);
-    f::ConnectionProblem dense(kBoxes);
     std::vector<std::uint32_t> cap(kBoxes);
     for (auto& c : cap) c = static_cast<std::uint32_t>(rng.next_below(4));
-    dense.set_capacities(cap);
-    for (std::uint32_t r = 0; r < rows; ++r) {
-      std::vector<std::uint32_t> cands;
-      for (std::uint32_t b = 0; b < kBoxes; ++b) {
-        if (rng.next_bool(0.25)) {
-          csr.add_source(r, b);
-          cands.push_back(b);
-        }
-      }
-      dense.add_request(std::move(cands));
-    }
+    f::CsrProblem csr;
+    f::ConnectionProblem dense(kBoxes);
+    random_rows(rng, rows, cap, csr, dense);
     f::CsrMatcher matcher(kBoxes);
     matcher.ensure_rows(rows);
     std::uint32_t served = 0;
+    std::uint32_t moved = 0;
     for (std::uint32_t r = 0; r < rows; ++r) {
-      if (matcher.augment(csr, cap, r)) ++served;
+      if (checked_augment(matcher, csr, cap, r, moved)) ++served;
     }
     EXPECT_EQ(served, dense.solve().served) << "trial " << trial;
   }
+}
+
+TEST(CsrMatcher, DescendingAugmentsKeepEveryServedRow) {
+  // Every box has capacity and there are about as many rows as slots, so
+  // late searches find their candidates saturated and must displace. After
+  // a first exhaustive pass, dropping a third of the connections and
+  // re-augmenting (the cross-round repair) must again reach the maximum.
+  p2pvod::util::Rng rng(0xDE5C3);
+  std::uint32_t moved = 0;
+  for (int trial = 0; trial < 20; ++trial) {
+    constexpr std::uint32_t kBoxes = 16;
+    std::vector<std::uint32_t> cap(kBoxes);
+    std::uint32_t slots = 0;
+    for (auto& c : cap) {
+      c = static_cast<std::uint32_t>(rng.next_between(1, 3));
+      slots += c;
+    }
+    const auto rows = static_cast<std::uint32_t>(
+        rng.next_between(slots - 2, slots + 2));
+    f::CsrProblem csr;
+    f::ConnectionProblem dense(kBoxes);
+    random_rows(rng, rows, cap, csr, dense);
+    const std::uint32_t maximum = dense.solve().served;
+    f::CsrMatcher matcher(kBoxes);
+    matcher.ensure_rows(rows);
+    for (int pass = 0; pass < 2; ++pass) {
+      std::uint32_t served = 0;
+      for (std::uint32_t r = 0; r < rows; ++r) {
+        if (matcher.assignment(r) >= 0 ||
+            checked_augment(matcher, csr, cap, r, moved))
+          ++served;
+      }
+      EXPECT_EQ(served, maximum) << "trial " << trial << " pass " << pass;
+      for (std::uint32_t r = 0; r < rows; ++r) {
+        if (rng.next_bool(1.0 / 3.0)) matcher.unassign(r);
+      }
+    }
+  }
+  EXPECT_GT(moved, 0u) << "no search displaced a served row";
 }
 
 // ----------------------------------------------------- validate_assignment
