@@ -5,16 +5,19 @@
 
 namespace p2pvod::sim {
 
-CacheIndex::CacheIndex(std::uint32_t stripe_count, model::Round window)
-    : per_stripe_(stripe_count), window_(window) {
+CacheIndex::CacheIndex(std::uint32_t box_count, std::uint32_t stripe_count,
+                       model::Round window)
+    : per_stripe_(stripe_count), per_box_(box_count), window_(window) {
   if (window <= 0) throw std::invalid_argument("CacheIndex: window <= 0");
 }
 
 void CacheIndex::grant(model::StripeId stripe, model::BoxId box,
                        model::Round entry) {
-  if (stripe >= per_stripe_.size())
+  if (stripe >= per_stripe_.size() || box >= per_box_.size())
     throw std::out_of_range("CacheIndex::grant");
   per_stripe_[stripe].push_back({box, entry});
+  per_box_[box].push_back(stripe);
+  calendar_[entry + window_ + 1].push_back({stripe, box, entry});
   ++entries_;
 }
 
@@ -37,30 +40,35 @@ std::size_t CacheIndex::collect_servers(model::StripeId stripe,
 
 std::uint64_t CacheIndex::remove_box(model::BoxId box,
                                      std::vector<model::StripeId>* affected) {
-  std::uint64_t removed = 0;
-  for (model::StripeId stripe = 0; stripe < per_stripe_.size(); ++stripe) {
-    auto& entries = per_stripe_[stripe];
-    const auto keep =
-        std::remove_if(entries.begin(), entries.end(),
-                       [box](const Entry& e) { return e.box == box; });
-    const auto dropped = static_cast<std::uint64_t>(entries.end() - keep);
-    if (dropped > 0 && affected != nullptr) affected->push_back(stripe);
-    removed += dropped;
-    entries.erase(keep, entries.end());
+  if (box >= per_box_.size()) throw std::out_of_range("CacheIndex::remove_box");
+  std::vector<model::StripeId>& held = per_box_[box];
+  const auto removed = static_cast<std::uint64_t>(held.size());
+  std::sort(held.begin(), held.end());
+  held.erase(std::unique(held.begin(), held.end()), held.end());
+  for (const model::StripeId stripe : held) {
+    std::erase_if(per_stripe_[stripe],
+                  [box](const Entry& e) { return e.box == box; });
+    if (affected != nullptr) affected->push_back(stripe);
   }
+  held.clear();  // the calendar events of these entries now find nothing
   entries_ -= removed;
   return removed;
 }
 
-void CacheIndex::prune(model::Round now) {
-  const model::Round oldest = now - window_;
-  for (auto& entries : per_stripe_) {
-    if (entries.empty()) continue;
-    const auto keep = std::remove_if(
-        entries.begin(), entries.end(),
-        [oldest](const Entry& e) { return e.entry < oldest; });
-    entries_ -= static_cast<std::uint64_t>(entries.end() - keep);
-    entries.erase(keep, entries.end());
+void CacheIndex::prune(model::Round now, std::vector<CacheExpiry>* expired) {
+  while (!calendar_.empty() && calendar_.begin()->first <= now) {
+    for (const CacheExpiry& e : calendar_.begin()->second) {
+      auto& entries = per_stripe_[e.stripe];
+      const auto it = std::find(entries.begin(), entries.end(),
+                                Entry{e.box, e.entry});
+      if (it == entries.end()) continue;  // died with its box
+      entries.erase(it);
+      auto& held = per_box_[e.box];
+      held.erase(std::find(held.begin(), held.end(), e.stripe));
+      --entries_;
+      if (expired != nullptr) expired->push_back(e);
+    }
+    calendar_.erase(calendar_.begin());
   }
 }
 

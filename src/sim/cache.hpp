@@ -9,20 +9,42 @@
 //
 // The index stores, per stripe, the cache grants (box, entry round) and
 // answers "who can serve request (s, t_i) at round t" — excluding the
-// requester itself. Entries older than the window are pruned lazily.
+// requester itself. Upkeep is in proportion to the entries that change, not
+// to the catalog's m·c stripes:
+//
+//   - an expiry calendar keyed by the round an entry leaves the window
+//     (entry + window + 1): prune() scans only the stripes holding an entry
+//     that leaves then, once per leaving entry;
+//   - a per-box index of each box's live entries, exact on grant, expiry
+//     and removal: remove_box() scans only that box's stripes, once each.
+//
+// The calendar is the simulator's only record of the retention window: the
+// CSR engine consumes the expiries prune() reports instead of keeping its
+// own.
 #pragma once
 
 #include <cstdint>
+#include <map>
 #include <vector>
 
 #include "model/ids.hpp"
-#include "sim/request.hpp"
 
 namespace p2pvod::sim {
 
+/// A cache entry that left the retention window: `box` no longer serves
+/// `stripe` from the entry granted at round `entry`.
+struct CacheExpiry {
+  model::StripeId stripe;
+  model::BoxId box;
+  model::Round entry;
+};
+
 class CacheIndex {
  public:
-  CacheIndex(std::uint32_t stripe_count, model::Round window);
+  /// Boxes are ids below `box_count`; grant() and remove_box() throw
+  /// std::out_of_range for any other id.
+  CacheIndex(std::uint32_t box_count, std::uint32_t stripe_count,
+             model::Round window);
 
   /// Record that `box` holds the stream of `stripe` as if started at `entry`.
   void grant(model::StripeId stripe, model::BoxId box, model::Round entry);
@@ -35,12 +57,15 @@ class CacheIndex {
                               std::vector<model::BoxId>& out) const;
 
   /// Drop entries that left the retention window (entry < now - window).
-  void prune(model::Round now);
+  /// When `expired` is non-null, each dropped entry is appended to it, by
+  /// expiry round and then in grant order. Entries that died with their box
+  /// (remove_box) have already left and are never reported.
+  void prune(model::Round now, std::vector<CacheExpiry>* expired = nullptr);
 
   /// Drop every entry of `box` (the box failed: its cache is gone). Returns
   /// the number of entries removed. When `affected` is non-null, the id of
-  /// each stripe that lost at least one entry is appended once (the sparse
-  /// candidate index needs to know which rows to strip).
+  /// each stripe that lost at least one entry is appended once, in ascending
+  /// order (the sparse candidate index needs to know which rows to strip).
   std::uint64_t remove_box(model::BoxId box,
                            std::vector<model::StripeId>* affected = nullptr);
 
@@ -51,9 +76,15 @@ class CacheIndex {
   struct Entry {
     model::BoxId box;
     model::Round entry;
+    bool operator==(const Entry&) const = default;
   };
 
   std::vector<std::vector<Entry>> per_stripe_;
+  /// Per box, the stripe of each of its live entries.
+  std::vector<std::vector<model::StripeId>> per_box_;
+  /// Grants by expiry round, in grant order; an event whose entry already
+  /// died with its box finds nothing to drop.
+  std::map<model::Round, std::vector<CacheExpiry>> calendar_;
   model::Round window_;
   std::uint64_t entries_ = 0;
 };

@@ -29,7 +29,7 @@ Simulator::Simulator(const model::Catalog& catalog,
       strategy_(strategy),
       options_(std::move(options)),
       swarms_(catalog.video_count()),
-      cache_(catalog.stripe_count(), catalog.duration()),
+      cache_(profile.size(), catalog.stripe_count(), catalog.duration()),
       busy_until_(profile.size(), 0),
       last_session_(profile.size(), kInvalidSession) {
   if (allocation_.box_count() != profile_.size())
@@ -64,7 +64,7 @@ Simulator::Simulator(const model::Catalog& catalog,
         "matching is dense-only)");
   if (options_.topology == nullptr) {
     sparse_ = std::make_unique<SparseRoundState>(
-        profile_.size(), catalog_.stripe_count(), catalog_.duration(),
+        profile_.size(), catalog_.stripe_count(),
         options_.sparse_rebuild_fraction);
   }
 }
@@ -144,7 +144,7 @@ void Simulator::admit(const Demand& demand) {
     for (const CacheGrant& grant : plan.grants) {
       cache_.grant(plan.stripe, grant.box, grant.entry);
       if (sparse_ != nullptr)
-        sparse_->on_grant(plan.stripe, grant.box, grant.entry, now_);
+        sparse_->on_grant(plan.stripe, grant.box, grant.entry);
     }
     if (plan.requester == model::kInvalidBox) continue;
     ++report_.requests_issued;
@@ -233,7 +233,7 @@ std::uint32_t Simulator::solve_round_sparse() {
   std::uint32_t served = 0;
   {
     OBS_SPAN("sim/match");
-    served = sparse_->solve(now_, capacity_slots_, collect);
+    served = sparse_->solve(expired_, capacity_slots_, collect);
   }
   report_.matcher_edges += sparse_->edge_count();
   const SparseStats& stats = sparse_->stats();
@@ -407,6 +407,7 @@ void Simulator::debug_check_capacity_total() const {
 }
 
 void Simulator::set_box_online(model::BoxId box, bool online) {
+  OBS_SPAN("sim/box_churn");
   if (box >= profile_.size())
     throw std::out_of_range("Simulator::set_box_online");
   if (online_[box] == online) return;
@@ -514,7 +515,10 @@ void Simulator::step(const std::vector<Demand>& demands) {
 
   // 5. Activate requests issued this round; drop expired cache entries.
   activate_pending();
-  cache_.prune(now_);
+  {
+    OBS_SPAN("sim/cache_prune");
+    cache_.prune(now_, sparse_ != nullptr ? &expired_ : nullptr);
+  }
 
   // 6. Connection matching for this round.
   report_.active_requests.add(static_cast<double>(live_.size()));

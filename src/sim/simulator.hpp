@@ -203,6 +203,9 @@ class Simulator {
   CacheIndex cache_;
   /// Persistent CSR adjacency + matching; null on the zone-aware engine.
   std::unique_ptr<SparseRoundState> sparse_;
+  /// Cache expiries the CSR engine has not consumed yet: it solves only in
+  /// rounds with a live request.
+  std::vector<CacheExpiry> expired_;
 
   std::vector<Session> sessions_;
   std::vector<model::Round> busy_until_;

@@ -9,15 +9,10 @@ namespace p2pvod::sim {
 
 SparseRoundState::SparseRoundState(std::uint32_t box_count,
                                    std::uint32_t stripe_count,
-                                   model::Round window,
                                    double rebuild_fraction)
     : matcher_(box_count),
       slots_of_stripe_(stripe_count),
-      box_epoch_(box_count, 0),
-      window_(window),
       rebuild_fraction_(rebuild_fraction) {
-  if (window <= 0)
-    throw std::invalid_argument("SparseRoundState: window <= 0");
   if (rebuild_fraction < 0.0)
     throw std::invalid_argument("SparseRoundState: rebuild_fraction < 0");
 }
@@ -65,13 +60,10 @@ void SparseRoundState::remove_request(std::uint32_t slot) {
 }
 
 void SparseRoundState::on_grant(model::StripeId stripe, model::BoxId box,
-                                model::Round entry, model::Round now) {
+                                model::Round entry) {
   OBS_SPAN("sim/sparse_grant_patch");
   if (stripe >= slots_of_stripe_.size())
     throw std::out_of_range("SparseRoundState::on_grant");
-  const model::Round expires = entry + window_ + 1;
-  if (expires <= now) return;  // already outside the window: never a source
-  calendar_[expires].push_back({stripe, box, entry, box_epoch_.at(box)});
   for (const std::uint32_t slot : slots_of_stripe_[stripe]) {
     const Slot& s = slots_[slot];
     if (s.dirty) continue;  // rebuild will collect it from ground truth
@@ -86,9 +78,6 @@ void SparseRoundState::on_box_offline(model::BoxId box,
                                       std::span<const model::StripeId> stored,
                                       std::span<const model::StripeId> cached) {
   OBS_SPAN("sim/sparse_churn_patch");
-  // Invalidate every pending expiry of the box's (now destroyed) cache
-  // entries; their sources are removed wholesale right here.
-  ++box_epoch_.at(box);
   scratch_unassigned_.clear();
   matcher_.unassign_box(box, scratch_unassigned_);
   const auto strip = [&](std::span<const model::StripeId> stripes) {
@@ -149,31 +138,29 @@ void SparseRoundState::rebuild_row(std::uint32_t slot,
     matcher_.unassign(slot);
 }
 
-void SparseRoundState::process_expiries(model::Round now) {
-  while (!calendar_.empty() && calendar_.begin()->first <= now) {
-    for (const Expiry& e : calendar_.begin()->second) {
-      ++stats_.expiry_events;
-      if (box_epoch_[e.box] != e.box_epoch) continue;  // died with the box
-      for (const std::uint32_t slot : slots_of_stripe_[e.stripe]) {
-        const Slot& s = slots_[slot];
-        if (s.dirty) continue;
-        if (e.entry >= s.issue || e.box == s.requester) continue;
-        ++stats_.row_patches;
-        if (csr_.remove_source(slot, e.box) &&
-            matcher_.assignment(slot) == static_cast<std::int32_t>(e.box))
-          matcher_.unassign(slot);
-      }
+void SparseRoundState::process_expiries(
+    const std::vector<CacheExpiry>& expired) {
+  for (const CacheExpiry& e : expired) {
+    ++stats_.expiry_events;
+    for (const std::uint32_t slot : slots_of_stripe_.at(e.stripe)) {
+      const Slot& s = slots_[slot];
+      if (s.dirty) continue;
+      if (e.entry >= s.issue || e.box == s.requester) continue;
+      ++stats_.row_patches;
+      if (csr_.remove_source(slot, e.box) &&
+          matcher_.assignment(slot) == static_cast<std::int32_t>(e.box))
+        matcher_.unassign(slot);
     }
-    calendar_.erase(calendar_.begin());
   }
 }
 
-std::uint32_t SparseRoundState::solve(model::Round now,
-                                      const std::vector<std::uint32_t>& capacity,
-                                      const RowCollector& collect) {
+std::uint32_t SparseRoundState::solve(
+    std::vector<CacheExpiry>& expired,
+    const std::vector<std::uint32_t>& capacity, const RowCollector& collect) {
   {
     OBS_SPAN("sim/sparse_expiry");
-    process_expiries(now);
+    process_expiries(expired);
+    expired.clear();
   }
 
   {

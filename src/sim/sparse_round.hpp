@@ -8,12 +8,12 @@
 // across rounds, and maintains both by deltas:
 //
 //   - a cache grant point-inserts one source into the live rows of its
-//     stripe (and schedules its retention-window expiry);
-//   - an expiry decrements one source per affected row, via a calendar of
-//     events keyed by the round the entry leaves the window;
+//     stripe;
+//   - an expiry decrements one source per affected row; the expiries are
+//     the ones CacheIndex::prune reports, consumed at the next solve;
 //   - box churn bulk-removes (offline) or re-adds (online) the box across
-//     the rows of the stripes it stores/caches, guarded by per-box epochs so
-//     calendar events of cache entries that died with the box are skipped;
+//     the rows of the stripes it stores/caches (the cache never reports an
+//     entry that died with its box);
 //   - request arrival marks its new row dirty; dirty rows are rebuilt from
 //     ground truth (the collector callback) at the next solve. When the
 //     dirty fraction crosses a threshold the whole table is rebuilt instead
@@ -23,20 +23,20 @@
 // the number of ground-truth reasons the box can serve that request (static
 // replica while online, plus each in-window cache entry with entry < issue).
 // Every source is added exactly once (insert or rebuild) and retired exactly
-// once (its calendar event, an offline bulk-removal, or the row's rebuild
+// once (its reported expiry, an offline bulk-removal, or the row's rebuild
 // folding it in), so rows never drift from what a from-scratch collection
 // would produce — the equivalence the simulator's verify path asserts.
 #pragma once
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <span>
 #include <vector>
 
 #include "flow/csr_matcher.hpp"
 #include "flow/csr_problem.hpp"
 #include "model/ids.hpp"
+#include "sim/cache.hpp"
 
 namespace p2pvod::sim {
 
@@ -46,7 +46,9 @@ namespace p2pvod::sim {
 struct SparseStats {
   std::uint64_t rows_built = 0;     ///< rows collected from ground truth
   std::uint64_t row_patches = 0;    ///< surgical source inserts/removals
-  std::uint64_t expiry_events = 0;  ///< calendar events processed
+  /// Cache expiries consumed; entries that died with their box are not
+  /// among them (the cache never reports those).
+  std::uint64_t expiry_events = 0;
   std::uint64_t full_rebuilds = 0;  ///< dirty-fraction fallback trips
   std::uint64_t kept_connections = 0;
   std::uint64_t new_connections = 0;
@@ -62,7 +64,7 @@ class SparseRoundState {
                          model::BoxId requester, std::vector<model::BoxId>&)>;
 
   SparseRoundState(std::uint32_t box_count, std::uint32_t stripe_count,
-                   model::Round window, double rebuild_fraction);
+                   double rebuild_fraction);
 
   /// Register a new live request; returns its slot id (slots are recycled).
   std::uint32_t add_request(model::StripeId stripe, model::Round issue,
@@ -70,10 +72,8 @@ class SparseRoundState {
   /// Retire a live request: drops its assignment and row.
   void remove_request(std::uint32_t slot);
 
-  /// A cache grant was registered: patch the live rows of `stripe` and
-  /// schedule the entry's retention-window expiry.
-  void on_grant(model::StripeId stripe, model::BoxId box, model::Round entry,
-                model::Round now);
+  /// A cache grant was registered: patch the live rows of `stripe`.
+  void on_grant(model::StripeId stripe, model::BoxId box, model::Round entry);
   /// `box` went offline: its assignments dissolve and it leaves every row of
   /// the stripes it held statically (`stored`) or served from cache
   /// (`cached`).
@@ -84,10 +84,12 @@ class SparseRoundState {
   void on_box_online(model::BoxId box,
                      std::span<const model::StripeId> stored);
 
-  /// Run one round: process due expiries, rebuild dirty rows via `collect`,
-  /// then augment every unmatched live slot. Returns the number of served
-  /// requests (a maximum matching, equal to a from-scratch solve).
-  std::uint32_t solve(model::Round now,
+  /// Run one round: consume `expired` (the cache expiries reported since
+  /// the last solve, in report order; cleared on return), rebuild dirty rows
+  /// via `collect`, then augment every unmatched live slot. Returns the
+  /// number of served requests (a maximum matching, equal to a from-scratch
+  /// solve).
+  std::uint32_t solve(std::vector<CacheExpiry>& expired,
                       const std::vector<std::uint32_t>& capacity,
                       const RowCollector& collect);
 
@@ -112,20 +114,9 @@ class SparseRoundState {
     bool live = false;
     bool dirty = false;
   };
-  /// One scheduled retention-window expiry: at the keyed round, cache entry
-  /// (stripe, box, entry) stops serving. `box_epoch` pins the box's churn
-  /// generation at grant time — the entry died early if the box went
-  /// offline since, and the event must then be skipped.
-  struct Expiry {
-    model::StripeId stripe;
-    model::BoxId box;
-    model::Round entry;
-    std::uint32_t box_epoch;
-  };
-
   void mark_dirty(std::uint32_t slot);
   void rebuild_row(std::uint32_t slot, const RowCollector& collect);
-  void process_expiries(model::Round now);
+  void process_expiries(const std::vector<CacheExpiry>& expired);
 
   flow::CsrProblem csr_;
   flow::CsrMatcher matcher_;
@@ -134,9 +125,6 @@ class SparseRoundState {
   std::vector<std::vector<std::uint32_t>> slots_of_stripe_;
   std::vector<std::uint32_t> dirty_slots_;  ///< queue; flags de-dup entries
   std::uint32_t dirty_count_ = 0;
-  std::map<model::Round, std::vector<Expiry>> calendar_;
-  std::vector<std::uint32_t> box_epoch_;
-  model::Round window_;
   double rebuild_fraction_;
   std::uint32_t live_count_ = 0;
   SparseStats stats_;

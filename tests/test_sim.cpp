@@ -2,11 +2,18 @@
 // strategies, and hand-checkable end-to-end simulator scenarios.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <tuple>
+#include <utility>
+#include <vector>
+
 #include "alloc/allocation.hpp"
+#include "net/topology.hpp"
 #include "sim/cache.hpp"
 #include "sim/simulator.hpp"
 #include "sim/strategy.hpp"
 #include "sim/swarm.hpp"
+#include "util/rng.hpp"
 #include "workload/trace.hpp"
 
 namespace s = p2pvod::sim;
@@ -118,7 +125,7 @@ TEST(Swarm, AdmissibleJoinsClampAtCeiling) {
 // ----------------------------------------------------------------- cache
 
 TEST(Cache, EarlierJoinerServesLaterRequest) {
-  s::CacheIndex cache(1, /*window=*/8);
+  s::CacheIndex cache(/*box_count=*/4, /*stripe_count=*/1, /*window=*/8);
   cache.grant(0, /*box=*/3, /*entry=*/5);
   std::vector<m::BoxId> out;
   // Request issued at 6 (strictly after 5): box 3 qualifies at round 7.
@@ -127,7 +134,7 @@ TEST(Cache, EarlierJoinerServesLaterRequest) {
 }
 
 TEST(Cache, SameRoundJoinersCannotServeEachOther) {
-  s::CacheIndex cache(1, 8);
+  s::CacheIndex cache(4, 1, 8);
   cache.grant(0, 3, 5);
   std::vector<m::BoxId> out;
   // Request also issued at 5: strict inequality excludes box 3 (§2.2).
@@ -135,7 +142,7 @@ TEST(Cache, SameRoundJoinersCannotServeEachOther) {
 }
 
 TEST(Cache, RetentionWindowExpires) {
-  s::CacheIndex cache(1, 4);
+  s::CacheIndex cache(4, 1, 4);
   cache.grant(0, 3, 5);
   std::vector<m::BoxId> out;
   EXPECT_EQ(cache.collect_servers(0, 9, 9, m::kInvalidBox, out), 1u);
@@ -145,26 +152,181 @@ TEST(Cache, RetentionWindowExpires) {
 }
 
 TEST(Cache, ExcludesRequesterItself) {
-  s::CacheIndex cache(1, 8);
+  s::CacheIndex cache(4, 1, 8);
   cache.grant(0, 3, 5);
   std::vector<m::BoxId> out;
   EXPECT_EQ(cache.collect_servers(0, 6, 7, /*exclude=*/3, out), 0u);
 }
 
 TEST(Cache, FutureGrantsInvisibleToEarlierRequests) {
-  s::CacheIndex cache(1, 8);
+  s::CacheIndex cache(4, 1, 8);
   cache.grant(0, 3, 9);  // relay-lagged entry in the future
   std::vector<m::BoxId> out;
   EXPECT_EQ(cache.collect_servers(0, 7, 8, m::kInvalidBox, out), 0u);
 }
 
 TEST(Cache, PruneDropsExpiredEntries) {
-  s::CacheIndex cache(2, 4);
+  s::CacheIndex cache(4, 2, 4);
   cache.grant(0, 1, 0);
   cache.grant(1, 2, 6);
   EXPECT_EQ(cache.entry_count(), 2u);
   cache.prune(10);  // oldest kept entry: 6
   EXPECT_EQ(cache.entry_count(), 1u);
+}
+
+TEST(Cache, RemovedBoxEntriesAreNeverReportedExpired) {
+  // An entry that died with its box leaves the cache at remove_box, not at
+  // its expiry round; the box's next entry expires on its own schedule.
+  s::CacheIndex cache(4, 1, /*window=*/3);
+  cache.grant(0, /*box=*/1, /*entry=*/3);  // would expire at 3+3+1 = 7
+  EXPECT_EQ(cache.remove_box(1), 1u);
+  cache.grant(0, 1, /*entry=*/4);  // expires at 8
+  std::vector<s::CacheExpiry> expired;
+  cache.prune(7, &expired);
+  EXPECT_TRUE(expired.empty());
+  EXPECT_EQ(cache.entry_count(), 1u);
+  cache.prune(8, &expired);
+  ASSERT_EQ(expired.size(), 1u);
+  EXPECT_EQ(expired[0].stripe, 0u);
+  EXPECT_EQ(expired[0].box, 1u);
+  EXPECT_EQ(expired[0].entry, 4);
+  EXPECT_EQ(cache.entry_count(), 0u);
+}
+
+TEST(Cache, RejectsUnknownBox) {
+  s::CacheIndex cache(/*box_count=*/3, /*stripe_count=*/2, /*window=*/4);
+  EXPECT_THROW(cache.grant(0, 3, 1), std::out_of_range);
+  EXPECT_THROW(cache.grant(0, m::kInvalidBox, 1), std::out_of_range);
+  EXPECT_THROW(cache.remove_box(3), std::out_of_range);
+  EXPECT_EQ(cache.entry_count(), 0u);
+  cache.grant(1, 2, 1);
+  EXPECT_EQ(cache.remove_box(2), 1u);
+}
+
+namespace {
+
+using Granted = std::tuple<m::StripeId, m::BoxId, m::Round>;
+
+/// The cache as a full scan over every stripe: the semantics CacheIndex
+/// keeps while visiting only the entries that change.
+struct FullScanCache {
+  FullScanCache(std::uint32_t stripes, m::Round window)
+      : per_stripe(stripes), window(window) {}
+
+  std::vector<m::BoxId> servers(m::StripeId stripe, m::Round issue,
+                                m::Round now, m::BoxId exclude) const {
+    std::vector<m::BoxId> out;
+    for (const auto& [box, entry] : per_stripe[stripe]) {
+      if (entry >= now - window && entry < issue && box != exclude)
+        out.push_back(box);
+    }
+    return out;
+  }
+  std::vector<Granted> prune(m::Round now) {
+    std::vector<Granted> expired;
+    for (m::StripeId stripe = 0; stripe < per_stripe.size(); ++stripe) {
+      std::erase_if(per_stripe[stripe], [&](const auto& e) {
+        if (e.second >= now - window) return false;
+        expired.emplace_back(stripe, e.first, e.second);
+        return true;
+      });
+    }
+    return expired;
+  }
+  std::uint64_t remove_box(m::BoxId box, std::vector<m::StripeId>& affected) {
+    std::uint64_t removed = 0;
+    for (m::StripeId stripe = 0; stripe < per_stripe.size(); ++stripe) {
+      const auto dropped = std::erase_if(
+          per_stripe[stripe], [box](const auto& e) { return e.first == box; });
+      if (dropped > 0) affected.push_back(stripe);
+      removed += dropped;
+    }
+    return removed;
+  }
+  std::uint64_t entry_count() const {
+    std::uint64_t total = 0;
+    for (const auto& entries : per_stripe) total += entries.size();
+    return total;
+  }
+
+  std::vector<std::vector<std::pair<m::BoxId, m::Round>>> per_stripe;
+  m::Round window;
+};
+
+template <typename T>
+std::vector<T> sorted(std::vector<T> values) {
+  std::sort(values.begin(), values.end());
+  return values;
+}
+
+}  // namespace
+
+TEST(Cache, LockstepAgainstFullScan) {
+  // Random grants up to four rounds ahead (the relay's reach), duplicates
+  // and several boxes per stripe, random box failures and a prune every
+  // round. Every answer must match a full scan over the catalog.
+  constexpr std::uint32_t kBoxes = 6;
+  constexpr std::uint32_t kStripes = 5;
+  constexpr m::Round kWindow = 3;
+  s::CacheIndex cache(kBoxes, kStripes, kWindow);
+  FullScanCache reference(kStripes, kWindow);
+  p2pvod::util::Rng rng(0xCAC4E);
+  std::uint64_t reported = 0;
+  std::uint64_t removed = 0;
+
+  const auto check = [&](m::Round now) {
+    ASSERT_EQ(cache.entry_count(), reference.entry_count());
+    for (m::StripeId stripe = 0; stripe < kStripes; ++stripe) {
+      for (m::Round issue = now - 1; issue <= now + 5; ++issue) {
+        for (const m::BoxId exclude : {m::kInvalidBox, m::BoxId{2}}) {
+          std::vector<m::BoxId> got;
+          cache.collect_servers(stripe, issue, now, exclude, got);
+          ASSERT_EQ(sorted(got),
+                    sorted(reference.servers(stripe, issue, now, exclude)))
+              << "stripe " << stripe << " issue " << issue << " at " << now;
+        }
+      }
+    }
+  };
+
+  Granted last{0, 0, 0};
+  for (m::Round now = 0; now < 400; ++now) {
+    const auto grants = rng.next_below(5);
+    for (std::uint64_t g = 0; g < grants; ++g) {
+      Granted grant = last;
+      if (now == 0 || !rng.next_bool(0.2)) {  // else repeat the last grant
+        grant = {static_cast<m::StripeId>(rng.next_below(kStripes)),
+                 static_cast<m::BoxId>(rng.next_below(kBoxes)),
+                 now + rng.next_between(0, 4)};
+      }
+      last = grant;
+      const auto [stripe, box, entry] = grant;
+      cache.grant(stripe, box, entry);
+      reference.per_stripe[stripe].emplace_back(box, entry);
+      ASSERT_NO_FATAL_FAILURE(check(now));
+    }
+    if (rng.next_bool(0.3)) {
+      const auto box = static_cast<m::BoxId>(rng.next_below(kBoxes));
+      std::vector<m::StripeId> got = {99};  // appended to, never cleared
+      std::vector<m::StripeId> want = {99};
+      const std::uint64_t count = cache.remove_box(box, &got);
+      ASSERT_EQ(count, reference.remove_box(box, want)) << "at " << now;
+      ASSERT_EQ(got, want) << "box " << box << " at " << now;
+      removed += count;
+      ASSERT_NO_FATAL_FAILURE(check(now));
+    }
+    std::vector<s::CacheExpiry> expired;
+    cache.prune(now, &expired);
+    std::vector<Granted> got;
+    for (const s::CacheExpiry& e : expired)
+      got.emplace_back(e.stripe, e.box, e.entry);
+    ASSERT_EQ(sorted(got), sorted(reference.prune(now))) << "at " << now;
+    reported += got.size();
+    ASSERT_NO_FATAL_FAILURE(check(now));
+  }
+  // The walk must have exercised both ways out of the cache.
+  EXPECT_GT(reported, 100u);
+  EXPECT_GT(removed, 50u);
 }
 
 // ----------------------------------------------------------------- fixtures
@@ -446,6 +608,40 @@ TEST(Simulator, UnknownDemandThrows) {
   s::Simulator sim(world.catalog, world.profile, world.allocation, strategy);
   EXPECT_THROW(sim.step({{0, 9}}), std::out_of_range);
   EXPECT_THROW(sim.step({{9, 0}}), std::out_of_range);
+}
+
+namespace {
+
+/// Requests stripe 0 for the demanding box and also grants its cache entry
+/// to a box outside the world.
+class WildGrantStrategy final : public s::RequestStrategy {
+ public:
+  void plan(m::BoxId b, m::VideoId, std::uint64_t, m::Round now,
+            s::Simulator& sim, std::vector<s::PlannedRequest>& out) override {
+    s::PlannedRequest request = s::PlannedRequest::direct(b, 0, now);
+    request.grants.push_back({sim.profile().size() + 3, now});
+    out.push_back(std::move(request));
+  }
+  [[nodiscard]] std::string name() const override { return "wild-grant"; }
+};
+
+}  // namespace
+
+TEST(Simulator, GrantToUnknownBoxThrowsOnBothEngines) {
+  // The cache checks a grant's box when the grant arrives, so neither engine
+  // carries the bad id into its candidates.
+  World world(3, 1, 8, 2.0, 1);
+  const auto zones = p2pvod::net::Topology::uniform(3, 2);
+  for (const p2pvod::net::Topology* topology :
+       {static_cast<const p2pvod::net::Topology*>(nullptr), &zones}) {
+    WildGrantStrategy strategy;
+    s::SimulatorOptions options;
+    options.topology = topology;
+    s::Simulator sim(world.catalog, world.profile, world.allocation, strategy,
+                     options);
+    EXPECT_EQ(sim.sparse_active(), topology == nullptr);
+    EXPECT_THROW(sim.step({{0, 0}}), std::out_of_range);
+  }
 }
 
 TEST(Simulator, RunDrivesGeneratorUntilStall) {

@@ -20,6 +20,7 @@
 #include "flow/verify.hpp"
 #include "net/topology.hpp"
 #include "obs/metrics.hpp"
+#include "sim/cache.hpp"
 #include "sim/simulator.hpp"
 #include "sim/sparse_round.hpp"
 #include "sim/strategy.hpp"
@@ -500,99 +501,61 @@ TEST(ValidateAssignment, RejectsBookkeepingMismatches) {
 
 TEST(SparseRoundState, ExpiryRetiresCacheSources) {
   // Window 3; box 2 is the static holder of stripe 0; box 1 gains a cache
-  // entry at round 0, which leaves the window at round 4.
-  s::SparseRoundState state(/*box_count=*/3, /*stripe_count=*/1, /*window=*/3,
+  // entry at round 0, which the cache reports expired at round 4.
+  s::SparseRoundState state(/*box_count=*/3, /*stripe_count=*/1,
                             /*rebuild_fraction=*/0.5);
+  s::CacheIndex cache(3, 1, /*window=*/3);
   m::Round now = 0;
-  std::vector<std::pair<m::BoxId, m::Round>> cache;
-  const auto collect = [&](m::StripeId, m::Round issue, m::BoxId requester,
-                           std::vector<m::BoxId>& out) {
+  const auto collect = [&](m::StripeId stripe, m::Round issue,
+                           m::BoxId requester, std::vector<m::BoxId>& out) {
     if (requester != 2) out.push_back(2);
-    for (const auto& [box, entry] : cache) {
-      if (entry >= now - 3 && entry < issue && box != requester)
-        out.push_back(box);
-    }
+    cache.collect_servers(stripe, issue, now, requester, out);
   };
   const std::vector<std::uint32_t> cap = {4, 4, 4};
+  std::vector<s::CacheExpiry> expired;
   const auto slot = state.add_request(/*stripe=*/0, /*issue=*/1,
                                       /*requester=*/0);
   now = 1;
-  EXPECT_EQ(state.solve(now, cap, collect), 1u);
+  EXPECT_EQ(state.solve(expired, cap, collect), 1u);
   EXPECT_EQ(state.edge_count(), 1u);  // static holder only
   // Grant lands: box 1 becomes a second candidate via its cache entry.
-  cache.emplace_back(1, 0);
-  state.on_grant(/*stripe=*/0, /*box=*/1, /*entry=*/0, now);
+  cache.grant(/*stripe=*/0, /*box=*/1, /*entry=*/0);
+  state.on_grant(/*stripe=*/0, /*box=*/1, /*entry=*/0);
   now = 2;
-  EXPECT_EQ(state.solve(now, cap, collect), 1u);
+  cache.prune(now, &expired);
+  EXPECT_TRUE(expired.empty());
+  EXPECT_EQ(state.solve(expired, cap, collect), 1u);
   EXPECT_EQ(state.edge_count(), 2u);
-  // At round 4 the entry is outside the window: the calendar event must
+  // At round 4 the entry is outside the window: the reported expiry must
   // remove exactly that source, leaving the static holder.
   now = 4;
-  cache.clear();
-  EXPECT_EQ(state.solve(now, cap, collect), 1u);
+  cache.prune(now, &expired);
+  ASSERT_EQ(expired.size(), 1u);
+  EXPECT_EQ(state.solve(expired, cap, collect), 1u);
+  EXPECT_TRUE(expired.empty());  // consumed
   EXPECT_EQ(state.edge_count(), 1u);
   EXPECT_EQ(state.stats().expiry_events, 1u);
   EXPECT_EQ(state.assignment(slot), 2);
 }
 
-TEST(SparseRoundState, ChurnEpochInvalidatesStaleExpiries) {
-  // A cache entry dies with its box; the box returns and earns a new entry
-  // that outlives the dead entry's expiry round. The stale calendar event
-  // must not eat the new source.
-  s::SparseRoundState state(3, 1, /*window=*/3, 0.5);
-  m::Round now = 5;
-  std::vector<std::pair<m::BoxId, m::Round>> cache;
-  const auto collect = [&](m::StripeId, m::Round issue, m::BoxId requester,
-                           std::vector<m::BoxId>& out) {
-    if (requester != 2) out.push_back(2);
-    for (const auto& [box, entry] : cache) {
-      if (entry >= now - 3 && entry < issue && box != requester)
-        out.push_back(box);
-    }
-  };
-  const std::vector<std::uint32_t> cap = {4, 4, 4};
-  (void)state.add_request(/*stripe=*/0, /*issue=*/6, /*requester=*/0);
-  cache.emplace_back(1, 3);  // expires at 3+3+1 = 7
-  state.on_grant(0, 1, /*entry=*/3, now);
-  EXPECT_EQ(state.solve(now /*=5*/, cap, collect), 1u);
-  EXPECT_EQ(state.edge_count(), 2u);
-  // Box 1 crashes (cache dies) and comes straight back; a fresh grant gives
-  // it a new entry whose own expiry is round 8.
-  cache.clear();
-  state.on_box_offline(1, /*stored=*/{}, /*cached=*/std::vector<m::StripeId>{0});
-  EXPECT_EQ(state.edge_count(), 1u);
-  state.on_box_online(1, /*stored=*/{});
-  cache.emplace_back(1, 4);
-  state.on_grant(0, 1, /*entry=*/4, now);
-  EXPECT_EQ(state.edge_count(), 2u);
-  // Round 7: the dead entry's event fires but is epoch-stale — box 1 stays.
-  now = 7;
-  EXPECT_EQ(state.solve(now, cap, collect), 1u);
-  EXPECT_TRUE(state.edge_count() == 2u);
-  // Round 8: the live entry expires for real.
-  now = 8;
-  cache.clear();
-  EXPECT_EQ(state.solve(now, cap, collect), 1u);
-  EXPECT_EQ(state.edge_count(), 1u);
-}
-
 TEST(SparseRoundState, DirtyFractionTriggersFullRebuild) {
-  s::SparseRoundState state(4, 2, /*window=*/3, /*rebuild_fraction=*/0.0);
+  s::SparseRoundState state(4, 2, /*rebuild_fraction=*/0.0);
   const auto collect = [&](m::StripeId stripe, m::Round, m::BoxId,
                            std::vector<m::BoxId>& out) {
     out.push_back(stripe == 0 ? 2u : 3u);
   };
   const std::vector<std::uint32_t> cap = {1, 1, 1, 1};
+  std::vector<s::CacheExpiry> no_expiries;
   (void)state.add_request(0, 1, 0);
   (void)state.add_request(0, 1, 1);
   (void)state.add_request(1, 1, 0);
   // First solve: every row is new (dirty == live), not a fallback trip.
-  EXPECT_EQ(state.solve(1, cap, collect), 2u);  // caps bind: 2 of 3 served
+  EXPECT_EQ(state.solve(no_expiries, cap, collect), 2u);  // caps bind: 2 of 3
   EXPECT_EQ(state.stats().full_rebuilds, 0u);
   EXPECT_EQ(state.stats().rows_built, 3u);
   // One new arrival dirties one row; fraction 0 forces a global rebuild.
   (void)state.add_request(1, 2, 1);
-  EXPECT_EQ(state.solve(2, cap, collect), 2u);
+  EXPECT_EQ(state.solve(no_expiries, cap, collect), 2u);
   EXPECT_EQ(state.stats().full_rebuilds, 1u);
   EXPECT_EQ(state.stats().rows_built, 7u);  // 3 + all 4 live rows
   EXPECT_EQ(state.live_rows(), 4u);
