@@ -6,6 +6,7 @@
 //
 //   ./quickstart [--n 200] [--u 1.5] [--d 4] [--mu 1.3] [--rounds 120]
 #include <cstdlib>
+#include <exception>
 #include <iostream>
 
 #include "core/planner.hpp"
@@ -14,7 +15,7 @@
 #include "workload/limiter.hpp"
 #include "workload/zipf.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace p2pvod;
   const util::ArgParser args(argc, argv);
 
@@ -61,4 +62,9 @@ int main(int argc, char** argv) {
   std::cout << "  mean utilization " << report.upload_utilization.mean()
             << "\n";
   return report.success ? EXIT_SUCCESS : EXIT_FAILURE;
+} catch (const std::exception& error) {
+  // A bad parameter (NaN, infinite, or too large to count in 32 bits)
+  // throws with a message naming it.
+  std::cerr << "quickstart: " << error.what() << "\n";
+  return EXIT_FAILURE;
 }

@@ -10,60 +10,56 @@ namespace p2pvod::alloc {
 Allocation::Allocation(std::uint32_t box_count, std::uint32_t stripe_count,
                        std::vector<Placement> placements)
     : box_count_(box_count), stripe_count_(stripe_count) {
+  // Counting sort in both directions. Each offset array first holds counts,
+  // then (after an inclusive prefix sum) bucket ends; filling every bucket
+  // from its end leaves the offset at the bucket's start.
   slot_usage_.assign(box_count_, 0);
+  holder_offsets_.assign(stripe_count_ + 1, 0);
   for (const Placement& p : placements) {
     if (p.box >= box_count_)
       throw std::out_of_range("Allocation: box id out of range");
     if (p.stripe >= stripe_count_)
       throw std::out_of_range("Allocation: stripe id out of range");
     ++slot_usage_[p.box];
-  }
-
-  // Sort by (stripe, box) to build the holders CSR with deduplication.
-  std::sort(placements.begin(), placements.end(),
-            [](const Placement& a, const Placement& b) {
-              return a.stripe != b.stripe ? a.stripe < b.stripe
-                                          : a.box < b.box;
-            });
-  holder_offsets_.assign(stripe_count_ + 1, 0);
-  holder_data_.reserve(placements.size());
-  {
-    model::StripeId prev_stripe = model::kInvalidStripe;
-    model::BoxId prev_box = model::kInvalidBox;
-    for (const Placement& p : placements) {
-      if (p.stripe == prev_stripe && p.box == prev_box) {
-        ++duplicates_;
-        continue;
-      }
-      holder_data_.push_back(p.box);
-      ++holder_offsets_[p.stripe + 1];
-      prev_stripe = p.stripe;
-      prev_box = p.box;
-    }
+    ++holder_offsets_[p.stripe];
   }
   std::partial_sum(holder_offsets_.begin(), holder_offsets_.end(),
                    holder_offsets_.begin());
+  holder_data_.resize(placements.size());
+  for (const Placement& p : placements)
+    holder_data_[--holder_offsets_[p.stripe]] = p.box;
 
-  // Second direction: (box, stripe), deduplicated identically.
-  std::sort(placements.begin(), placements.end(),
-            [](const Placement& a, const Placement& b) {
-              return a.box != b.box ? a.box < b.box : a.stripe < b.stripe;
-            });
-  stored_offsets_.assign(box_count_ + 1, 0);
-  stored_data_.reserve(holder_data_.size());
-  {
-    model::StripeId prev_stripe = model::kInvalidStripe;
-    model::BoxId prev_box = model::kInvalidBox;
-    for (const Placement& p : placements) {
-      if (p.stripe == prev_stripe && p.box == prev_box) continue;
-      stored_data_.push_back(p.stripe);
-      ++stored_offsets_[p.box + 1];
-      prev_stripe = p.stripe;
-      prev_box = p.box;
+  // Sort each stripe's bucket (about k boxes) and compact it leftwards
+  // without its duplicates.
+  std::uint32_t kept = 0;
+  for (model::StripeId s = 0; s < stripe_count_; ++s) {
+    const auto first = holder_data_.begin() + holder_offsets_[s];
+    const auto last = holder_data_.begin() + holder_offsets_[s + 1];
+    std::sort(first, last);
+    holder_offsets_[s] = kept;
+    model::BoxId prev = model::kInvalidBox;
+    for (auto it = first; it != last; ++it) {
+      if (*it == prev) {
+        ++duplicates_;
+        continue;
+      }
+      holder_data_[kept++] = prev = *it;
     }
   }
+  holder_offsets_[stripe_count_] = kept;
+  holder_data_.resize(kept);
+
+  // Second direction: visiting stripes in descending order fills each box's
+  // list from its end, so the lists come out sorted and unique.
+  stored_offsets_.assign(box_count_ + 1, 0);
+  for (const model::BoxId b : holder_data_) ++stored_offsets_[b];
   std::partial_sum(stored_offsets_.begin(), stored_offsets_.end(),
                    stored_offsets_.begin());
+  stored_data_.resize(kept);
+  for (model::StripeId s = stripe_count_; s-- > 0;) {
+    for (std::uint32_t i = holder_offsets_[s]; i < holder_offsets_[s + 1]; ++i)
+      stored_data_[--stored_offsets_[holder_data_[i]]] = s;
+  }
 }
 
 std::span<const model::BoxId> Allocation::holders(model::StripeId s) const {

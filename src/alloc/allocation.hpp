@@ -7,6 +7,11 @@
 //   stripe -> holder boxes (sorted, deduplicated)
 // plus raw slot-usage counts for load-balance experiments (duplicates of the
 // same stripe in one box occupy slots but add no serving power).
+//
+// Construction is a counting sort: O(P + n + S) for P placements, n boxes
+// and S stripes, plus one small sort per stripe over its own placements
+// (about k of them). Placement order does not matter: any permutation of
+// the same placements, duplicates included, builds identical arrays.
 #pragma once
 
 #include <cstdint>

@@ -14,22 +14,51 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 
 double mu2(double mu) { return mu * mu; }
 double mu4(double mu) { return mu * mu * mu * mu; }
+
+// Casting a double to std::uint32_t is undefined unless the value fits, so
+// a c or k above kMaxCount (or NaN) makes the bounds invalid instead: c = 0
+// is "no valid c" and k = 0 "no valid k".
+constexpr double kMaxCount = std::numeric_limits<std::uint32_t>::max();
+
+// c = smallest integer strictly above `threshold`, or 0 when it does not fit.
+std::uint32_t smallest_c_above(double threshold) {
+  const double c = std::floor(threshold + 1e-12) + 1.0;
+  return c >= 0.0 && c <= kMaxCount ? static_cast<std::uint32_t>(c) : 0;
+}
+
+// The paper's c = ⌈value⌉, at least `min_c`; 0 when either does not fit.
+std::uint32_t recommended(double value, std::uint32_t min_c) {
+  const double c = std::ceil(value - 1e-12);
+  if (min_c == 0 || !(c <= kMaxCount)) return 0;
+  return std::max(min_c, c <= 0.0 ? 0u : static_cast<std::uint32_t>(c));
+}
+
+// k = ⌈k_real⌉ (≥ 1), or 0 when k_real is +inf or k does not fit.
+std::uint32_t replicas(double k_real) {
+  const double k = std::ceil(k_real - 1e-12);
+  if (!(k >= 0.0 && k <= kMaxCount)) return 0;
+  return std::max<std::uint32_t>(1, static_cast<std::uint32_t>(k));
+}
+
+// Catalog m = ⌊d·n/k⌋ of a valid bound; throws when m does not fit.
+std::uint32_t catalog_size(double d, std::uint32_t n, std::uint32_t k) {
+  const double m = d * static_cast<double>(n) / static_cast<double>(k);
+  if (!(m <= kMaxCount))
+    throw std::out_of_range("bounds: catalog d*n/k does not fit in 32 bits");
+  return m < 1.0 ? 0u : static_cast<std::uint32_t>(m);
+}
 }  // namespace
 
 // ---------------------------------------------------------------- Theorem 1
 
 std::uint32_t Theorem1::min_c(double u, double mu) {
   if (u <= 1.0) return 0;
-  const double threshold = (2.0 * mu2(mu) - 1.0) / (u - 1.0);
-  // Smallest integer strictly above `threshold`.
-  return static_cast<std::uint32_t>(std::floor(threshold + 1e-12)) + 1;
+  return smallest_c_above((2.0 * mu2(mu) - 1.0) / (u - 1.0));
 }
 
 std::uint32_t Theorem1::recommended_c(double u, double mu) {
   if (u <= 1.0) return 0;
-  const double value = 2.0 * (2.0 * mu2(mu) - 1.0) / (u - 1.0);
-  const auto c = static_cast<std::uint32_t>(std::ceil(value - 1e-12));
-  return std::max(c, min_c(u, mu));
+  return recommended(2.0 * (2.0 * mu2(mu) - 1.0) / (u - 1.0), min_c(u, mu));
 }
 
 double Theorem1::nu(double u, double mu, std::uint32_t c) {
@@ -75,17 +104,15 @@ HomogeneousBounds Theorem1::evaluate(HomogeneousInputs in, std::uint32_t c) {
   out.u_prime = u_prime(in.u, out.c);
   out.d_prime = d_prime(in.d, in.u);
   out.k_real = k_bound(in.u, in.d, in.mu, out.c);
-  if (!std::isfinite(out.k_real)) return out;
-  out.k = std::max<std::uint32_t>(
-      1, static_cast<std::uint32_t>(std::ceil(out.k_real - 1e-12)));
+  out.k = replicas(out.k_real);
+  if (out.k == 0) return out;
   out.valid = out.nu > 0.0 && out.u_prime > 1.0;
   return out;
 }
 
 std::uint32_t HomogeneousBounds::catalog(std::uint32_t n) const {
   if (!valid || k == 0) return 0;
-  const double m = in.d * static_cast<double>(n) / static_cast<double>(k);
-  return m < 1.0 ? 0u : static_cast<std::uint32_t>(m);
+  return catalog_size(in.d, n, k);
 }
 
 std::string HomogeneousBounds::describe() const {
@@ -129,15 +156,12 @@ double Theorem1::delta(double u, double d, std::uint32_t c) {
 
 std::uint32_t Theorem2::min_c(double u_star, double mu) {
   if (u_star <= 1.0) return 0;
-  const double threshold = 4.0 * mu4(mu) / (u_star - 1.0);
-  return static_cast<std::uint32_t>(std::floor(threshold + 1e-12)) + 1;
+  return smallest_c_above(4.0 * mu4(mu) / (u_star - 1.0));
 }
 
 std::uint32_t Theorem2::recommended_c(double u_star, double mu) {
   if (u_star <= 1.0) return 0;
-  const double value = 10.0 * mu4(mu) / (u_star - 1.0);
-  const auto c = static_cast<std::uint32_t>(std::ceil(value - 1e-12));
-  return std::max(c, min_c(u_star, mu));
+  return recommended(10.0 * mu4(mu) / (u_star - 1.0), min_c(u_star, mu));
 }
 
 double Theorem2::nu(double mu, std::uint32_t c) {
@@ -173,17 +197,15 @@ HeterogeneousBounds Theorem2::evaluate(HeterogeneousInputs in,
   out.u_prime = u_prime(in.mu, out.c);
   out.d_prime = d_prime(in.d, in.u_star);
   out.k_real = k_bound(in.u_star, in.d, in.mu, out.c);
-  if (!std::isfinite(out.k_real)) return out;
-  out.k = std::max<std::uint32_t>(
-      1, static_cast<std::uint32_t>(std::ceil(out.k_real - 1e-12)));
+  out.k = replicas(out.k_real);
+  if (out.k == 0) return out;
   out.valid = out.nu > 0.0 && out.u_prime > 1.0;
   return out;
 }
 
 std::uint32_t HeterogeneousBounds::catalog(std::uint32_t n) const {
   if (!valid || k == 0) return 0;
-  const double m = in.d * static_cast<double>(n) / static_cast<double>(k);
-  return m < 1.0 ? 0u : static_cast<std::uint32_t>(m);
+  return catalog_size(in.d, n, k);
 }
 
 std::string HeterogeneousBounds::describe() const {

@@ -29,19 +29,22 @@ struct HomogeneousBounds {
   double u_prime = 0.0;   ///< effective upload u′ = ⌊uc⌋/c
   double d_prime = 0.0;   ///< d′ = max{d, u, e}
   double k_real = 0.0;    ///< 5 ν⁻¹ log d′ / log u′ before rounding
-  std::uint32_t k = 0;    ///< ⌈k_real⌉ (≥ 1)
+  std::uint32_t k = 0;    ///< ⌈k_real⌉ (≥ 1); 0 when it does not fit
   bool valid = false;     ///< all theorem preconditions hold
 
-  /// Catalog m = d·n/k for a given n.
+  /// Catalog m = d·n/k for a given n (0 when invalid). Throws
+  /// std::out_of_range when m does not fit in 32 bits.
   [[nodiscard]] std::uint32_t catalog(std::uint32_t n) const;
   [[nodiscard]] std::string describe() const;
 };
 
 class Theorem1 {
  public:
-  /// Smallest integer c satisfying c > (2µ²−1)/(u−1); 0 when u <= 1.
+  /// Smallest integer c satisfying c > (2µ²−1)/(u−1); 0 when u <= 1 or
+  /// when c does not fit in 32 bits (u barely above 1).
   [[nodiscard]] static std::uint32_t min_c(double u, double mu);
-  /// The paper's choice c = ⌈2(2µ²−1)/(u−1)⌉ used in the closed form.
+  /// The paper's choice c = ⌈2(2µ²−1)/(u−1)⌉ used in the closed form; 0
+  /// like min_c.
   [[nodiscard]] static std::uint32_t recommended_c(double u, double mu);
 
   [[nodiscard]] static double nu(double u, double mu, std::uint32_t c);
@@ -58,6 +61,7 @@ class Theorem1 {
                                             std::uint32_t c);
 
   /// Assemble everything for a given c (or the recommended c when c == 0).
+  /// The result is invalid when no c or k fits in 32 bits.
   [[nodiscard]] static HomogeneousBounds evaluate(HomogeneousInputs in,
                                                   std::uint32_t c = 0);
 
@@ -102,9 +106,9 @@ struct HeterogeneousBounds {
 
 class Theorem2 {
  public:
-  /// Smallest integer c with c > 4µ⁴/(u*−1).
+  /// Smallest integer c with c > 4µ⁴/(u*−1); 0 as in Theorem1::min_c.
   [[nodiscard]] static std::uint32_t min_c(double u_star, double mu);
-  /// The paper's practical choice c = ⌈10µ⁴/(u*−1)⌉.
+  /// The paper's practical choice c = ⌈10µ⁴/(u*−1)⌉; 0 as in Theorem1.
   [[nodiscard]] static std::uint32_t recommended_c(double u_star, double mu);
 
   [[nodiscard]] static double nu(double mu, std::uint32_t c);

@@ -1,5 +1,6 @@
 #include "core/config.hpp"
 
+#include <cmath>
 #include <sstream>
 #include <stdexcept>
 
@@ -9,10 +10,14 @@ void SystemConfig::validate() const {
   auto fail = [](const std::string& message) {
     throw std::invalid_argument("SystemConfig: " + message);
   };
+  // Each check is written so that NaN fails it, and rejects infinities.
   if (n == 0) fail("n must be positive");
-  if (u < 0.0) fail("u must be non-negative");
-  if (d <= 0.0) fail("d must be positive");
-  if (mu < 1.0) fail("mu must be at least 1");
+  if (!(u >= 0.0 && std::isfinite(u)))
+    fail("u must be finite and non-negative (got " + std::to_string(u) + ")");
+  if (!(d > 0.0 && std::isfinite(d)))
+    fail("d must be finite and positive (got " + std::to_string(d) + ")");
+  if (!(mu >= 1.0 && std::isfinite(mu)))
+    fail("mu must be finite and at least 1 (got " + std::to_string(mu) + ")");
   if (duration <= 0) fail("duration must be positive");
   if (zones > n) fail("zones must not exceed n");
 }

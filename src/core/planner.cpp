@@ -1,7 +1,10 @@
 #include "core/planner.hpp"
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
 #include <sstream>
+#include <stdexcept>
 
 #include "model/capacity.hpp"
 
@@ -9,7 +12,20 @@ namespace p2pvod::core {
 
 CatalogPlanner::CatalogPlanner(std::uint32_t n, double u, double d, double mu,
                                model::Round duration)
-    : n_(n), u_(u), d_(d), mu_(mu), duration_(duration) {}
+    : n_(n), u_(u), d_(d), mu_(mu), duration_(duration) {
+  const auto fail = [](const char* message, double value) {
+    std::ostringstream out;
+    out << "CatalogPlanner: " << message << " (got " << value << ")";
+    throw std::invalid_argument(out.str());
+  };
+  if (!std::isfinite(u)) fail("u must be finite", u);
+  if (!std::isfinite(mu)) fail("mu must be finite", mu);
+  // The calibrated search tries k up to d·n/2, and k = 1 means a catalog of
+  // d·n videos: both are 32-bit counts. Written so that NaN fails it.
+  if (!(std::isfinite(d) && d * static_cast<double>(n) <=
+                               std::numeric_limits<std::uint32_t>::max()))
+    fail("d must be finite, with d*n within 32 bits", d);
+}
 
 analysis::HomogeneousBounds CatalogPlanner::bounds() const {
   return analysis::Theorem1::evaluate({u_, d_, mu_});

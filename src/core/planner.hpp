@@ -32,6 +32,8 @@ struct Plan {
 
 class CatalogPlanner {
  public:
+  /// Throws std::invalid_argument when u, d or mu is not finite or the
+  /// storage budget d·n does not fit in 32 bits.
   CatalogPlanner(std::uint32_t n, double u, double d, double mu,
                  model::Round duration = 24);
 

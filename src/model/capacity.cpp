@@ -2,11 +2,44 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <numeric>
 #include <sstream>
 #include <stdexcept>
 
 namespace p2pvod::model {
+
+namespace {
+
+// False for NaN too: every comparison with NaN is false.
+bool finite_non_negative(double x) {
+  return x >= 0.0 && x <= std::numeric_limits<double>::max();
+}
+
+[[noreturn]] void reject(const char* what, std::size_t b, double value) {
+  std::ostringstream out;
+  out << "CapacityProfile: " << what << " of box " << b << " is " << value
+      << ", not a finite non-negative number";
+  throw std::invalid_argument(out.str());
+}
+
+[[noreturn]] void too_many_slots(const char* what, double capacity,
+                                 std::uint32_t c) {
+  std::ostringstream out;
+  out << "CapacityProfile: " << what << " " << capacity << " at c=" << c
+      << " is more slots than fit in 32 bits";
+  throw std::out_of_range(out.str());
+}
+
+// A whole slot count as 32 bits: casting a larger count would be undefined.
+std::uint32_t to_slots(double slots, const char* what, double capacity,
+                       std::uint32_t c) {
+  if (!(slots <= std::numeric_limits<std::uint32_t>::max()))
+    too_many_slots(what, capacity, c);
+  return slots <= 0.0 ? 0u : static_cast<std::uint32_t>(slots);
+}
+
+}  // namespace
 
 CapacityProfile::CapacityProfile(std::vector<double> upload,
                                  std::vector<double> storage)
@@ -16,10 +49,8 @@ CapacityProfile::CapacityProfile(std::vector<double> upload,
         "CapacityProfile: upload/storage size mismatch");
   }
   for (std::size_t b = 0; b < upload_.size(); ++b) {
-    if (upload_[b] < 0.0)
-      throw std::invalid_argument("CapacityProfile: negative upload");
-    if (storage_[b] < 0.0)
-      throw std::invalid_argument("CapacityProfile: negative storage");
+    if (!finite_non_negative(upload_[b])) reject("upload", b, upload_[b]);
+    if (!finite_non_negative(storage_[b])) reject("storage", b, storage_[b]);
   }
 }
 
@@ -101,13 +132,13 @@ double CapacityProfile::min_upload() const noexcept {
 }
 
 std::uint32_t CapacityProfile::upload_slots(BoxId b, std::uint32_t c) const {
-  const double slots = std::floor(upload_.at(b) * c + 1e-9);
-  return slots <= 0.0 ? 0u : static_cast<std::uint32_t>(slots);
+  const double upload = upload_.at(b);
+  return to_slots(std::floor(upload * c + 1e-9), "upload", upload, c);
 }
 
 std::uint32_t CapacityProfile::storage_slots(BoxId b, std::uint32_t c) const {
-  const long long slots = std::llround(storage_.at(b) * c);
-  return slots <= 0 ? 0u : static_cast<std::uint32_t>(slots);
+  const double storage = storage_.at(b);
+  return to_slots(std::round(storage * c), "storage", storage, c);
 }
 
 std::uint64_t CapacityProfile::total_storage_slots(std::uint32_t c) const {

@@ -21,6 +21,8 @@ namespace p2pvod::model {
 class CapacityProfile {
  public:
   CapacityProfile() = default;
+  /// Throws std::invalid_argument unless the sizes match and every value is
+  /// finite and non-negative.
   CapacityProfile(std::vector<double> upload, std::vector<double> storage);
 
   /// All boxes identical: the homogeneous (n, u, d)-video system.
@@ -63,8 +65,10 @@ class CapacityProfile {
   [[nodiscard]] double min_upload() const noexcept;
 
   /// Integral per-box upload in stripe connections per round: ⌊u_b c⌋.
+  /// Throws std::out_of_range when the count does not fit in 32 bits.
   [[nodiscard]] std::uint32_t upload_slots(BoxId b, std::uint32_t c) const;
-  /// Integral per-box storage in stripe slots: round(d_b c).
+  /// Integral per-box storage in stripe slots: round(d_b c). Throws
+  /// std::out_of_range when the count does not fit in 32 bits.
   [[nodiscard]] std::uint32_t storage_slots(BoxId b, std::uint32_t c) const;
   /// Total storage slots Σ_b round(d_b c).
   [[nodiscard]] std::uint64_t total_storage_slots(std::uint32_t c) const;

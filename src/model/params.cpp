@@ -31,9 +31,13 @@ void SystemParams::validate() const {
   if (m == 0) fail("m must be positive");
   if (c == 0) fail("c must be positive");
   if (k == 0) fail("k must be positive");
-  if (u < 0.0) fail("u must be non-negative");
-  if (d <= 0.0) fail("d must be positive");
-  if (mu < 1.0) fail("mu must be at least 1");
+  // Each check is written so that NaN fails it, and rejects infinities.
+  if (!(u >= 0.0 && std::isfinite(u)))
+    fail("u must be finite and non-negative (got " + std::to_string(u) + ")");
+  if (!(d > 0.0 && std::isfinite(d)))
+    fail("d must be finite and positive (got " + std::to_string(d) + ")");
+  if (!(mu >= 1.0 && std::isfinite(mu)))
+    fail("mu must be finite and at least 1 (got " + std::to_string(mu) + ")");
   if (video_duration <= 0) fail("video_duration must be positive");
   if (replica_count() > slot_count()) {
     std::ostringstream out;

@@ -10,11 +10,15 @@ std::vector<sim::Demand> FlashCrowd::demands(const sim::Simulator& sim) {
   if (sim.now() < start_) return out;
   if (max_joiners_ != 0 && joined_ >= max_joiners_) return out;
 
-  // Maximal growth: the swarm may reach ceil(max(f,1)·µ) next round.
+  // Maximal growth: the swarm may reach ceil(max(f,1)·µ) next round. A huge
+  // µ asks for more joiners than 32 bits hold, so the count is clamped to
+  // the box count first; the loop below stops at the last idle box anyway.
   const std::uint32_t f = sim.swarms().size(video_);
-  const double target = std::ceil(std::max<double>(f, 1.0) * mu_);
+  const double wanted = std::ceil(std::max<double>(f, 1.0) * mu_) - f;
   std::uint32_t joins =
-      target <= f ? 0u : static_cast<std::uint32_t>(target) - f;
+      wanted > 0.0 ? static_cast<std::uint32_t>(std::min<double>(
+                         wanted, sim.profile().size()))
+                   : 0u;
   if (sim.now() == start_ && f == 0 && joins == 0) joins = 1;  // seed viewer
   if (max_joiners_ != 0) joins = std::min(joins, max_joiners_ - joined_);
 

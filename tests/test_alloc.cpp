@@ -1,9 +1,13 @@
-// Unit tests for src/alloc: the Allocation container invariants and the four
+// Unit tests for src/alloc: the Allocation container invariants, its
+// construction against a two-sort reference, and the four context-blind
 // placement schemes (§2.1 permutation/independent, round-robin and
 // full-replication baselines).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
 #include <set>
+#include <vector>
 
 #include "alloc/allocation.hpp"
 #include "alloc/allocator.hpp"
@@ -290,5 +294,194 @@ TEST(Factory, AllSchemesProduceValidAllocations) {
     alloc.check_integrity(&profile, 4);
     for (m::StripeId s = 0; s < catalog.stripe_count(); ++s)
       EXPECT_GE(alloc.holders(s).size(), 1u) << a::scheme_name(scheme);
+  }
+}
+
+// ------------------------------------------------------ construction oracle
+
+namespace {
+
+using Placements = std::vector<a::Allocation::Placement>;
+
+// The reference construction: two comparison sorts, by (stripe, box) and by
+// (box, stripe), each run deduplicated. Allocation used exactly this before
+// it switched to counting passes, so every array must still agree with it.
+struct Reference {
+  std::vector<std::vector<m::BoxId>> holders;
+  std::vector<std::vector<m::StripeId>> stored;
+  std::vector<std::uint32_t> slot_usage;
+  std::uint64_t duplicates = 0;
+};
+
+Reference reference_build(std::uint32_t boxes, std::uint32_t stripes,
+                          Placements placements) {
+  Reference ref;
+  ref.holders.resize(stripes);
+  ref.stored.resize(boxes);
+  ref.slot_usage.assign(boxes, 0);
+  for (const auto& p : placements) ++ref.slot_usage[p.box];
+
+  std::sort(placements.begin(), placements.end(),
+            [](const auto& x, const auto& y) {
+              return x.stripe != y.stripe ? x.stripe < y.stripe : x.box < y.box;
+            });
+  m::StripeId prev_stripe = m::kInvalidStripe;
+  m::BoxId prev_box = m::kInvalidBox;
+  for (const auto& p : placements) {
+    if (p.stripe == prev_stripe && p.box == prev_box) {
+      ++ref.duplicates;
+      continue;
+    }
+    ref.holders[p.stripe].push_back(p.box);
+    prev_stripe = p.stripe;
+    prev_box = p.box;
+  }
+
+  std::sort(placements.begin(), placements.end(),
+            [](const auto& x, const auto& y) {
+              return x.box != y.box ? x.box < y.box : x.stripe < y.stripe;
+            });
+  prev_stripe = m::kInvalidStripe;
+  prev_box = m::kInvalidBox;
+  for (const auto& p : placements) {
+    if (p.stripe == prev_stripe && p.box == prev_box) continue;
+    ref.stored[p.box].push_back(p.stripe);
+    prev_stripe = p.stripe;
+    prev_box = p.box;
+  }
+  return ref;
+}
+
+// Builds the allocation and checks every array against the reference.
+void expect_matches_reference(std::uint32_t boxes, std::uint32_t stripes,
+                              const Placements& placements) {
+  const a::Allocation alloc(boxes, stripes, placements);
+  const Reference ref = reference_build(boxes, stripes, placements);
+  alloc.check_integrity();
+  ASSERT_EQ(alloc.box_count(), boxes);
+  ASSERT_EQ(alloc.stripe_count(), stripes);
+  std::uint32_t lo = std::numeric_limits<std::uint32_t>::max();
+  std::uint32_t hi = 0;
+  for (m::StripeId s = 0; s < stripes; ++s) {
+    const auto got = alloc.holders(s);
+    const auto& want = ref.holders[s];
+    EXPECT_TRUE(std::equal(got.begin(), got.end(), want.begin(), want.end()))
+        << "holders of stripe " << s;
+    lo = std::min(lo, static_cast<std::uint32_t>(want.size()));
+    hi = std::max(hi, static_cast<std::uint32_t>(want.size()));
+  }
+  for (m::BoxId b = 0; b < boxes; ++b) {
+    const auto got = alloc.stored(b);
+    const auto& want = ref.stored[b];
+    EXPECT_TRUE(std::equal(got.begin(), got.end(), want.begin(), want.end()))
+        << "stripes stored on box " << b;
+    EXPECT_EQ(alloc.slot_usage(b), ref.slot_usage[b]) << "box " << b;
+  }
+  EXPECT_EQ(alloc.duplicate_replicas(), ref.duplicates);
+  EXPECT_EQ(alloc.min_replication(), stripes == 0 ? 0u : lo);
+  EXPECT_EQ(alloc.max_replication(), hi);
+}
+
+}  // namespace
+
+TEST(AllocationOracle, RandomPlacementSetsMatchTwoSortReference) {
+  p2pvod::util::Rng rng(20261017);
+  for (int trial = 0; trial < 300; ++trial) {
+    const auto boxes = static_cast<std::uint32_t>(1 + rng.next_below(40));
+    const auto stripes = static_cast<std::uint32_t>(1 + rng.next_below(60));
+    // Draw from a prefix of the ids so that some stripes stay empty and
+    // some boxes hold nothing.
+    const auto used_boxes =
+        static_cast<std::uint32_t>(1 + rng.next_below(boxes));
+    const auto used_stripes =
+        static_cast<std::uint32_t>(1 + rng.next_below(stripes));
+    const auto count = static_cast<std::uint32_t>(rng.next_below(4 * boxes));
+    Placements placements;
+    for (std::uint32_t i = 0; i < count; ++i) {
+      placements.push_back(
+          {static_cast<m::BoxId>(rng.next_below(used_boxes)),
+           static_cast<m::StripeId>(rng.next_below(used_stripes))});
+    }
+    // One (box, stripe) pair three times over, wherever it lands.
+    const a::Allocation::Placement triple{
+        static_cast<m::BoxId>(rng.next_below(boxes)),
+        static_cast<m::StripeId>(rng.next_below(stripes))};
+    placements.insert(placements.end(), 3, triple);
+    rng.shuffle(placements);
+    SCOPED_TRACE(::testing::Message() << "trial " << trial << ": " << boxes
+                                      << " boxes, " << stripes << " stripes, "
+                                      << placements.size() << " placements");
+    expect_matches_reference(boxes, stripes, placements);
+  }
+}
+
+TEST(AllocationOracle, EdgeShapesMatchTwoSortReference) {
+  // One box, one stripe: empty, once, and three times.
+  expect_matches_reference(1, 1, {});
+  expect_matches_reference(1, 1, {{0, 0}});
+  expect_matches_reference(1, 1, {{0, 0}, {0, 0}, {0, 0}});
+  // Nothing placed at all, and no stripes to place.
+  expect_matches_reference(5, 7, {});
+  expect_matches_reference(3, 0, {});
+  // Unordered input with a pair repeated three times among other holders.
+  expect_matches_reference(4, 3,
+                           {{3, 2}, {1, 2}, {1, 2}, {0, 0}, {1, 2}, {2, 2}});
+  // One stripe held by every box, in shuffled order, next to stripes that
+  // only a few boxes hold and stripes nobody holds.
+  p2pvod::util::Rng rng(77);
+  Placements placements;
+  for (m::BoxId b = 0; b < 200; ++b) placements.push_back({b, 5});
+  for (int i = 0; i < 50; ++i) {
+    placements.push_back({static_cast<m::BoxId>(rng.next_below(200)),
+                          static_cast<m::StripeId>(rng.next_below(4))});
+  }
+  rng.shuffle(placements);
+  expect_matches_reference(200, 9, placements);
+}
+
+TEST(AllocationOracle, EverySchemeRoundTripsThroughTheReference) {
+  struct Size {
+    std::uint32_t n, m, c, k;
+    double d;
+  };
+  for (const Size size : {Size{1, 2, 2, 1, 2.0}, Size{8, 8, 4, 2, 4.0},
+                          Size{30, 20, 3, 4, 8.0}}) {
+    const m::Catalog catalog(size.m, size.c, 16);
+    const auto profile =
+        m::CapacityProfile::homogeneous(size.n, 1.5, size.d);
+    for (const auto scheme :
+         {a::Scheme::kPermutation, a::Scheme::kIndependent,
+          a::Scheme::kRoundRobin, a::Scheme::kFullReplication,
+          a::Scheme::kDemandProportional, a::Scheme::kZoneLocalFirst,
+          a::Scheme::kLpGreedy}) {
+      SCOPED_TRACE(::testing::Message()
+                   << a::scheme_name(scheme) << " n=" << size.n);
+      p2pvod::util::Rng rng(size.n + 11);
+      const auto alloc =
+          a::make_allocator(scheme)->allocate(catalog, profile, size.k, rng);
+      alloc.check_integrity(&profile, size.c);
+      // Rebuild its placements, shuffled: every stored pair once, plus each
+      // box's duplicate replicas as extra copies of stripes it stores.
+      Placements placements;
+      for (m::BoxId b = 0; b < size.n; ++b) {
+        const auto stored = alloc.stored(b);
+        for (const m::StripeId s : stored) placements.push_back({b, s});
+        for (auto extra = alloc.slot_usage(b) - stored.size(); extra > 0;
+             --extra) {
+          const auto pick = static_cast<std::size_t>(
+              rng.next_below(stored.size()));
+          placements.push_back({b, stored[pick]});
+        }
+      }
+      rng.shuffle(placements);
+      expect_matches_reference(size.n, catalog.stripe_count(), placements);
+      const a::Allocation rebuilt(size.n, catalog.stripe_count(), placements);
+      EXPECT_EQ(rebuilt.duplicate_replicas(), alloc.duplicate_replicas());
+      for (m::StripeId s = 0; s < catalog.stripe_count(); ++s) {
+        const auto x = alloc.holders(s);
+        const auto y = rebuilt.holders(s);
+        EXPECT_TRUE(std::equal(x.begin(), x.end(), y.begin(), y.end()));
+      }
+    }
   }
 }

@@ -5,6 +5,7 @@
 
 #include <cmath>
 #include <cstdlib>
+#include <stdexcept>
 
 #include "alloc/permutation.hpp"
 #include "analysis/bounds.hpp"
@@ -100,6 +101,28 @@ TEST(Theorem1, EvaluateInvalidBelowThreshold) {
   EXPECT_EQ(b.catalog(1000), 0u);
 }
 
+TEST(Theorem1, CountsBeyond32BitsMakeTheBoundsInvalid) {
+  // u = 1 + 1e-10: c would be about 1.9e10 (min) and 3.8e10 (recommended),
+  // too large for 32 bits. "No valid c" is 0, as below the threshold.
+  EXPECT_EQ(an::Theorem1::min_c(1.0000000001, 1.2), 0u);
+  EXPECT_EQ(an::Theorem1::recommended_c(1.0000000001, 1.2), 0u);
+  const auto no_c = an::Theorem1::evaluate({1.0000000001, 4.0, 1.2});
+  EXPECT_FALSE(no_c.valid);
+  EXPECT_EQ(no_c.c, 0u);
+  // u = 1 + 1e-6: c ≈ 2e6 fits, but ν ≈ 2.5e-13 and log u′ ≈ 1e-6 put k
+  // near 2.8e19.
+  const auto no_k = an::Theorem1::evaluate({1.000001, 4.0, 1.0});
+  EXPECT_EQ(no_k.c, an::Theorem1::recommended_c(1.000001, 1.0));
+  EXPECT_GT(no_k.k_real, 4294967295.0);
+  EXPECT_FALSE(no_k.valid);
+  EXPECT_EQ(no_k.k, 0u);
+  EXPECT_EQ(no_k.catalog(1000), 0u);
+  // A valid bound whose catalog d·n/k does not fit throws.
+  const auto huge_d = an::Theorem1::evaluate({1.5, 1e30, 1.2});
+  ASSERT_TRUE(huge_d.valid);
+  EXPECT_THROW((void)huge_d.catalog(1000), std::out_of_range);
+}
+
 TEST(Theorem1, CatalogLinearInN) {
   const auto b = an::Theorem1::evaluate({1.5, 4.0, 1.2});
   const auto m1 = b.catalog(10000);
@@ -157,6 +180,20 @@ TEST(Theorem2, EvaluateValidInRange) {
   EXPECT_EQ(b.c, 30u);
   EXPECT_GT(b.k, 0u);
   EXPECT_GT(b.catalog(100000), 0u);
+}
+
+TEST(Theorem2, CountsBeyond32BitsMakeTheBoundsInvalid) {
+  // u* = 1 + 1e-10, µ = 1.1: c would be about 5.9e10 (min), 1.5e11
+  // (recommended).
+  EXPECT_EQ(an::Theorem2::min_c(1.0000000001, 1.1), 0u);
+  EXPECT_EQ(an::Theorem2::recommended_c(1.0000000001, 1.1), 0u);
+  EXPECT_FALSE(an::Theorem2::evaluate({1.0000000001, 4.0, 1.1}).valid);
+  // u* = 1.001, µ = 1: c ≈ 10^4 fits, but k ≈ 1.2e12 does not.
+  const auto no_k = an::Theorem2::evaluate({1.001, 4.0, 1.0});
+  EXPECT_GT(no_k.c, 0u);
+  EXPECT_GT(no_k.k_real, 4294967295.0);
+  EXPECT_FALSE(no_k.valid);
+  EXPECT_EQ(no_k.k, 0u);
 }
 
 TEST(Theorem2, ClosedFormPositiveOnlyAboveOne) {

@@ -2,6 +2,9 @@
 // homogeneous and heterogeneous), planner, verdict.
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <string>
+
 #include "core/config.hpp"
 #include "core/planner.hpp"
 #include "core/verdict.hpp"
@@ -27,6 +30,22 @@ TEST(Config, RejectsBadValues) {
   config = {};
   config.duration = 0;
   EXPECT_THROW(config.validate(), std::invalid_argument);
+}
+
+TEST(Config, RejectsNonFiniteValues) {
+  constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  for (const double bad : {kNan, kInf, -kInf}) {
+    c::SystemConfig config;
+    config.u = bad;
+    EXPECT_THROW(config.validate(), std::invalid_argument) << "u=" << bad;
+    config = {};
+    config.d = bad;
+    EXPECT_THROW(config.validate(), std::invalid_argument) << "d=" << bad;
+    config = {};
+    config.mu = bad;
+    EXPECT_THROW(config.validate(), std::invalid_argument) << "mu=" << bad;
+  }
 }
 
 TEST(Config, DescribeMentionsOverrides) {
@@ -105,6 +124,24 @@ TEST(Planner, TheoryFlagsSmallN) {
   const auto plan = planner.plan(c::PlanMode::kTheory);
   EXPECT_FALSE(plan.feasible);
   EXPECT_NE(plan.notes.find("storage budget"), std::string::npos);
+}
+
+TEST(Planner, RejectsNonFiniteInputs) {
+  constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  for (const double bad : {kNan, kInf, -kInf}) {
+    EXPECT_THROW(c::CatalogPlanner(100, bad, 4.0, 1.2), std::invalid_argument);
+    EXPECT_THROW(c::CatalogPlanner(100, 1.5, bad, 1.2), std::invalid_argument);
+    EXPECT_THROW(c::CatalogPlanner(100, 1.5, 4.0, bad), std::invalid_argument);
+  }
+  // A finite d whose budget d·n overflows the 32-bit k search range.
+  try {
+    const c::CatalogPlanner planner(200, 1.5, 1e30, 1.2);
+    FAIL() << "d*n beyond 32 bits accepted";
+  } catch (const std::invalid_argument& error) {
+    EXPECT_NE(std::string(error.what()).find("d must be finite"),
+              std::string::npos);
+  }
 }
 
 TEST(Planner, CalibratedModeFindsSmallerK) {

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
+#include <string>
 
 #include "model/capacity.hpp"
 #include "model/catalog.hpp"
@@ -60,6 +62,22 @@ TEST(SystemParams, RejectsNegativeUpload) {
   auto p = valid_params();
   p.u = -0.1;
   EXPECT_THROW(p.validate(), std::invalid_argument);
+}
+
+TEST(SystemParams, RejectsNonFiniteValues) {
+  constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  for (const double bad : {kNan, kInf, -kInf}) {
+    auto p = valid_params();
+    p.u = bad;
+    EXPECT_THROW(p.validate(), std::invalid_argument) << "u=" << bad;
+    p = valid_params();
+    p.d = bad;
+    EXPECT_THROW(p.validate(), std::invalid_argument) << "d=" << bad;
+    p = valid_params();
+    p.mu = bad;
+    EXPECT_THROW(p.validate(), std::invalid_argument) << "mu=" << bad;
+  }
 }
 
 TEST(SystemParams, DerivedCounts) {
@@ -204,6 +222,40 @@ TEST(Capacity, RejectsMismatchedVectors) {
 
 TEST(Capacity, RejectsNegativeValues) {
   EXPECT_THROW(m::CapacityProfile({-1.0}, {1.0}), std::invalid_argument);
+}
+
+TEST(Capacity, RejectsNonFiniteValues) {
+  constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  for (const double bad : {kNan, kInf, -kInf}) {
+    EXPECT_THROW(m::CapacityProfile({1.0, bad}, {1.0, 1.0}),
+                 std::invalid_argument);
+    EXPECT_THROW(m::CapacityProfile({1.0, 1.0}, {bad, 1.0}),
+                 std::invalid_argument);
+    EXPECT_THROW((void)m::CapacityProfile::homogeneous(3, bad, 4.0),
+                 std::invalid_argument);
+  }
+  try {
+    (void)m::CapacityProfile::homogeneous(2, 1.5, kNan);
+    FAIL() << "NaN storage accepted";
+  } catch (const std::invalid_argument& error) {
+    EXPECT_NE(std::string(error.what()).find("storage"), std::string::npos);
+  }
+}
+
+TEST(Capacity, SlotCountsBeyond32BitsThrow) {
+  // 1e30 streams of upload (storage) at c = 1 is more slots than a uint32
+  // holds; casting it would be undefined.
+  const auto prof = m::CapacityProfile::homogeneous(2, 1e30, 1e30);
+  EXPECT_THROW((void)prof.upload_slots(0, 1), std::out_of_range);
+  EXPECT_THROW((void)prof.storage_slots(1, 1), std::out_of_range);
+  EXPECT_THROW((void)prof.total_storage_slots(1), std::out_of_range);
+  // The largest count that fits still converts exactly.
+  constexpr auto kTop = std::numeric_limits<std::uint32_t>::max();
+  const auto edge = m::CapacityProfile::homogeneous(1, kTop, kTop);
+  EXPECT_EQ(edge.upload_slots(0, 1), kTop);
+  EXPECT_EQ(edge.storage_slots(0, 1), kTop);
+  EXPECT_THROW((void)edge.storage_slots(0, 2), std::out_of_range);
 }
 
 // ----------------------------------------------------------------- catalog

@@ -2,6 +2,7 @@
 // limiter's compounding-ceiling semantics.
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <set>
 #include <sstream>
 
@@ -128,6 +129,16 @@ TEST(FlashCrowd, StopsAtMaxJoiners) {
   }
   EXPECT_EQ(total, 5u);
   EXPECT_EQ(crowd.total_joined(), 5u);
+}
+
+TEST(FlashCrowd, UnboundedGrowthJoinsEveryIdleBoxAtOnce) {
+  // µ = 1e12 asks for more joiners than 32 bits hold (and µ = inf for
+  // infinitely many); the count is clamped to the 32 boxes before any cast.
+  for (const double mu : {1e12, std::numeric_limits<double>::infinity()}) {
+    SimWorld world(32, 4, 2, 16);
+    w::FlashCrowd crowd(0, mu);
+    EXPECT_EQ(crowd.demands(world.simulator).size(), 32u) << "mu=" << mu;
+  }
 }
 
 // ----------------------------------------------------------------- zipf
