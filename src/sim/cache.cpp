@@ -17,7 +17,7 @@ void CacheIndex::grant(model::StripeId stripe, model::BoxId box,
     throw std::out_of_range("CacheIndex::grant");
   per_stripe_[stripe].push_back({box, entry});
   per_box_[box].push_back(stripe);
-  calendar_[entry + window_ + 1].push_back({stripe, box, entry});
+  calendar_.add(entry + window_ + 1, {stripe, box, entry});
   ++entries_;
 }
 
@@ -56,20 +56,17 @@ std::uint64_t CacheIndex::remove_box(model::BoxId box,
 }
 
 void CacheIndex::prune(model::Round now, std::vector<CacheExpiry>* expired) {
-  while (!calendar_.empty() && calendar_.begin()->first <= now) {
-    for (const CacheExpiry& e : calendar_.begin()->second) {
-      auto& entries = per_stripe_[e.stripe];
-      const auto it = std::find(entries.begin(), entries.end(),
-                                Entry{e.box, e.entry});
-      if (it == entries.end()) continue;  // died with its box
-      entries.erase(it);
-      auto& held = per_box_[e.box];
-      held.erase(std::find(held.begin(), held.end(), e.stripe));
-      --entries_;
-      if (expired != nullptr) expired->push_back(e);
-    }
-    calendar_.erase(calendar_.begin());
-  }
+  calendar_.take_through(now, [&](const CacheExpiry& e) {
+    auto& entries = per_stripe_[e.stripe];
+    const auto it =
+        std::find(entries.begin(), entries.end(), Entry{e.box, e.entry});
+    if (it == entries.end()) return;  // died with its box
+    entries.erase(it);
+    auto& held = per_box_[e.box];
+    held.erase(std::find(held.begin(), held.end(), e.stripe));
+    --entries_;
+    if (expired != nullptr) expired->push_back(e);
+  });
 }
 
 }  // namespace p2pvod::sim

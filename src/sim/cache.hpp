@@ -12,9 +12,9 @@
 // requester itself. Upkeep is in proportion to the entries that change, not
 // to the catalog's m·c stripes:
 //
-//   - an expiry calendar keyed by the round an entry leaves the window
-//     (entry + window + 1): prune() scans only the stripes holding an entry
-//     that leaves then, once per leaving entry;
+//   - an expiry calendar (a RoundCalendar) keyed by the round an entry
+//     leaves the window (entry + window + 1): prune() scans only the stripes
+//     holding an entry that leaves then, once per leaving entry;
 //   - a per-box index of each box's live entries, exact on grant, expiry
 //     and removal: remove_box() scans only that box's stripes, once each.
 //
@@ -24,10 +24,10 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <vector>
 
 #include "model/ids.hpp"
+#include "sim/calendar.hpp"
 
 namespace p2pvod::sim {
 
@@ -58,8 +58,9 @@ class CacheIndex {
 
   /// Drop entries that left the retention window (entry < now - window).
   /// When `expired` is non-null, each dropped entry is appended to it, by
-  /// expiry round and then in grant order. Entries that died with their box
-  /// (remove_box) have already left and are never reported.
+  /// expiry round and then in grant order; an entry granted after its expiry
+  /// round was pruned is dropped by the next prune. Entries that died with
+  /// their box (remove_box) have already left and are never reported.
   void prune(model::Round now, std::vector<CacheExpiry>* expired = nullptr);
 
   /// Drop every entry of `box` (the box failed: its cache is gone). Returns
@@ -84,7 +85,7 @@ class CacheIndex {
   std::vector<std::vector<model::StripeId>> per_box_;
   /// Grants by expiry round, in grant order; an event whose entry already
   /// died with its box finds nothing to drop.
-  std::map<model::Round, std::vector<CacheExpiry>> calendar_;
+  RoundCalendar<CacheExpiry> calendar_;
   model::Round window_;
   std::uint64_t entries_ = 0;
 };

@@ -49,33 +49,15 @@ struct PlannedRequest {
   }
 };
 
-struct ActiveRequest {
-  model::StripeId stripe = model::kInvalidStripe;
-  model::Round issue = 0;
-  model::BoxId requester = model::kInvalidBox;
-  SessionId session = kInvalidSession;
-
-  /// Position needed at round `now` (0-based chunk index).
-  [[nodiscard]] model::Round position(model::Round now) const noexcept {
-    return now - issue;
-  }
-  /// Active while 0 <= position < duration.
-  [[nodiscard]] bool active_at(model::Round now,
-                               model::Round duration) const noexcept {
-    const model::Round p = position(now);
-    return p >= 0 && p < duration;
-  }
-};
-
 /// CSR-engine slot id of a live request; kNoSparseSlot when the simulator
 /// runs the zone-aware engine (no SparseRoundState attached).
 inline constexpr std::uint32_t kNoSparseSlot = static_cast<std::uint32_t>(-1);
 
 /// Struct-of-arrays storage for the live request set. The round loop scans
-/// these fields linearly every round (candidate building, retirement, zone
-/// accounting), so parallel arrays keep each scan on the one field it needs
-/// instead of striding over whole ActiveRequest records — the difference is
-/// real cache traffic at the million-box scale the CSR engine targets.
+/// these fields linearly (candidate building, zone accounting, churn), so
+/// parallel arrays keep each scan on the one field it needs instead of
+/// striding over whole request records — the difference is real cache
+/// traffic at the million-box scale the CSR engine targets.
 struct LiveRequestSoA {
   std::vector<model::StripeId> stripe;
   std::vector<model::Round> issue;
@@ -104,18 +86,22 @@ struct LiveRequestSoA {
     slot[dst] = slot[src];
   }
 
+  /// Drop the first `n` entries, keeping the order of the rest.
+  void erase_front(std::size_t n) {
+    const auto cut = static_cast<std::ptrdiff_t>(n);
+    stripe.erase(stripe.begin(), stripe.begin() + cut);
+    issue.erase(issue.begin(), issue.begin() + cut);
+    requester.erase(requester.begin(), requester.begin() + cut);
+    session.erase(session.begin(), session.begin() + cut);
+    slot.erase(slot.begin(), slot.begin() + cut);
+  }
+
   void resize(std::size_t n) {
     stripe.resize(n);
     issue.resize(n);
     requester.resize(n);
     session.resize(n);
     slot.resize(n);
-  }
-
-  /// Position needed at round `now` by request `i`.
-  [[nodiscard]] model::Round position(std::size_t i,
-                                      model::Round now) const noexcept {
-    return now - issue[i];
   }
 };
 

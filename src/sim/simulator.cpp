@@ -69,10 +69,6 @@ Simulator::Simulator(const model::Catalog& catalog,
   }
 }
 
-bool Simulator::box_idle(model::BoxId b) const {
-  return online_.at(b) && now_ >= busy_until_.at(b);
-}
-
 std::uint32_t Simulator::idle_box_count() const {
   std::uint32_t idle = 0;
   for (model::BoxId b = 0; b < profile_.size(); ++b) {
@@ -86,61 +82,63 @@ void Simulator::admit(const Demand& demand) {
     throw std::out_of_range("Simulator: demand for unknown video");
   if (demand.box >= profile_.size())
     throw std::out_of_range("Simulator: demand from unknown box");
-  if (!online_[demand.box] || !box_idle(demand.box)) {
+  if (!box_idle(demand.box)) {
     ++report_.demands_rejected;
     return;
   }
-  ++report_.demands_admitted;
-  const std::uint64_t ticket = swarms_.enter(demand.video, now_);
 
+  // The box enters the swarm only once its plan is accepted; it plans with
+  // the ticket enter() will hand it.
   scratch_plans_.clear();
-  strategy_.plan(demand.box, demand.video, ticket, now_, *this,
+  strategy_.plan(demand.box, demand.video,
+                 swarms_.total_entries(demand.video), now_, *this,
                  scratch_plans_);
 
-  // Playback can start once every stripe has delivered its first chunk to
-  // the viewer; with no network requests the box plays from local storage.
+  // Check every plan before changing any state, so a bad plan throws with
+  // nothing half-admitted. Playback can start once every stripe has
+  // delivered its first chunk to the viewer; with no network requests the
+  // box plays from local storage. Plans with no requester are
+  // forwarding-from-storage (the §4 relay holds the stripe statically): they
+  // register cache grants but no network request. A plan whose requester is
+  // offline cannot be served at all (e.g. a custom strategy routed through a
+  // dead relay): reject the demand outright.
   model::Round viewer_last_entry = now_;
+  std::uint32_t network_requests = 0;
   for (const PlannedRequest& plan : scratch_plans_) {
+    if (plan.issue < now_)
+      throw std::logic_error("Simulator: plan issued in the past");
+    if (!catalog_.contains(plan.stripe))
+      throw std::out_of_range("Simulator: plan for unknown stripe");
     for (const CacheGrant& grant : plan.grants) {
+      if (grant.box >= profile_.size())
+        throw std::out_of_range("Simulator: cache grant to unknown box");
       if (grant.box == demand.box)
         viewer_last_entry = std::max(viewer_last_entry, grant.entry);
     }
-  }
-  const model::Round playback_start = viewer_last_entry + 1;
-  const model::Round ends = playback_start + catalog_.duration();
-
-  // Plans with no requester are forwarding-from-storage (the §4 relay holds
-  // the stripe statically): they register cache grants but no network request.
-  // A plan whose requester is offline cannot be served at all (e.g. a custom
-  // strategy routed through a dead relay): reject the demand outright.
-  std::uint32_t network_requests = 0;
-  for (const PlannedRequest& plan : scratch_plans_) {
     if (plan.requester == model::kInvalidBox) continue;
     if (!online_.at(plan.requester)) {
-      swarms_.leave(demand.video);  // roll back the enter() above
-      --report_.demands_admitted;
       ++report_.demands_rejected;
       return;
     }
     ++network_requests;
   }
+  const model::Round playback_start = viewer_last_entry + 1;
+  const model::Round ends = playback_start + catalog_.duration();
 
+  ++report_.demands_admitted;
+  swarms_.enter(demand.video, now_);
   const auto session_id = static_cast<SessionId>(sessions_.size());
   sessions_.push_back({demand.box, demand.video, now_, playback_start, ends,
                        network_requests});
   busy_until_[demand.box] = ends;
   last_session_[demand.box] = session_id;
-  end_events_[ends].push_back(session_id);
+  end_events_.add(ends, session_id);
 
   // Start-up delay measured from the start of the arrival interval [t-1, t[:
   // preloading gives (t+1)+1 - (t-1) = 3 rounds, as in §3.
   report_.startup_delay.add(playback_start - (now_ - 1));
 
   for (const PlannedRequest& plan : scratch_plans_) {
-    if (plan.issue < now_)
-      throw std::logic_error("Simulator: plan issued in the past");
-    if (!catalog_.contains(plan.stripe))
-      throw std::out_of_range("Simulator: plan for unknown stripe");
     for (const CacheGrant& grant : plan.grants) {
       cache_.grant(plan.stripe, grant.box, grant.entry);
       if (sparse_ != nullptr)
@@ -148,23 +146,22 @@ void Simulator::admit(const Demand& demand) {
     }
     if (plan.requester == model::kInvalidBox) continue;
     ++report_.requests_issued;
-    pending_[plan.issue].push_back({plan, session_id});
+    pending_.add(plan.issue,
+                 {plan.stripe, plan.issue, plan.requester, session_id});
   }
 }
 
 void Simulator::activate_pending() {
-  const auto it = pending_.find(now_);
-  if (it == pending_.end()) return;
-  for (const PendingRequest& pending : it->second) {
+  OBS_SPAN("sim/activate");
+  pending_.take_through(now_, [this](const PendingRequest& pending) {
     const std::uint32_t slot =
-        sparse_ != nullptr
-            ? sparse_->add_request(pending.plan.stripe, pending.plan.issue,
-                                   pending.plan.requester)
-            : kNoSparseSlot;
-    live_.push_back(pending.plan.stripe, pending.plan.issue,
-                    pending.plan.requester, pending.session, slot);
-  }
-  pending_.erase(it);
+        sparse_ != nullptr ? sparse_->add_request(
+                                 pending.stripe, pending.issue,
+                                 pending.requester)
+                           : kNoSparseSlot;
+    live_.push_back(pending.stripe, pending.issue, pending.requester,
+                    pending.session, slot);
+  });
 }
 
 void Simulator::solve_round() {
@@ -350,22 +347,21 @@ void Simulator::enforce_link_caps(const flow::ConnectionProblem& problem,
 }
 
 void Simulator::retire_completed() {
-  const model::Round duration = catalog_.duration();
-  std::size_t write = 0;
-  for (std::size_t i = 0; i < live_.size(); ++i) {
-    if (live_.position(i, now_) + 1 >= duration) {
-      // Last chunk delivered this round; the request retires.
-      Session& session = sessions_[live_.session[i]];
-      if (session.pending_requests == 0)
-        throw std::logic_error("Simulator: session underflow");
-      --session.pending_requests;
-      if (sparse_ != nullptr) sparse_->remove_request(live_.slot[i]);
-      continue;
-    }
-    live_.move_to(write, i);
-    ++write;
+  OBS_SPAN("sim/retire");
+  assert(std::is_sorted(live_.issue.begin(), live_.issue.end()) &&
+         "Simulator: live requests out of issue order");
+  // A request retires once its last chunk (position T-1) went out this
+  // round: issued at or before now + 1 - T. In issue order that is a prefix.
+  const model::Round last_issue = now_ + 1 - catalog_.duration();
+  std::size_t done = 0;
+  for (; done < live_.size() && live_.issue[done] <= last_issue; ++done) {
+    Session& session = sessions_[live_.session[done]];
+    if (session.pending_requests == 0)
+      throw std::logic_error("Simulator: session underflow");
+    --session.pending_requests;
+    if (sparse_ != nullptr) sparse_->remove_request(live_.slot[done]);
   }
-  live_.resize(write);
+  live_.erase_front(done);
 }
 
 void Simulator::abort_session(SessionId id) {
@@ -389,12 +385,7 @@ void Simulator::abort_session(SessionId id) {
     ++write;
   }
   live_.resize(write);
-  for (auto& [round, pending] : pending_) {
-    std::erase_if(pending, [id](const PendingRequest& p) {
-      return p.session == id;
-    });
-    (void)round;
-  }
+  pending_.erase_if([id](const PendingRequest& p) { return p.session == id; });
 }
 
 void Simulator::debug_check_capacity_total() const {
@@ -447,12 +438,9 @@ void Simulator::set_box_online(model::BoxId box, bool online) {
   for (std::size_t i = 0; i < live_.size(); ++i) {
     if (live_.requester[i] == box) doomed.push_back(live_.session[i]);
   }
-  for (const auto& [round, pending] : pending_) {
-    for (const PendingRequest& p : pending) {
-      if (p.plan.requester == box) doomed.push_back(p.session);
-    }
-    (void)round;
-  }
+  pending_.for_each([&](const PendingRequest& p) {
+    if (p.requester == box) doomed.push_back(p.session);
+  });
   std::sort(doomed.begin(), doomed.end());
   doomed.erase(std::unique(doomed.begin(), doomed.end()), doomed.end());
   for (const SessionId id : doomed) abort_session(id);
@@ -499,19 +487,19 @@ void Simulator::step(const std::vector<Demand>& demands) {
   if (stalled_ && options_.strict) return;
 
   // 1. Sessions ending now free their boxes and leave their swarms.
-  if (const auto it = end_events_.find(now_); it != end_events_.end()) {
-    for (const SessionId id : it->second) {
-      const Session& session = sessions_[id];
-      if (session.aborted) continue;  // churn already settled this one
-      swarms_.leave(session.video);
-      ++report_.sessions_completed;
-    }
-    end_events_.erase(it);
-  }
+  end_events_.take_through(now_, [this](SessionId id) {
+    const Session& session = sessions_[id];
+    if (session.aborted) return;  // churn already settled this one
+    swarms_.leave(session.video);
+    ++report_.sessions_completed;
+  });
 
   // 2. Freeze f(t) for the growth rule, then 3./4. admit demands.
-  swarms_.begin_round(now_);
-  for (const Demand& demand : demands) admit(demand);
+  {
+    OBS_SPAN("sim/admit");
+    swarms_.begin_round(now_);
+    for (const Demand& demand : demands) admit(demand);
+  }
 
   // 5. Activate requests issued this round; drop expired cache entries.
   activate_pending();

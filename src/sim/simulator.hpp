@@ -20,7 +20,6 @@
 
 #include <array>
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <vector>
 
@@ -32,6 +31,7 @@
 #include "model/catalog.hpp"
 #include "model/ids.hpp"
 #include "sim/cache.hpp"
+#include "sim/calendar.hpp"
 #include "sim/report.hpp"
 #include "sim/request.hpp"
 #include "sim/sparse_round.hpp"
@@ -125,7 +125,11 @@ class Simulator {
   [[nodiscard]] const SwarmRegistry& swarms() const noexcept {
     return swarms_;
   }
-  [[nodiscard]] bool box_idle(model::BoxId b) const;
+  /// Online and not busy with a session; throws std::out_of_range for an
+  /// unknown box. Inline: demand generators call it once per box per round.
+  [[nodiscard]] bool box_idle(model::BoxId b) const {
+    return online_.at(b) && now_ >= busy_until_.at(b);
+  }
   [[nodiscard]] std::uint32_t idle_box_count() const;
   [[nodiscard]] bool stalled() const noexcept { return stalled_; }
   [[nodiscard]] std::uint32_t active_request_count() const noexcept {
@@ -154,8 +158,11 @@ class Simulator {
     bool aborted = false;  ///< killed by churn; end event becomes a no-op
   };
 
+  /// A planned network request waiting for its issue round.
   struct PendingRequest {
-    PlannedRequest plan;
+    model::StripeId stripe;
+    model::Round issue;
+    model::BoxId requester;
     SessionId session;
   };
 
@@ -214,9 +221,12 @@ class Simulator {
   /// been aborted: this is the only playback of the box that a failure can
   /// still cut short.
   std::vector<SessionId> last_session_;
-  std::map<model::Round, std::vector<PendingRequest>> pending_;
-  std::map<model::Round, std::vector<SessionId>> end_events_;
-  LiveRequestSoA live_;  ///< live requests, struct-of-arrays
+  RoundCalendar<PendingRequest> pending_;  ///< by issue round
+  RoundCalendar<SessionId> end_events_;    ///< by Session::ends
+  /// Live requests, struct-of-arrays, in issue order: activation appends
+  /// the requests issued at now_, and removal keeps the order, so the
+  /// requests that retire in a round are a prefix.
+  LiveRequestSoA live_;
   std::vector<std::uint32_t> capacity_slots_;
   std::vector<std::uint32_t> nominal_capacity_;  ///< restored on recovery
   std::vector<bool> online_;

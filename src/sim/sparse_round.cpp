@@ -1,6 +1,7 @@
 #include "sim/sparse_round.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <stdexcept>
 
 #include "obs/trace.hpp"
@@ -12,6 +13,7 @@ SparseRoundState::SparseRoundState(std::uint32_t box_count,
                                    double rebuild_fraction)
     : matcher_(box_count),
       slots_of_stripe_(stripe_count),
+      latest_issue_(stripe_count, std::numeric_limits<model::Round>::min()),
       rebuild_fraction_(rebuild_fraction) {
   if (rebuild_fraction < 0.0)
     throw std::invalid_argument("SparseRoundState: rebuild_fraction < 0");
@@ -37,6 +39,7 @@ std::uint32_t SparseRoundState::add_request(model::StripeId stripe,
                       static_cast<std::uint32_t>(by_stripe.size()),
                       /*live=*/true, /*dirty=*/slots_[slot].dirty};
   by_stripe.push_back(slot);
+  latest_issue_[stripe] = std::max(latest_issue_[stripe], issue);
   ++live_count_;
   mark_dirty(slot);
   return slot;
@@ -61,9 +64,11 @@ void SparseRoundState::remove_request(std::uint32_t slot) {
 
 void SparseRoundState::on_grant(model::StripeId stripe, model::BoxId box,
                                 model::Round entry) {
-  OBS_SPAN("sim/sparse_grant_patch");
   if (stripe >= slots_of_stripe_.size())
     throw std::out_of_range("SparseRoundState::on_grant");
+  // Only a row issued after the entry gains the box as a source.
+  if (entry >= latest_issue_[stripe]) return;
+  OBS_SPAN("sim/sparse_grant_patch");
   for (const std::uint32_t slot : slots_of_stripe_[stripe]) {
     const Slot& s = slots_[slot];
     if (s.dirty) continue;  // rebuild will collect it from ground truth

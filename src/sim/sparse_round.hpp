@@ -72,7 +72,8 @@ class SparseRoundState {
   /// Retire a live request: drops its assignment and row.
   void remove_request(std::uint32_t slot);
 
-  /// A cache grant was registered: patch the live rows of `stripe`.
+  /// A cache grant was registered: patch the live rows of `stripe` issued
+  /// after `entry`. Returns at once when no row added for the stripe was.
   void on_grant(model::StripeId stripe, model::BoxId box, model::Round entry);
   /// `box` went offline: its assignments dissolve and it leaves every row of
   /// the stripes it held statically (`stored`) or served from cache
@@ -123,6 +124,9 @@ class SparseRoundState {
   std::vector<Slot> slots_;
   std::vector<std::uint32_t> free_slots_;
   std::vector<std::vector<std::uint32_t>> slots_of_stripe_;
+  /// Per stripe, the latest issue round of any request added: a bound on
+  /// the issue round of its live rows.
+  std::vector<model::Round> latest_issue_;
   std::vector<std::uint32_t> dirty_slots_;  ///< queue; flags de-dup entries
   std::uint32_t dirty_count_ = 0;
   double rebuild_fraction_;

@@ -29,7 +29,8 @@ class RequestStrategy {
 
   /// Plan the stripe requests for a demand (box `b` wants video `v`, admitted
   /// at round `now`; `ticket` is b's entry number in the swarm of v, the "p"
-  /// of the §3 round-robin preload rule). Implementations append
+  /// of the §3 round-robin preload rule; b enters the swarm once its plan is
+  /// accepted, so the swarm does not count it yet). Implementations append
   /// PlannedRequests to `out`; stripes stored statically on `b` are played
   /// locally and need none.
   virtual void plan(model::BoxId b, model::VideoId v, std::uint64_t ticket,

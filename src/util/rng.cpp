@@ -42,17 +42,6 @@ std::int64_t Rng::next_between(std::int64_t lo, std::int64_t hi) noexcept {
   return lo + static_cast<std::int64_t>(next_below(span));
 }
 
-double Rng::next_double() noexcept {
-  // 53 high-quality bits -> [0, 1) with full double precision.
-  return static_cast<double>(engine_() >> 11) * 0x1.0p-53;
-}
-
-bool Rng::next_bool(double p) noexcept {
-  if (p <= 0.0) return false;
-  if (p >= 1.0) return true;
-  return next_double() < p;
-}
-
 double Rng::next_exponential(double rate) noexcept {
   // Inverse CDF; guard against log(0).
   double x = next_double();

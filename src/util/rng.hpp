@@ -125,10 +125,18 @@ class Rng {
                                           std::int64_t hi) noexcept;
 
   /// Uniform double in [0, 1).
-  [[nodiscard]] double next_double() noexcept;
+  [[nodiscard]] double next_double() noexcept {
+    // 53 high-quality bits -> [0, 1) with full double precision.
+    return static_cast<double>(engine_() >> 11) * 0x1.0p-53;
+  }
 
-  /// Bernoulli trial with success probability p (clamped to [0,1]).
-  [[nodiscard]] bool next_bool(double p) noexcept;
+  /// Bernoulli trial with success probability p (clamped to [0,1]). Inline:
+  /// demand generators draw one per idle box per round.
+  [[nodiscard]] bool next_bool(double p) noexcept {
+    if (p <= 0.0) return false;
+    if (p >= 1.0) return true;
+    return next_double() < p;
+  }
 
   /// Standard exponential variate with the given rate (> 0).
   [[nodiscard]] double next_exponential(double rate) noexcept;

@@ -471,10 +471,12 @@ TEST(ObsScenario, TraceDirProducesLoadableTraceWithSweepSpans) {
   ASSERT_FALSE(events.empty());
   bool saw_sweep_point = false;
   bool saw_scenario_span = false;
+  std::set<std::string> sim_spans;
   for (const auto& event : events) {
     const std::string& name = event.at("name").as_string();
     if (name == "sweep/point") saw_sweep_point = true;
     if (name.rfind("scenario/threshold", 0) == 0) saw_scenario_span = true;
+    if (name.rfind("sim/", 0) == 0) sim_spans.insert(name);
     EXPECT_NE(event.find("ph"), nullptr);
     EXPECT_NE(event.find("ts"), nullptr);
     EXPECT_NE(event.find("pid"), nullptr);
@@ -482,6 +484,10 @@ TEST(ObsScenario, TraceDirProducesLoadableTraceWithSweepSpans) {
   }
   EXPECT_TRUE(saw_sweep_point);
   EXPECT_TRUE(saw_scenario_span);
+  // Every phase of a round has a span.
+  for (const char* span : {"sim/admit", "sim/activate", "sim/cache_prune",
+                           "sim/solve_round", "sim/retire"})
+    EXPECT_EQ(sim_spans.count(span), 1u) << span;
 }
 
 TEST(ObsScenario, ApplyObsEnvReadsTheKnobs) {

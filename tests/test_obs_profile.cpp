@@ -618,6 +618,8 @@ TEST(ObsProfileScenario, ProfileDirProducesValidProfileWithSweepSpans) {
   collapsed << collapsed_in.rdbuf();
   EXPECT_NE(collapsed.str().find("sweep/point"), std::string::npos);
   EXPECT_NE(collapsed.str().find("scenario/threshold"), std::string::npos);
+  for (const char* span : {";sim/admit ", ";sim/activate ", ";sim/retire "})
+    EXPECT_NE(collapsed.str().find(span), std::string::npos) << span;
   // No trace was requested: profiling alone must not leave a trace file.
   EXPECT_FALSE(std::filesystem::exists(dir + "/TRACE_threshold.json"));
 }

@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <optional>
+#include <stdexcept>
+#include <string>
 #include <tuple>
 #include <utility>
 #include <vector>
@@ -10,6 +13,7 @@
 #include "alloc/allocation.hpp"
 #include "net/topology.hpp"
 #include "sim/cache.hpp"
+#include "sim/calendar.hpp"
 #include "sim/simulator.hpp"
 #include "sim/strategy.hpp"
 #include "sim/swarm.hpp"
@@ -273,6 +277,7 @@ TEST(Cache, LockstepAgainstFullScan) {
   p2pvod::util::Rng rng(0xCAC4E);
   std::uint64_t reported = 0;
   std::uint64_t removed = 0;
+  std::uint64_t reported_due = 0;
 
   const auto check = [&](m::Round now) {
     ASSERT_EQ(cache.entry_count(), reference.entry_count());
@@ -315,18 +320,134 @@ TEST(Cache, LockstepAgainstFullScan) {
       removed += count;
       ASSERT_NO_FATAL_FAILURE(check(now));
     }
+    // Every 50 rounds, a grant that is already due: its expiry round passed
+    // at the last prune, so this round's prune must report it.
+    std::optional<Granted> due;
+    if (now % 50 == 25) {
+      due = Granted{static_cast<m::StripeId>(now % kStripes),
+                    static_cast<m::BoxId>(now % kBoxes), now - kWindow - 2};
+      const auto [stripe, box, entry] = *due;
+      cache.grant(stripe, box, entry);
+      reference.per_stripe[stripe].emplace_back(box, entry);
+    }
     std::vector<s::CacheExpiry> expired;
     cache.prune(now, &expired);
     std::vector<Granted> got;
     for (const s::CacheExpiry& e : expired)
       got.emplace_back(e.stripe, e.box, e.entry);
     ASSERT_EQ(sorted(got), sorted(reference.prune(now))) << "at " << now;
+    if (due) {
+      ASSERT_NE(std::find(got.begin(), got.end(), *due), got.end())
+          << "at " << now;
+      ++reported_due;
+    }
     reported += got.size();
     ASSERT_NO_FATAL_FAILURE(check(now));
   }
   // The walk must have exercised both ways out of the cache.
   EXPECT_GT(reported, 100u);
   EXPECT_GT(removed, 50u);
+  EXPECT_EQ(reported_due, 8u);
+}
+
+TEST(Cache, ReportsExpiriesByRoundThenGrantOrder) {
+  s::CacheIndex cache(/*box_count=*/4, /*stripe_count=*/2, /*window=*/2);
+  cache.grant(1, 0, 5);  // leaves the window at round 8
+  cache.grant(0, 1, 4);  // at 7
+  cache.grant(0, 2, 5);  // at 8
+  std::vector<s::CacheExpiry> expired;
+  cache.prune(6, &expired);
+  EXPECT_TRUE(expired.empty());
+  // Both due before round 6, which is pruned already: the next prune drops
+  // them first, in expiry order.
+  cache.grant(0, 3, 3);  // at 6
+  cache.grant(1, 3, 2);  // at 5
+  cache.prune(8, &expired);
+  std::vector<Granted> got;
+  for (const s::CacheExpiry& e : expired)
+    got.emplace_back(e.stripe, e.box, e.entry);
+  EXPECT_EQ(got, (std::vector<Granted>{
+                     {1, 3, 2}, {0, 3, 3}, {0, 1, 4}, {1, 0, 5}, {0, 2, 5}}));
+  EXPECT_EQ(cache.entry_count(), 0u);
+}
+
+// ----------------------------------------------------------------- calendar
+
+namespace {
+
+/// The events one take_through() call visits, in visit order.
+std::vector<int> take(s::RoundCalendar<int>& calendar, m::Round round) {
+  std::vector<int> seen;
+  calendar.take_through(round, [&seen](int event) { seen.push_back(event); });
+  return seen;
+}
+
+}  // namespace
+
+TEST(RoundCalendar, TakesByRoundThenInOrderAddedAtAnyHorizon) {
+  s::RoundCalendar<int> calendar;
+  calendar.add(3, 30);
+  calendar.add(1, 10);
+  calendar.add(100, 1000);  // far beyond the first ring: it grows
+  calendar.add(3, 31);
+  calendar.add(2, 20);
+  EXPECT_EQ(take(calendar, 0), std::vector<int>{});
+  EXPECT_EQ(take(calendar, 2), (std::vector<int>{10, 20}));
+  calendar.add(40, 400);
+  calendar.add(300, 3000);  // grows again, with events held
+  EXPECT_EQ(take(calendar, 99), (std::vector<int>{30, 31, 400}));
+  EXPECT_EQ(take(calendar, 100), std::vector<int>{1000});
+  EXPECT_EQ(take(calendar, 1000), std::vector<int>{3000});
+  EXPECT_EQ(take(calendar, 2000), std::vector<int>{});
+}
+
+TEST(RoundCalendar, AnEventForAPassedRoundIsDueAtTheNextTake) {
+  s::RoundCalendar<int> calendar;
+  calendar.add(6, 60);
+  EXPECT_EQ(take(calendar, 5), std::vector<int>{});
+  calendar.add(4, 40);  // rounds 4 and 2 have passed
+  calendar.add(2, 20);
+  calendar.add(4, 41);
+  calendar.add(7, 70);
+  EXPECT_EQ(take(calendar, 6), (std::vector<int>{20, 40, 41, 60}));
+  EXPECT_EQ(take(calendar, 7), std::vector<int>{70});
+  calendar.add(-3, -30);  // negative rounds are rounds too
+  EXPECT_EQ(take(calendar, -4), std::vector<int>{});
+  EXPECT_EQ(take(calendar, -3), std::vector<int>{-30});
+}
+
+TEST(RoundCalendar, EraseIfAndForEachReachEveryEventNotTaken) {
+  s::RoundCalendar<int> calendar;
+  for (int i = 0; i < 40; ++i) calendar.add(i % 20, i);
+  EXPECT_EQ(take(calendar, 4).size(), 10u);  // rounds 0..4, two events each
+  calendar.add(1, 100);                       // a passed round
+  calendar.erase_if([](int event) { return event % 2 == 1; });
+  std::vector<int> left;
+  calendar.for_each([&left](int event) { left.push_back(event); });
+  std::sort(left.begin(), left.end());
+  EXPECT_EQ(left, (std::vector<int>{6, 8, 10, 12, 14, 16, 18, 26, 28, 30,
+                                    32, 34, 36, 38, 100}));
+  EXPECT_EQ(take(calendar, 19), (std::vector<int>{100, 6, 26, 8, 28, 10, 30,
+                                                  12, 32, 14, 34, 16, 36, 18,
+                                                  38}));
+}
+
+TEST(RoundCalendar, AThrowingVisitLeavesItsRoundForTheNextTake) {
+  s::RoundCalendar<int> calendar;
+  calendar.add(0, 1);
+  calendar.add(1, 2);
+  calendar.add(1, 3);
+  std::vector<int> seen;
+  EXPECT_THROW(calendar.take_through(1,
+                                     [&seen](int event) {
+                                       if (event == 3)
+                                         throw std::runtime_error("visit");
+                                       seen.push_back(event);
+                                     }),
+               std::runtime_error);
+  EXPECT_EQ(seen, (std::vector<int>{1, 2}));
+  // Round 0 was taken; round 1 is visited again, whole.
+  EXPECT_EQ(take(calendar, 1), (std::vector<int>{2, 3}));
 }
 
 // ----------------------------------------------------------------- fixtures
@@ -608,6 +729,128 @@ TEST(Simulator, UnknownDemandThrows) {
   s::Simulator sim(world.catalog, world.profile, world.allocation, strategy);
   EXPECT_THROW(sim.step({{0, 9}}), std::out_of_range);
   EXPECT_THROW(sim.step({{9, 0}}), std::out_of_range);
+
+  // The throws leave round 0 to run again with its calendars intact: a
+  // demand admitted then activates at once and completes on time
+  // (playback_start = 1, ends = 1 + T = 5).
+  ASSERT_EQ(sim.now(), 0);
+  sim.step({{0, 0}});
+  EXPECT_EQ(sim.active_request_count(), 1u);
+  for (int t = 1; t < 4; ++t) sim.step({});
+  EXPECT_EQ(sim.active_request_count(), 0u);  // chunk T-1 went out at round 3
+  EXPECT_EQ(sim.report().chunks_served, 4u);
+  sim.step({});
+  EXPECT_EQ(sim.report().sessions_completed, 0u);
+  sim.step({});  // round 5
+  EXPECT_EQ(sim.report().sessions_completed, 1u);
+
+  // A step that admits box 0 and then throws keeps the admission: the rerun
+  // of round 6 activates it, and it completes on time too (ends = 11).
+  EXPECT_THROW(sim.step({{0, 0}, {0, 9}}), std::out_of_range);
+  ASSERT_EQ(sim.now(), 6);
+  sim.step({});
+  EXPECT_EQ(sim.active_request_count(), 1u);
+  for (int t = 7; t < 10; ++t) sim.step({});
+  EXPECT_EQ(sim.active_request_count(), 0u);
+  EXPECT_EQ(sim.report().chunks_served, 8u);
+  sim.step({});
+  EXPECT_EQ(sim.report().sessions_completed, 1u);
+  sim.step({});  // round 11
+  EXPECT_EQ(sim.report().sessions_completed, 2u);
+  EXPECT_EQ(sim.report().demands_admitted, 2u);
+  EXPECT_TRUE(sim.report().success);
+}
+
+namespace {
+
+/// Requests stripe 0 for the demanding box `lead` rounds ahead, so the
+/// session holds the box for lead + 1 + T rounds.
+class FarIssueStrategy final : public s::RequestStrategy {
+ public:
+  explicit FarIssueStrategy(m::Round lead) : lead_(lead) {}
+  void plan(m::BoxId b, m::VideoId, std::uint64_t, m::Round now,
+            s::Simulator&, std::vector<s::PlannedRequest>& out) override {
+    out.push_back(s::PlannedRequest::direct(b, 0, now + lead_));
+  }
+  [[nodiscard]] std::string name() const override { return "far-issue"; }
+
+ private:
+  m::Round lead_;
+};
+
+/// Has box 1 download stripe 0 for the demanding box (a relay, which may be
+/// down), and records the tickets it was handed.
+class ViaBoxOneStrategy final : public s::RequestStrategy {
+ public:
+  void plan(m::BoxId b, m::VideoId, std::uint64_t ticket, m::Round now,
+            s::Simulator&, std::vector<s::PlannedRequest>& out) override {
+    tickets.push_back(ticket);
+    s::PlannedRequest request = s::PlannedRequest::direct(1, 0, now);
+    request.grants.push_back({b, now + 1});
+    out.push_back(std::move(request));
+  }
+  [[nodiscard]] std::string name() const override { return "via-box-1"; }
+
+  std::vector<std::uint64_t> tickets;
+};
+
+}  // namespace
+
+TEST(Simulator, FarHorizonRequestActivatesAndCompletesOnTime) {
+  // Issued 40 rounds ahead with T = 20: the request lives in rounds 40..59,
+  // and the session and the cache entry end at round 61, far beyond the
+  // first calendar ring. Both engines share the calendars.
+  World world(3, 1, 20, 1.0, 1);
+  const auto zones = p2pvod::net::Topology::uniform(3, 1);
+  for (const p2pvod::net::Topology* topology :
+       {static_cast<const p2pvod::net::Topology*>(nullptr), &zones}) {
+    FarIssueStrategy strategy(40);
+    s::SimulatorOptions options;
+    options.topology = topology;
+    s::Simulator sim(world.catalog, world.profile, world.allocation, strategy,
+                     options);
+    sim.step({{0, 0}});
+    for (m::Round t = 1; t < 40; ++t) sim.step({});
+    EXPECT_EQ(sim.active_request_count(), 0u);
+    EXPECT_EQ(sim.report().requests_issued, 1u);
+    sim.step({});  // round 40, the issue round
+    EXPECT_EQ(sim.active_request_count(), 1u);
+    for (m::Round t = 41; t < 60; ++t) sim.step({});
+    EXPECT_EQ(sim.active_request_count(), 0u);  // chunk T-1 at round 59
+    EXPECT_EQ(sim.report().chunks_served, 20u);
+    EXPECT_FALSE(sim.box_idle(0));  // playing until round 61
+    sim.step({});  // round 60
+    EXPECT_EQ(sim.report().sessions_completed, 0u);
+    sim.step({});  // round 61 = ends
+    EXPECT_EQ(sim.report().sessions_completed, 1u);
+    EXPECT_EQ(sim.swarms().size(0), 0u);
+    EXPECT_TRUE(sim.box_idle(0));
+    EXPECT_TRUE(sim.report().success);
+  }
+}
+
+TEST(Simulator, RejectedPlanLeavesTheSwarmUntouched) {
+  // A plan that names an offline requester rejects the demand before the box
+  // enters the swarm: no preload ticket is used up and the peak stays 0, so
+  // the next joiner is still the swarm's box number 0 (§3).
+  World world(4, 1, 6, 1.0, 1);
+  ViaBoxOneStrategy strategy;
+  s::Simulator sim(world.catalog, world.profile, world.allocation, strategy);
+  sim.set_box_online(1, false);
+  sim.step({{0, 0}});
+  EXPECT_EQ(sim.report().demands_rejected, 1u);
+  EXPECT_EQ(sim.report().demands_admitted, 0u);
+  EXPECT_EQ(sim.swarms().total_entries(0), 0u);
+  EXPECT_EQ(sim.swarms().size(0), 0u);
+  EXPECT_EQ(sim.report().peak_swarm, 0u);
+  EXPECT_TRUE(sim.box_idle(0));
+
+  sim.set_box_online(1, true);
+  sim.step({{0, 0}});
+  EXPECT_EQ(sim.report().demands_admitted, 1u);
+  EXPECT_EQ(sim.swarms().total_entries(0), 1u);
+  EXPECT_EQ(sim.report().peak_swarm, 1u);
+  EXPECT_EQ(strategy.tickets, (std::vector<std::uint64_t>{0, 0}));
 }
 
 namespace {

@@ -5,6 +5,7 @@
 // adversarial configurations.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <memory>
 #include <span>
@@ -20,6 +21,7 @@
 #include "flow/verify.hpp"
 #include "net/topology.hpp"
 #include "obs/metrics.hpp"
+#include "obs/trace.hpp"
 #include "sim/cache.hpp"
 #include "sim/simulator.hpp"
 #include "sim/sparse_round.hpp"
@@ -536,6 +538,44 @@ TEST(SparseRoundState, ExpiryRetiresCacheSources) {
   EXPECT_EQ(state.edge_count(), 1u);
   EXPECT_EQ(state.stats().expiry_events, 1u);
   EXPECT_EQ(state.assignment(slot), 2);
+}
+
+TEST(SparseRoundState, GrantWalksRowsOnlyWhenOneIsIssuedAfterItsEntry) {
+  // Stripe 0 has rows issued at rounds 1 and 3, stripe 1 none. A grant
+  // entered at round 3 or later patches no row: it returns before its walk
+  // and records no span. One entered at round 2 patches the row issued at 3.
+  s::SparseRoundState state(/*box_count=*/4, /*stripe_count=*/2,
+                            /*rebuild_fraction=*/0.5);
+  const auto collect = [](m::StripeId, m::Round, m::BoxId requester,
+                          std::vector<m::BoxId>& out) {
+    if (requester != 3) out.push_back(3);
+  };
+  const std::vector<std::uint32_t> cap = {4, 4, 4, 4};
+  std::vector<s::CacheExpiry> no_expiries;
+  (void)state.add_request(/*stripe=*/0, /*issue=*/1, /*requester=*/0);
+  (void)state.add_request(/*stripe=*/0, /*issue=*/3, /*requester=*/1);
+  EXPECT_EQ(state.solve(no_expiries, cap, collect), 2u);
+  ASSERT_EQ(state.edge_count(), 2u);
+  const auto grant_spans = [](const std::vector<p2pvod::obs::TraceEvent>& e) {
+    return std::count_if(e.begin(), e.end(), [](const auto& event) {
+      return event.name == "sim/sparse_grant_patch";
+    });
+  };
+
+  p2pvod::obs::TraceSession::start();
+  state.on_grant(/*stripe=*/0, /*box=*/2, /*entry=*/3);
+  state.on_grant(/*stripe=*/0, /*box=*/2, /*entry=*/7);
+  state.on_grant(/*stripe=*/1, /*box=*/2, /*entry=*/0);
+  EXPECT_EQ(grant_spans(p2pvod::obs::TraceSession::stop()), 0);
+  EXPECT_EQ(state.stats().row_patches, 0u);
+  EXPECT_EQ(state.edge_count(), 2u);
+
+  p2pvod::obs::TraceSession::start();
+  state.on_grant(/*stripe=*/0, /*box=*/2, /*entry=*/2);
+  EXPECT_EQ(grant_spans(p2pvod::obs::TraceSession::stop()), 1);
+  EXPECT_EQ(state.stats().row_patches, 1u);
+  EXPECT_EQ(state.edge_count(), 3u);
+  EXPECT_THROW(state.on_grant(/*stripe=*/2, 2, 0), std::out_of_range);
 }
 
 TEST(SparseRoundState, DirtyFractionTriggersFullRebuild) {
