@@ -5,12 +5,17 @@
 // rounds (requests ~ n·c, candidates ~ k + swarm backlog):
 //   * Dinic on the §2.3 flow network, the from-scratch oracle,
 //   * the CSR engine's pieces: row patches, row rebuilds, and CsrMatcher
-//     repairing a previous round's matching.
+//     repairing a previous round's matching,
+//   * MinCostMatcher on a zone round, the dense zone-aware engine's solve.
 #include <benchmark/benchmark.h>
+
+#include <algorithm>
+#include <utility>
 
 #include "flow/bipartite.hpp"
 #include "flow/csr_matcher.hpp"
 #include "flow/csr_problem.hpp"
+#include "flow/min_cost.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -145,6 +150,50 @@ void BM_InfeasibilityWitness(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_InfeasibilityWitness)->Arg(64)->Arg(256);
+
+// --- Zone rounds -------------------------------------------------------------
+
+/// A zone-regime round: `boxes` boxes with 6 slots each, 45 requests per 16
+/// boxes with 7 distinct candidates each, and 12 round-robin zones (box b in
+/// zone b % 12, request r in zone r % 12), cost 0 inside a zone and 1
+/// across. At 64 boxes it has the shape of a zone_caps round: 180 requests.
+std::pair<flow::ConnectionProblem, flow::EdgeCosts> make_zone_round(
+    std::uint32_t boxes) {
+  constexpr std::uint32_t kZones = 12;
+  constexpr std::size_t kCandidates = 7;
+  util::Rng rng(0x20E5);
+  flow::ConnectionProblem problem(boxes);
+  for (std::uint32_t b = 0; b < boxes; ++b) problem.set_capacity(b, 6);
+  flow::EdgeCosts costs;
+  std::vector<std::uint32_t> cands;
+  for (std::uint32_t r = 0; r < boxes * 45 / 16; ++r) {
+    cands.clear();
+    while (cands.size() < kCandidates) {
+      const auto b = static_cast<std::uint32_t>(rng.next_below(boxes));
+      if (std::find(cands.begin(), cands.end(), b) == cands.end())
+        cands.push_back(b);
+    }
+    auto& row = costs.emplace_back();
+    for (const std::uint32_t b : cands)
+      row.push_back(b % kZones == r % kZones ? 0 : 1);
+    problem.add_request(cands);
+  }
+  return {std::move(problem), std::move(costs)};
+}
+
+// One exact min-cost solve of a zone round: a shortest augmenting path per
+// served request. Items are requests.
+void BM_MinCostZoneRound(benchmark::State& state) {
+  const auto boxes = static_cast<std::uint32_t>(state.range(0));
+  const auto [problem, costs] = make_zone_round(boxes);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        flow::MinCostMatcher::solve(problem, costs).match.served);
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          problem.request_count());
+}
+BENCHMARK(BM_MinCostZoneRound)->Arg(64)->Arg(256);
 
 }  // namespace
 

@@ -1,9 +1,12 @@
 #include "flow/min_cost.hpp"
 
 #include <algorithm>
+#include <bit>
+#include <functional>
 #include <limits>
-#include <queue>
+#include <numeric>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "flow/graph.hpp"
@@ -15,6 +18,13 @@ namespace p2pvod::flow {
 namespace {
 
 constexpr Cost kInfCost = std::numeric_limits<Cost>::max() / 4;
+// Every distance, potential and queue key is below 2^34 * kMaxEdgeCost
+// (min_cost.hpp); keep that, with room to spare, below "unreachable".
+static_assert((kMaxEdgeCost << 36) <= kInfCost,
+              "kMaxEdgeCost must keep every distance below kInfCost");
+
+constexpr NodeId kNoNode = std::numeric_limits<NodeId>::max();
+constexpr std::uint32_t kNoEntry = std::numeric_limits<std::uint32_t>::max();
 
 // Solver work counters. All kStable: the algorithm is sequential and
 // deterministic per instance, and the multiset of instances solved is
@@ -51,6 +61,11 @@ void validate(const ConnectionProblem& problem, const EdgeCosts& costs) {
     for (const Cost c : costs[r]) {
       if (c < 0)
         throw std::invalid_argument("MinCostMatcher: negative edge cost");
+      if (c > kMaxEdgeCost) {
+        std::string what = "MinCostMatcher: request " + std::to_string(r);
+        what += " has cost " + std::to_string(c) + ", above kMaxEdgeCost";
+        throw std::invalid_argument(what);
+      }
     }
   }
 }
@@ -71,6 +86,73 @@ void validate_groups(const ConnectionProblem& problem,
             "enforce_group_caps: group id out of range");
     }
   }
+}
+
+/// The tentative nodes at the current distance: a bitset over node ids with
+/// one summary bit per nonzero word, so the lowest id pops in two
+/// count-trailing-zeros steps.
+class LevelSet {
+ public:
+  void reset(NodeId nodes) {
+    words_.assign((static_cast<std::size_t>(nodes) + 63) / 64, 0);
+    summary_.assign((words_.size() + 63) / 64, 0);
+    first_ = summary_.size();
+  }
+  void insert(NodeId v) {
+    const std::size_t word = v / 64;
+    words_[word] |= std::uint64_t{1} << (v % 64);
+    summary_[word / 64] |= std::uint64_t{1} << (word % 64);
+    first_ = std::min(first_, word / 64);
+  }
+  /// The lowest id in the set, removed; kNoNode when the set is empty.
+  NodeId pop_lowest() {
+    while (first_ < summary_.size() && summary_[first_] == 0) ++first_;
+    if (first_ == summary_.size()) return kNoNode;
+    std::uint64_t& summary = summary_[first_];
+    const std::size_t word = first_ * 64 + std::countr_zero(summary);
+    std::uint64_t& bits = words_[word];
+    const auto v = static_cast<NodeId>(word * 64 + std::countr_zero(bits));
+    bits &= bits - 1;
+    if (bits == 0) summary &= summary - 1;
+    return v;
+  }
+
+ private:
+  std::vector<std::uint64_t> words_;
+  std::vector<std::uint64_t> summary_;
+  std::size_t first_ = 0;  ///< every summary word below this one is zero
+};
+
+/// A candidate edge seen from its box.
+struct BoxArc {
+  NodeId to;            ///< the request's node
+  std::uint32_t entry;  ///< flat (request, candidate) index
+  Cost cost;
+};
+
+/// The solver's working arrays, kept per thread so a round reuses the
+/// previous round's allocations.
+struct Workspace {
+  std::vector<NodeId> entry_box;         ///< per entry: the candidate box
+  std::vector<Cost> entry_cost;          ///< per entry: its cost
+  std::vector<std::uint32_t> arc_begin;  ///< per box: first arc, plus an end
+  std::vector<BoxArc> arcs;              ///< box -> request arcs, by box
+  std::vector<std::uint32_t> match;      ///< per request: entry, or kNoEntry
+  std::vector<std::uint32_t> used;       ///< per box: requests it serves
+  std::vector<Cost> potential;           ///< per node
+  std::vector<Cost> reach;               ///< per node: tentative distance
+  /// Per node, how it was reached: a box holds the source or a request node,
+  /// a request the entry it came through (kNoEntry from the sink), the sink
+  /// a request node.
+  std::vector<std::uint32_t> parent;
+  std::vector<NodeId> settled;  ///< nodes settled by this Dijkstra
+  LevelSet level;
+  std::vector<std::pair<Cost, NodeId>> heap;  ///< keys above the level
+};
+
+Workspace& workspace() {
+  thread_local Workspace ws;
+  return ws;
 }
 
 bool all_zero(const EdgeCosts& costs) {
@@ -100,109 +182,154 @@ MinCostResult MinCostMatcher::solve(const ConnectionProblem& problem,
 
   const std::uint32_t boxes = problem.box_count();
   const std::uint32_t requests = problem.request_count();
-  FlowNetwork network(boxes + requests + 2);
   const NodeId source = boxes + requests;
   const NodeId sink = source + 1;
+  const NodeId nodes = sink + 1;
+  const std::vector<std::uint32_t>& capacity = problem.capacities();
+  Workspace& ws = workspace();
 
-  // edge_cost[e] is the cost of traversing (forward or residual) edge e;
-  // reverse edges refund the forward cost.
-  std::vector<Cost> edge_cost;
-  const auto add_edge = [&](NodeId from, NodeId to, Capacity cap, Cost cost) {
-    const EdgeId id = network.add_edge(from, to, cap);
-    edge_cost.resize(id + 2, 0);
-    edge_cost[id] = cost;
-    edge_cost[id + 1] = -cost;
-    return id;
-  };
-
-  for (std::uint32_t b = 0; b < boxes; ++b) {
-    if (problem.capacity(b) > 0) add_edge(source, b, problem.capacity(b), 0);
-  }
-  std::vector<std::vector<EdgeId>> request_box_edges(requests);
+  // Candidate entries in (request, candidate) order, then the box -> request
+  // arcs bucketed by box by a counting sort filled from the back, so each box
+  // lists its arcs in the same (request, candidate) order as FlowNetwork's
+  // adjacency.
+  ws.entry_box.clear();
+  ws.entry_cost.clear();
+  ws.arc_begin.assign(boxes + 1, 0);
   for (std::uint32_t r = 0; r < requests; ++r) {
     const auto& candidates = problem.candidates(r);
-    request_box_edges[r].reserve(candidates.size());
     for (std::size_t j = 0; j < candidates.size(); ++j) {
-      request_box_edges[r].push_back(
-          add_edge(candidates[j], boxes + r, 1, costs[r][j]));
+      ws.entry_box.push_back(candidates[j]);
+      ws.entry_cost.push_back(costs[r][j]);
+      ++ws.arc_begin[candidates[j]];
     }
-    add_edge(boxes + r, sink, 1, 0);
+  }
+  std::partial_sum(ws.arc_begin.begin(), ws.arc_begin.end(),
+                   ws.arc_begin.begin());  // each box's end
+  ws.arcs.resize(ws.entry_box.size());
+  auto entry = static_cast<std::uint32_t>(ws.entry_box.size());
+  for (std::uint32_t r = requests; r-- > 0;) {
+    for (std::size_t j = problem.candidates(r).size(); j-- > 0;) {
+      const NodeId box = ws.entry_box[--entry];
+      ws.arcs[--ws.arc_begin[box]] = {boxes + r, entry, ws.entry_cost[entry]};
+    }
   }
 
-  // Successive shortest paths with Johnson potentials. All original costs
-  // are non-negative, so the initial zero potentials are feasible and every
-  // reduced cost stays non-negative across augmentations.
-  const NodeId nodes = network.node_count();
-  std::vector<Cost> potential(nodes, 0);
-  std::vector<Cost> dist(nodes);
-  std::vector<EdgeId> parent_edge(nodes);
-  std::vector<bool> settled(nodes);
+  ws.match.assign(requests, kNoEntry);
+  ws.used.assign(boxes, 0);
+  ws.potential.assign(nodes, 0);
+  ws.reach.assign(nodes, kInfCost);
+  ws.parent.resize(nodes);
+  ws.level.reset(nodes);
+  ws.heap.clear();
+  ws.settled.clear();
 
+  // Successive shortest paths with Johnson potentials. Costs are
+  // non-negative, so zero potentials are feasible and reduced costs stay
+  // non-negative: no relaxation lands below the level being settled.
+  // reach[v] is the tentative distance in original costs, so a relaxation
+  // compares reach[u] + cost against reach[to] alone; the queue orders nodes
+  // by the reduced distance reach[v] - potential[v], ties to the lower id.
+  Cost level = 0;  // the reduced distance being settled
+  const auto relax = [&](NodeId to, Cost reach, std::uint32_t parent) {
+    if (reach >= ws.reach[to]) return;
+    ws.reach[to] = reach;
+    ws.parent[to] = parent;
+    const Cost key = reach - ws.potential[to];
+    if (key == level) {
+      ws.level.insert(to);
+    } else {
+      ws.heap.emplace_back(key, to);
+      std::push_heap(ws.heap.begin(), ws.heap.end(), std::greater<>());
+    }
+  };
+  std::uint64_t augmentations = 0;
+  std::uint64_t potential_updates = 0;
   for (;;) {
-    dist.assign(nodes, kInfCost);
-    settled.assign(nodes, false);
-    dist[source] = 0;
-    using Entry = std::pair<Cost, NodeId>;
-    std::priority_queue<Entry, std::vector<Entry>, std::greater<>> queue;
-    queue.push({0, source});
-    while (!queue.empty()) {
-      const auto [d, v] = queue.top();
-      queue.pop();
-      if (settled[v]) continue;
-      settled[v] = true;
-      for (const EdgeId e : network.adjacency(v)) {
-        if (network.residual(e) <= 0) continue;
-        const NodeId to = network.edge_to(e);
-        const Cost reduced = edge_cost[e] + potential[v] - potential[to];
-        if (dist[v] + reduced < dist[to]) {
-          dist[to] = dist[v] + reduced;
-          parent_edge[to] = e;
-          queue.push({dist[to], to});
+    level = 0;
+    ws.reach[source] = 0;
+    ws.level.insert(source);
+    for (;;) {
+      NodeId v = ws.level.pop_lowest();
+      if (v == kNoNode) {
+        // Level exhausted: open the next one with every live heap entry at
+        // the least remaining key (v holds the first). A stale entry's key
+        // exceeds its node's.
+        while (!ws.heap.empty()) {
+          const auto [key, to] = ws.heap.front();
+          if (v != kNoNode && key != level) break;
+          std::pop_heap(ws.heap.begin(), ws.heap.end(), std::greater<>());
+          ws.heap.pop_back();
+          if (key != ws.reach[to] - ws.potential[to]) continue;
+          level = key;
+          v = to;
+          ws.level.insert(to);
+        }
+        if (v == kNoNode) break;
+        v = ws.level.pop_lowest();
+      }
+      ws.settled.push_back(v);
+      const Cost at = ws.reach[v];
+      if (v < boxes) {
+        for (std::uint32_t a = ws.arc_begin[v]; a < ws.arc_begin[v + 1]; ++a) {
+          const BoxArc& arc = ws.arcs[a];
+          if (ws.match[arc.to - boxes] == arc.entry) continue;  // saturated
+          relax(arc.to, at + arc.cost, arc.entry);
+        }
+      } else if (v < source) {
+        // A request's one residual arc: back to its box, or on to the sink.
+        const std::uint32_t entry = ws.match[v - boxes];
+        if (entry == kNoEntry) {
+          relax(sink, at, v);
+        } else {
+          relax(ws.entry_box[entry], at - ws.entry_cost[entry], v);
+        }
+      } else if (v == source) {
+        for (std::uint32_t b = 0; b < boxes; ++b) {
+          if (ws.used[b] < capacity[b]) relax(b, at, source);
+        }
+      } else {
+        for (std::uint32_t r = 0; r < requests; ++r) {
+          if (ws.match[r] != kNoEntry) relax(boxes + r, at, kNoEntry);
         }
       }
     }
-    if (dist[sink] >= kInfCost) break;  // no augmenting path left
-    augmentations_counter().add();
+    if (ws.reach[sink] >= kInfCost) break;  // no augmenting path left
+    ++augmentations;
 
-    std::uint64_t updated = 0;
-    for (NodeId v = 0; v < nodes; ++v) {
-      if (dist[v] < kInfCost) {
-        potential[v] += dist[v];
-        ++updated;
-      }
+    potential_updates += ws.settled.size();
+    for (const NodeId v : ws.settled) {
+      ws.potential[v] = ws.reach[v];
+      ws.reach[v] = kInfCost;
     }
-    potential_updates_counter().add(updated);
+    ws.settled.clear();
 
-    // Bottleneck is 1 (every path crosses a unit request->sink edge), but
-    // compute it anyway so the loop stays correct if the reduction changes.
-    Capacity bottleneck = kInfCapacity;
-    std::uint64_t path_edges = 0;
-    for (NodeId v = sink; v != source;) {
-      const EdgeId e = parent_edge[v];
-      bottleneck = std::min(bottleneck, network.residual(e));
-      v = network.edge_to(e ^ 1u);
-      ++path_edges;
+    // Walk the path back from the sink: each request on it takes the entry
+    // it was reached through, and the box that opens it gains one slot.
+    std::uint64_t path_edges = 1;  // request -> sink
+    for (NodeId request = ws.parent[sink];;) {
+      const std::uint32_t entry = ws.parent[request];
+      ws.match[request - boxes] = entry;
+      const NodeId box = ws.entry_box[entry];
+      path_edges += 2;  // box -> request, and the arc into the box
+      if (ws.parent[box] == source) {
+        ++ws.used[box];
+        break;
+      }
+      request = ws.parent[box];
     }
     path_length_histogram().observe(path_edges);
-    for (NodeId v = sink; v != source;) {
-      const EdgeId e = parent_edge[v];
-      network.push(e, bottleneck);
-      v = network.edge_to(e ^ 1u);
-    }
   }
+  augmentations_counter().add(augmentations);
+  potential_updates_counter().add(potential_updates);
 
   MinCostResult result;
   result.match.assignment.assign(requests, -1);
   for (std::uint32_t r = 0; r < requests; ++r) {
-    const auto& candidates = problem.candidates(r);
-    for (std::size_t j = 0; j < candidates.size(); ++j) {
-      if (network.flow_on(request_box_edges[r][j]) > 0) {
-        result.match.assignment[r] = static_cast<std::int32_t>(candidates[j]);
-        result.total_cost += costs[r][j];
-        ++result.match.served;
-        break;
-      }
-    }
+    const std::uint32_t entry = ws.match[r];
+    if (entry == kNoEntry) continue;
+    result.match.assignment[r] = static_cast<std::int32_t>(ws.entry_box[entry]);
+    result.total_cost += ws.entry_cost[entry];
+    ++result.match.served;
   }
   result.match.complete = (result.match.served == requests);
   return result;

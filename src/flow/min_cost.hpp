@@ -11,6 +11,45 @@
 // cost among maximum matchings. When every cost is zero the solver falls
 // back to the plain Dinic solve — the cost machinery must never change
 // feasibility answers.
+//
+// The kernel works on the bipartite network directly instead of a
+// FlowNetwork. Node ids are those of the §2.3 network: boxes 0..B-1,
+// requests from B, the source B+R and the sink B+R+1. Box -> request arcs
+// sit in flat arrays, each box's in (request, candidate) order; a request
+// has exactly one residual out-arc, back to the box serving it or on to the
+// sink; the source reaches every box with a spare slot and the sink every
+// served request. Arcs that can never relax a node are not stored: box ->
+// source (the source settles first, at distance 0), request -> box arcs
+// without residual capacity, and, through the strict test, arcs into
+// settled nodes (reduced costs are non-negative).
+//
+// The queue keeps the nodes at the current reduced distance in a bitset
+// over node ids and pops the lowest id; nodes further out wait in a lazy
+// heap. With the 0/1 zone costs nearly every node sits at distance 0 or 1.
+//
+// Exactness. The augmenting paths are, one for one, those of the textbook
+// FlowNetwork form with a lazy (distance, node) heap (tests/test_flow.cpp
+// keeps it as the oracle), so the matching returned is a fixed function of
+// the problem:
+//   - pop order: each Dijkstra settles the tentative node of least
+//     (distance, id), the order of that heap, whose keys never repeat
+//     because a key is pushed only on a strict improvement;
+//   - parents: a node scans its arcs in FlowNetwork's adjacency order
+//     (increasing edge id), and a node's parent is the first arc that
+//     reaches its final distance (strict <);
+//   - potentials: every Dijkstra runs to exhaustion and every node it
+//     reached gets potential += distance. Stopping at the sink would leave
+//     other potentials, and other later paths.
+//
+// Cost bound. A cost above kMaxEdgeCost is rejected. A node count is below
+// 2^33 (two 32-bit counts), every potential is a past shortest-path length
+// and every tentative distance extends one by an arc, so each is a sum of
+// at most 2^33 arc costs; a queue key is a distance minus a potential. At
+// 2^24 per arc all of them stay below 2^58, under the 2^61 that marks
+// "unreachable", and a total cost below 2^56.
+//
+// Workspace. The working arrays live in one workspace per thread that each
+// solve reuses; once warm, a solve allocates only its result.
 #pragma once
 
 #include <cstdint>
@@ -26,6 +65,9 @@ using Cost = std::int64_t;
 /// from candidates(r)[j]. Shapes must match the problem exactly.
 using EdgeCosts = std::vector<std::vector<Cost>>;
 
+/// The largest edge cost the min-cost solvers accept (derivation above).
+inline constexpr Cost kMaxEdgeCost = Cost{1} << 24;
+
 struct MinCostResult {
   MatchResult match;
   Cost total_cost = 0;
@@ -33,9 +75,9 @@ struct MinCostResult {
 
 class MinCostMatcher {
  public:
-  /// Solve for a maximum matching of minimum total cost. All costs must be
-  /// non-negative; throws std::invalid_argument on a shape mismatch or a
-  /// negative cost. Deterministic for a given problem (no RNG, fixed
+  /// Solve for a maximum matching of minimum total cost. Costs must lie in
+  /// [0, kMaxEdgeCost]; throws std::invalid_argument on a shape mismatch or
+  /// a cost outside it. Deterministic for a given problem (no RNG, fixed
   /// iteration order).
   [[nodiscard]] static MinCostResult solve(const ConnectionProblem& problem,
                                            const EdgeCosts& costs);

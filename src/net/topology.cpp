@@ -5,10 +5,26 @@
 #include <numeric>
 #include <sstream>
 #include <stdexcept>
+#include <string>
 
+#include "flow/min_cost.hpp"
 #include "util/rng.hpp"
 
 namespace p2pvod::net {
+
+namespace {
+
+// The matcher takes zone costs as they are, so a cost it would reject must
+// fail here, when the topology is configured.
+void check_cost(Cost cost) {
+  if (cost < 0)
+    throw std::invalid_argument("Topology: costs must be non-negative");
+  if (cost > flow::kMaxEdgeCost)
+    throw std::invalid_argument("Topology: cost " + std::to_string(cost) +
+                                " is above flow::kMaxEdgeCost");
+}
+
+}  // namespace
 
 Topology::Topology(std::vector<ZoneId> zone_of, std::uint32_t zone_count)
     : zone_of_(std::move(zone_of)),
@@ -98,8 +114,8 @@ std::size_t Topology::pair_index(ZoneId from, ZoneId to) const {
 }
 
 Topology& Topology::set_uniform_cost(Cost intra, Cost inter) {
-  if (intra < 0 || inter < 0)
-    throw std::invalid_argument("Topology: costs must be non-negative");
+  check_cost(intra);
+  check_cost(inter);
   for (ZoneId a = 0; a < zone_count_; ++a) {
     for (ZoneId b = 0; b < zone_count_; ++b) {
       cost_[pair_index(a, b)] = (a == b) ? intra : inter;
@@ -109,8 +125,7 @@ Topology& Topology::set_uniform_cost(Cost intra, Cost inter) {
 }
 
 Topology& Topology::set_cost(ZoneId from, ZoneId to, Cost cost) {
-  if (cost < 0)
-    throw std::invalid_argument("Topology: costs must be non-negative");
+  check_cost(cost);
   cost_[pair_index(from, to)] = cost;
   return *this;
 }

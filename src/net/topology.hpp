@@ -59,7 +59,9 @@ class Topology {
 
   // --- cost model (chainable setters) ---
 
-  /// cost(z, z) = intra for all z; cost(a, b) = inter for all a != b.
+  /// cost(z, z) = intra for all z; cost(a, b) = inter for all a != b. Costs
+  /// must lie in [0, flow::kMaxEdgeCost], the min-cost matcher's range;
+  /// both setters throw std::invalid_argument outside it.
   Topology& set_uniform_cost(Cost intra, Cost inter);
   /// Directed per-pair override (serving from `from` into `to`).
   Topology& set_cost(ZoneId from, ZoneId to, Cost cost);

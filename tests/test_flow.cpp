@@ -1,8 +1,16 @@
 // Unit tests for src/flow: Dinic max-flow, the connection-problem reduction
 // (cross-checked against CsrMatcher, the round loop's cost-blind matcher),
 // Hall checking, CsrMatcher's cross-round repair, and the min-cost matching
-// engine (successive shortest paths with potentials).
+// engine (successive shortest paths with potentials), checked path for path
+// against its textbook FlowNetwork form.
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <functional>
+#include <limits>
+#include <queue>
+#include <utility>
+#include <vector>
 
 #include "flow/bipartite.hpp"
 #include "flow/csr_matcher.hpp"
@@ -12,6 +20,7 @@
 #include "flow/hall.hpp"
 #include "flow/min_cost.hpp"
 #include "flow/verify.hpp"
+#include "obs/metrics.hpp"
 #include "util/rng.hpp"
 
 namespace f = p2pvod::flow;
@@ -513,6 +522,257 @@ TEST(MinCostMatcher, RejectsBadShapesAndNegativeCosts) {
                std::invalid_argument);
   EXPECT_THROW((void)f::min_cost_brute_force(p, {{-1}}),
                std::invalid_argument);
+}
+
+// A cost at or above the solver's "unreachable" distance used to make the
+// only augmenting path look absent: the matcher served 1 request where the
+// maximum is 2. Such a cost is now rejected, and kMaxEdgeCost itself is
+// solved exactly.
+TEST(MinCostMatcher, RejectsCostsAboveTheBoundAndSolvesAtIt) {
+  f::ConnectionProblem p(2);
+  p.set_capacity(0, 1);
+  p.set_capacity(1, 1);
+  p.add_request({0, 1});
+  p.add_request({0});
+  ASSERT_EQ(p.solve().served, 2u);
+  const f::EdgeCosts huge{{0, 3'000'000'000'000'000'000}, {0}};
+  EXPECT_THROW((void)f::MinCostMatcher::solve(p, huge), std::invalid_argument);
+  const f::EdgeCosts above{{0, f::kMaxEdgeCost + 1}, {0}};
+  EXPECT_THROW((void)f::MinCostMatcher::solve(p, above), std::invalid_argument);
+  const f::EdgeCosts bound{{0, f::kMaxEdgeCost}, {0}};
+  const auto at_bound = f::MinCostMatcher::solve(p, bound);
+  EXPECT_EQ(at_bound.match.served, 2u);
+  EXPECT_EQ(at_bound.match.assignment[0], 1);
+  EXPECT_EQ(at_bound.match.assignment[1], 0);
+  EXPECT_EQ(at_bound.total_cost, f::kMaxEdgeCost);
+}
+
+// Costs of 0 or kMaxEdgeCost on random instances: still exact against the
+// exhaustive reference, and still a maximum matching.
+TEST(MinCostMatcher, ExactWithCostsAtTheBound) {
+  p2pvod::util::Rng rng(16777216);
+  for (int trial = 0; trial < 60; ++trial) {
+    auto problem = random_problem(rng, 5, 6, 2, 0.45);
+    f::EdgeCosts costs(problem.request_count());
+    for (std::uint32_t r = 0; r < problem.request_count(); ++r) {
+      for (std::size_t j = 0; j < problem.candidates(r).size(); ++j)
+        costs[r].push_back(rng.next_bool(0.5) ? f::kMaxEdgeCost : 0);
+    }
+    const auto fast = f::MinCostMatcher::solve(problem, costs);
+    const auto slow = f::min_cost_brute_force(problem, costs);
+    ASSERT_EQ(fast.match.served, problem.solve().served) << "trial " << trial;
+    ASSERT_EQ(fast.match.served, slow.match.served) << "trial " << trial;
+    ASSERT_EQ(fast.total_cost, slow.total_cost) << "trial " << trial;
+    check_valid(problem, fast);
+  }
+}
+
+namespace {
+
+/// What the textbook solve did: its answer and the work it counted.
+struct ReferenceSsp {
+  f::MinCostResult result;
+  std::uint64_t augmentations = 0;
+  std::uint64_t potential_updates = 0;
+  std::vector<std::uint64_t> path_lengths;  ///< edges, one per augmentation
+};
+
+/// Successive shortest paths on a FlowNetwork, one Dijkstra per augmenting
+/// path with a lazy (distance, node) heap: the form MinCostMatcher had before
+/// its bipartite kernel, which must take the same paths in the same order.
+ReferenceSsp reference_ssp(const f::ConnectionProblem& problem,
+                           const f::EdgeCosts& costs) {
+  using f::Capacity;
+  using f::Cost;
+  using f::EdgeId;
+  using f::NodeId;
+  constexpr Cost kInfCost = std::numeric_limits<Cost>::max() / 4;
+  ReferenceSsp out;
+  bool all_zero = true;
+  for (const auto& row : costs) {
+    for (const Cost c : row) all_zero = all_zero && c == 0;
+  }
+  if (all_zero) {
+    out.result.match = problem.solve();
+    return out;
+  }
+
+  const std::uint32_t boxes = problem.box_count();
+  const std::uint32_t requests = problem.request_count();
+  f::FlowNetwork network(boxes + requests + 2);
+  const NodeId source = boxes + requests;
+  const NodeId sink = source + 1;
+
+  std::vector<Cost> edge_cost;
+  const auto add_edge = [&](NodeId from, NodeId to, Capacity cap, Cost cost) {
+    const EdgeId id = network.add_edge(from, to, cap);
+    edge_cost.resize(id + 2, 0);
+    edge_cost[id] = cost;
+    edge_cost[id + 1] = -cost;
+    return id;
+  };
+  for (std::uint32_t b = 0; b < boxes; ++b) {
+    if (problem.capacity(b) > 0) add_edge(source, b, problem.capacity(b), 0);
+  }
+  std::vector<std::vector<EdgeId>> request_box_edges(requests);
+  for (std::uint32_t r = 0; r < requests; ++r) {
+    const auto& candidates = problem.candidates(r);
+    for (std::size_t j = 0; j < candidates.size(); ++j) {
+      request_box_edges[r].push_back(
+          add_edge(candidates[j], boxes + r, 1, costs[r][j]));
+    }
+    add_edge(boxes + r, sink, 1, 0);
+  }
+
+  const NodeId nodes = network.node_count();
+  std::vector<Cost> potential(nodes, 0);
+  std::vector<Cost> dist(nodes);
+  std::vector<EdgeId> parent_edge(nodes);
+  std::vector<bool> settled(nodes);
+  for (;;) {
+    dist.assign(nodes, kInfCost);
+    settled.assign(nodes, false);
+    dist[source] = 0;
+    using Entry = std::pair<Cost, NodeId>;
+    std::priority_queue<Entry, std::vector<Entry>, std::greater<>> queue;
+    queue.push({0, source});
+    while (!queue.empty()) {
+      const auto [d, v] = queue.top();
+      queue.pop();
+      if (settled[v]) continue;
+      settled[v] = true;
+      for (const EdgeId e : network.adjacency(v)) {
+        if (network.residual(e) <= 0) continue;
+        const NodeId to = network.edge_to(e);
+        const Cost reduced = edge_cost[e] + potential[v] - potential[to];
+        if (dist[v] + reduced < dist[to]) {
+          dist[to] = dist[v] + reduced;
+          parent_edge[to] = e;
+          queue.push({dist[to], to});
+        }
+      }
+    }
+    if (dist[sink] >= kInfCost) break;
+    ++out.augmentations;
+    for (NodeId v = 0; v < nodes; ++v) {
+      if (dist[v] < kInfCost) {
+        potential[v] += dist[v];
+        ++out.potential_updates;
+      }
+    }
+    std::uint64_t path_edges = 0;
+    for (NodeId v = sink; v != source;) {
+      const EdgeId e = parent_edge[v];
+      network.push(e, 1);
+      v = network.edge_to(e ^ 1u);
+      ++path_edges;
+    }
+    out.path_lengths.push_back(path_edges);
+  }
+
+  out.result.match.assignment.assign(requests, -1);
+  for (std::uint32_t r = 0; r < requests; ++r) {
+    const auto& candidates = problem.candidates(r);
+    for (std::size_t j = 0; j < candidates.size(); ++j) {
+      if (network.flow_on(request_box_edges[r][j]) > 0) {
+        out.result.match.assignment[r] =
+            static_cast<std::int32_t>(candidates[j]);
+        out.result.total_cost += costs[r][j];
+        ++out.result.match.served;
+        break;
+      }
+    }
+  }
+  out.result.match.complete = (out.result.match.served == requests);
+  return out;
+}
+
+/// A random instance for the oracle test. `shape` picks the costs: 0..K for
+/// K in {1, 2, 3, 4, 100}, or (shape 5) 0/1 zone costs with box b in zone
+/// b % zones and each request in a random zone. Boxes have 0..5 slots. One
+/// instance in three has 0..150 requests, the rest 0..40, which keeps the
+/// quadratic reference affordable under the sanitizers. Candidate lists hold
+/// 0..7 boxes, may repeat a box, and are left in draw order for half the
+/// instances.
+std::pair<f::ConnectionProblem, f::EdgeCosts> oracle_instance(
+    p2pvod::util::Rng& rng, int shape) {
+  constexpr std::uint64_t kMaxCosts[] = {1, 2, 3, 4, 100};
+  const auto boxes = static_cast<std::uint32_t>(1 + rng.next_below(40));
+  const std::uint64_t span = rng.next_bool(1.0 / 3) ? 151 : 41;
+  const auto requests = static_cast<std::uint32_t>(rng.next_below(span));
+  const auto zones = static_cast<std::uint32_t>(1 + rng.next_below(12));
+  const bool sorted = rng.next_bool(0.5);
+  f::ConnectionProblem problem(boxes);
+  for (std::uint32_t b = 0; b < boxes; ++b)
+    problem.set_capacity(b, static_cast<std::uint32_t>(rng.next_below(6)));
+  f::EdgeCosts costs(requests);
+  for (std::uint32_t r = 0; r < requests; ++r) {
+    std::vector<std::uint32_t> candidates(rng.next_below(8));
+    for (auto& b : candidates)
+      b = static_cast<std::uint32_t>(rng.next_below(boxes));
+    if (sorted) std::sort(candidates.begin(), candidates.end());
+    const auto zone = rng.next_below(zones);
+    for (const std::uint32_t b : candidates) {
+      if (shape == 5) {
+        costs[r].push_back(b % zones == zone ? 0 : 1);
+      } else {
+        const auto cost = rng.next_below(kMaxCosts[shape] + 1);
+        costs[r].push_back(static_cast<f::Cost>(cost));
+      }
+    }
+    problem.add_request(std::move(candidates));
+  }
+  return {std::move(problem), std::move(costs)};
+}
+
+}  // namespace
+
+// The bipartite kernel must take the textbook solve's augmenting paths one
+// for one: same assignment (not just the same cost), same served count and
+// cost, and the same work counted in the flow/min_cost_* metrics.
+TEST(MinCostMatcher, FollowsTheTextbookSolvePathForPath) {
+  auto& registry = p2pvod::obs::MetricsRegistry::global();
+  auto& augmentations = registry.counter("flow/min_cost_augmentations");
+  auto& updates = registry.counter("flow/min_cost_potential_updates");
+  const std::vector<std::uint64_t> bounds = p2pvod::obs::pow2_bounds(8);
+  auto& lengths = registry.histogram("flow/min_cost_path_length", bounds);
+  const auto check = [&](const f::ConnectionProblem& problem,
+                         const f::EdgeCosts& costs, int trial) {
+    SCOPED_TRACE(trial);
+    const ReferenceSsp want = reference_ssp(problem, costs);
+    const std::uint64_t augmentations_before = augmentations.value();
+    const std::uint64_t updates_before = updates.value();
+    const std::uint64_t sum_before = lengths.sum();
+    std::vector<std::uint64_t> buckets = lengths.bucket_counts();
+    const f::MinCostResult got = f::MinCostMatcher::solve(problem, costs);
+
+    ASSERT_EQ(got.match.assignment, want.result.match.assignment);
+    ASSERT_EQ(got.match.served, want.result.match.served);
+    ASSERT_EQ(got.match.complete, want.result.match.complete);
+    ASSERT_EQ(got.total_cost, want.result.total_cost);
+    ASSERT_EQ(augmentations.value() - augmentations_before, want.augmentations);
+    ASSERT_EQ(updates.value() - updates_before, want.potential_updates);
+    // The path-length histogram gained exactly the reference's lengths.
+    p2pvod::obs::MetricsRegistry local;
+    auto& expected = local.histogram("lengths", bounds);
+    for (const std::uint64_t length : want.path_lengths)
+      expected.observe(length);
+    const std::vector<std::uint64_t> after = lengths.bucket_counts();
+    for (std::size_t i = 0; i < buckets.size(); ++i)
+      buckets[i] = after[i] - buckets[i];
+    ASSERT_EQ(buckets, expected.bucket_counts());
+    ASSERT_EQ(lengths.sum() - sum_before, expected.sum());
+  };
+
+  // No requests at all, with boxes and without.
+  check(f::ConnectionProblem(3), {}, -1);
+  check(f::ConnectionProblem(0), {}, -1);
+
+  p2pvod::util::Rng rng(6496);
+  for (int trial = 0; trial < 2400 && !HasFatalFailure(); ++trial) {
+    const auto [problem, costs] = oracle_instance(rng, trial % 6);
+    check(problem, costs, trial);
+  }
 }
 
 TEST(MinCostBruteForce, RejectsHugeInstances) {

@@ -9,6 +9,7 @@
 
 #include "alloc/allocation.hpp"
 #include "core/vod_system.hpp"
+#include "flow/min_cost.hpp"
 #include "model/capacity.hpp"
 #include "model/catalog.hpp"
 #include "net/topology.hpp"
@@ -19,6 +20,7 @@ namespace n = p2pvod::net;
 namespace s = p2pvod::sim;
 namespace m = p2pvod::model;
 namespace a = p2pvod::alloc;
+namespace f = p2pvod::flow;
 
 // ----------------------------------------------------------------- topology
 
@@ -104,6 +106,15 @@ TEST(Topology, RejectsBadArguments) {
   auto topo = n::Topology::uniform(4, 2);
   EXPECT_THROW(topo.set_cost(0, 5, 1), std::out_of_range);
   EXPECT_THROW(topo.set_cost(0, 1, -1), std::invalid_argument);
+  // The min-cost matcher's cost bound holds when the topology is built.
+  EXPECT_THROW(topo.set_cost(0, 1, f::kMaxEdgeCost + 1), std::invalid_argument);
+  EXPECT_THROW(topo.set_uniform_cost(0, f::kMaxEdgeCost + 1),
+               std::invalid_argument);
+  EXPECT_THROW(topo.set_uniform_cost(f::kMaxEdgeCost + 1, 0),
+               std::invalid_argument);
+  EXPECT_EQ(topo.set_uniform_cost(0, f::kMaxEdgeCost).cost(0, 1),
+            f::kMaxEdgeCost);
+  EXPECT_EQ(topo.set_cost(1, 0, f::kMaxEdgeCost).cost(1, 0), f::kMaxEdgeCost);
   EXPECT_THROW((void)topo.zone_of(99), std::out_of_range);
   EXPECT_THROW((void)topo.zone_size(7), std::out_of_range);
   EXPECT_THROW((void)topo.members(7), std::out_of_range);
