@@ -10,6 +10,7 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <span>
 #include <utility>
 
 #include "flow/bipartite.hpp"
@@ -79,7 +80,7 @@ void BM_CsrPointPatch(benchmark::State& state) {
         static_cast<std::uint32_t>(rng.next_below(problem.request_count()));
     const auto box = static_cast<std::uint32_t>(rng.next_below(boxes));
     csr.add_source(row, box);
-    benchmark::DoNotOptimize(csr.remove_source(row, box));
+    benchmark::DoNotOptimize(csr.remove_sources(row, std::span(&box, 1)));
     patches += 2;
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(patches));

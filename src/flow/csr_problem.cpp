@@ -82,19 +82,36 @@ void CsrProblem::add_source(std::uint32_t row, std::uint32_t box) {
   maybe_compact();
 }
 
-bool CsrProblem::remove_source(std::uint32_t row, std::uint32_t box) {
+std::uint32_t CsrProblem::remove_sources(
+    std::uint32_t row, std::span<const std::uint32_t> boxes) {
   RowRef& ref = rows_.at(row);
-  const std::uint32_t pos = lower_bound_in(ref, box);
-  if (pos >= ref.size || boxes_[ref.offset + pos] != box) return false;
-  const std::size_t at = static_cast<std::size_t>(ref.offset) + pos;
-  if (--counts_[at] > 0) return false;
-  std::copy(boxes_.begin() + at + 1, boxes_.begin() + ref.offset + ref.size,
-            boxes_.begin() + at);
-  std::copy(counts_.begin() + at + 1, counts_.begin() + ref.offset + ref.size,
-            counts_.begin() + at);
-  --ref.size;
-  --edges_;
-  return true;
+  if (boxes.empty()) return 0;
+  const auto row_boxes = boxes_.begin() + ref.offset;
+  const auto row_counts = counts_.begin() + ref.offset;
+  // Entries below the first box to drop stay put; from there on, each entry
+  // takes its drops and the survivors slide down over the boxes that left.
+  std::uint32_t read = lower_bound_in(ref, boxes.front());
+  std::uint32_t write = read;
+  std::size_t next = 0;
+  for (; read < ref.size && next < boxes.size(); ++read) {
+    const std::uint32_t box = row_boxes[read];
+    std::uint32_t count = row_counts[read];
+    while (next < boxes.size() && boxes[next] < box) ++next;  // misses
+    for (; next < boxes.size() && boxes[next] == box; ++next) {
+      if (count > 0) --count;
+    }
+    if (count == 0) continue;
+    row_boxes[write] = box;
+    row_counts[write] = count;
+    ++write;
+  }
+  const std::uint32_t left = read - write;
+  if (left == 0) return 0;
+  std::copy(row_boxes + read, row_boxes + ref.size, row_boxes + write);
+  std::copy(row_counts + read, row_counts + ref.size, row_counts + write);
+  ref.size -= left;
+  edges_ -= left;
+  return left;
 }
 
 void CsrProblem::remove_box(std::uint32_t row, std::uint32_t box) {

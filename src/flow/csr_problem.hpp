@@ -4,7 +4,8 @@
 // collection, sorting and deduplication even for requests whose candidate
 // set did not change. CsrProblem is the persistent alternative: one row per
 // request slot, kept alive across rounds and edited surgically as cache
-// grants arrive, retention windows expire and boxes churn.
+// grants arrive, retention windows expire (a round's expiries leave a row in
+// one merge pass) and boxes churn.
 //
 // Each row stores its candidate boxes sorted and unique, paired with a
 // *source count* — how many independent reasons (one static replica, each
@@ -46,12 +47,14 @@ class CsrProblem {
   /// increment when already present.
   void add_source(std::uint32_t row, std::uint32_t box);
 
-  /// Drop one source of `box` from `row`. Returns true when that was the
-  /// last source, i.e. the box just left the row. A miss (box not in the
-  /// row) is a tolerated no-op returning false: the row was rebuilt from
-  /// scratch after the source was recorded, which already folded the
-  /// removal in.
-  bool remove_source(std::uint32_t row, std::uint32_t box);
+  /// Drop one source of `row` per entry of `boxes` (sorted ascending;
+  /// repeats allowed, each occurrence one source) in one merge pass over the
+  /// row. A box whose count runs out leaves the row. Occurrences beyond a
+  /// box's count, and boxes not in the row, are tolerated no-ops: the row
+  /// was rebuilt from scratch after the source was recorded, which already
+  /// folded the removal in. Returns the number of boxes that left the row.
+  std::uint32_t remove_sources(std::uint32_t row,
+                               std::span<const std::uint32_t> boxes);
 
   /// Drop `box` from `row` entirely, whatever its count — every source it
   /// contributed died at once (the box went offline). Misses are no-ops.

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <stdexcept>
+#include <string>
 #include <type_traits>
 
 #include "flow/verify.hpp"
@@ -213,19 +214,35 @@ flow::ConnectionProblem Simulator::build_connection_problem() {
 }
 
 void Simulator::record_stall_witness() {
-  const flow::ConnectionProblem problem = build_connection_problem();
-  if (const auto witness = problem.infeasibility_witness())
-    report_.stall_witness_size = static_cast<std::uint32_t>(witness->size());
+  if (sparse_ == nullptr) {
+    const flow::ConnectionProblem problem = build_connection_problem();
+    if (const auto witness = problem.infeasibility_witness())
+      report_.stall_witness_size = static_cast<std::uint32_t>(witness->size());
+    return;
+  }
+  const std::vector<std::uint32_t> witness =
+      sparse_->hall_witness(capacity_slots_);
+  report_.stall_witness_size = static_cast<std::uint32_t>(witness.size());
+  if (!options_.verify_incremental) return;
+  // The dense min cut must name the same requests.
+  const auto dense = build_connection_problem().infeasibility_witness();
+  std::vector<std::uint32_t> expected;
+  if (dense) {
+    for (const std::uint32_t i : *dense) expected.push_back(live_.slot[i]);
+  }
+  std::sort(expected.begin(), expected.end());
+  if (witness != expected)
+    throw std::logic_error(
+        "Simulator: CSR Hall witness disagrees with the dense min cut");
 }
 
 std::uint32_t Simulator::solve_round_sparse() {
   const auto collect = [this](model::StripeId stripe, model::Round issue,
-                              model::BoxId requester,
                               std::vector<model::BoxId>& out) {
     for (const model::BoxId holder : allocation_.holders(stripe)) {
-      if (holder != requester && online_[holder]) out.push_back(holder);
+      if (online_[holder]) out.push_back(holder);
     }
-    cache_.collect_servers(stripe, issue, now_, requester, out);
+    cache_.collect_servers(stripe, issue, now_, model::kInvalidBox, out);
   };
   std::uint32_t served = 0;
   {
@@ -243,14 +260,24 @@ std::uint32_t Simulator::solve_round_sparse() {
 
   if (options_.verify_incremental) {
     // Reconstruct the round's dense problem from ground truth and validate
-    // the CSR assignment against it: membership and capacity violations
-    // surface here with the offending request named, an edge-count mismatch
-    // catches rows that drifted from ground truth, and a served-count
-    // mismatch against the Dinic oracle catches lost maximality.
+    // the CSR state against it: each row must hold exactly its request's
+    // candidates (a patch that drops the wrong box can keep the edge total),
+    // the maintained edge total must be their sum, membership and capacity
+    // violations surface with the offending request named, and a
+    // served-count mismatch against the Dinic oracle catches lost
+    // maximality.
     const flow::ConnectionProblem problem = build_connection_problem();
+    for (std::size_t i = 0; i < live_.size(); ++i) {
+      const auto row = sparse_->row(live_.slot[i]);
+      const auto& truth = problem.candidates(static_cast<std::uint32_t>(i));
+      if (!std::equal(row.begin(), row.end(), truth.begin(), truth.end()))
+        throw std::logic_error("Simulator: CSR row of request " +
+                               std::to_string(i) +
+                               " disagrees with ground truth");
+    }
     if (problem.edge_count() != sparse_->edge_count())
       throw std::logic_error(
-          "Simulator: CSR rows disagree with the dense problem's edges");
+          "Simulator: CSR edge total disagrees with the dense problem's");
     flow::MatchResult check;
     check.assignment.resize(live_.size());
     for (std::size_t i = 0; i < live_.size(); ++i)

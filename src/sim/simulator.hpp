@@ -53,9 +53,10 @@ struct Demand {
 
 struct SimulatorOptions {
   /// Cross-check every CSR round against the Dinic oracle on the round's
-  /// dense ConnectionProblem, rebuilt from ground truth: the assignment must
-  /// be structurally valid, serve as many requests as the oracle, and the
-  /// CSR rows must hold as many edges as the dense problem (tests;
+  /// dense ConnectionProblem, rebuilt from ground truth: every CSR row must
+  /// hold exactly its request's candidates, the assignment must be
+  /// structurally valid and serve as many requests as the oracle, and the
+  /// first stall's Hall witness must be the dense min cut's (tests;
   /// expensive).
   bool verify_incremental = false;
   /// Stop at the first unserved request (the paper's feasibility semantics).
@@ -179,8 +180,9 @@ class Simulator {
   /// The round's dense ConnectionProblem, collected from ground truth (also
   /// the reference the CSR verify path validates against).
   [[nodiscard]] flow::ConnectionProblem build_connection_problem();
-  /// Hall-violating witness for the first stall (rebuilds the round's
-  /// problem; runs once per run at most).
+  /// Hall-violating witness for the first stall (runs once per run at
+  /// most): read off the CSR matching, or the dense min cut on the zone
+  /// engine.
   void record_stall_witness();
   /// Link-cap enforcement: maps each candidate edge to its directed
   /// zone-pair group and delegates to flow::enforce_group_caps (pass-1

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <numeric>
 #include <stdexcept>
 
 #include "obs/trace.hpp"
@@ -14,7 +15,8 @@ SparseRoundState::SparseRoundState(std::uint32_t box_count,
     : matcher_(box_count),
       slots_of_stripe_(stripe_count),
       latest_issue_(stripe_count, std::numeric_limits<model::Round>::min()),
-      rebuild_fraction_(rebuild_fraction) {
+      rebuild_fraction_(rebuild_fraction),
+      stripe_group_(stripe_count, kNoGroup) {
   if (rebuild_fraction < 0.0)
     throw std::invalid_argument("SparseRoundState: rebuild_fraction < 0");
 }
@@ -119,44 +121,115 @@ void SparseRoundState::mark_dirty(std::uint32_t slot) {
   dirty_slots_.push_back(slot);
 }
 
-void SparseRoundState::rebuild_row(std::uint32_t slot,
-                                   const RowCollector& collect) {
-  const Slot& s = slots_[slot];
-  scratch_row_.clear();
-  collect(s.stripe, s.issue, s.requester, scratch_row_);
-  std::sort(scratch_row_.begin(), scratch_row_.end());
-  // Run-length encode: each occurrence of a box is one source.
-  scratch_boxes_.clear();
-  scratch_counts_.clear();
-  for (std::size_t i = 0; i < scratch_row_.size();) {
-    std::size_t j = i + 1;
-    while (j < scratch_row_.size() && scratch_row_[j] == scratch_row_[i]) ++j;
-    scratch_boxes_.push_back(scratch_row_[i]);
-    scratch_counts_.push_back(static_cast<std::uint32_t>(j - i));
-    i = j;
-  }
-  csr_.assign_row(slot, scratch_boxes_, scratch_counts_);
-  ++stats_.rows_built;
-  const std::int32_t assigned = matcher_.assignment(slot);
-  if (assigned >= 0 &&
-      !csr_.contains(slot, static_cast<std::uint32_t>(assigned)))
-    matcher_.unassign(slot);
-}
-
 void SparseRoundState::process_expiries(
     const std::vector<CacheExpiry>& expired) {
+  stats_.expiry_events += expired.size();
+  // Bucket by stripe in O(k): number each stripe at its first expiry and
+  // count, then scatter the expiries into one contiguous run per bucket.
+  bucket_start_.clear();
   for (const CacheExpiry& e : expired) {
-    ++stats_.expiry_events;
-    for (const std::uint32_t slot : slots_of_stripe_.at(e.stripe)) {
+    std::uint32_t& bucket = stripe_group_.at(e.stripe);
+    if (bucket == kNoGroup) {
+      bucket = static_cast<std::uint32_t>(bucket_start_.size());
+      bucket_start_.push_back(0);
+    }
+    ++bucket_start_[bucket];
+  }
+  std::partial_sum(bucket_start_.begin(), bucket_start_.end(),
+                   bucket_start_.begin());
+  bucketed_.resize(expired.size());
+  for (auto e = expired.rbegin(); e != expired.rend(); ++e)
+    bucketed_[--bucket_start_[stripe_group_[e->stripe]]] = *e;
+  bucket_start_.push_back(static_cast<std::uint32_t>(expired.size()));
+
+  for (std::size_t bucket = 0; bucket + 1 < bucket_start_.size(); ++bucket) {
+    const auto first = bucketed_.begin() + bucket_start_[bucket];
+    const auto last = bucketed_.begin() + bucket_start_[bucket + 1];
+    const model::StripeId stripe = first->stripe;
+    stripe_group_[stripe] = kNoGroup;
+    std::sort(first, last, [](const CacheExpiry& x, const CacheExpiry& y) {
+      return x.box < y.box;
+    });
+    for (const std::uint32_t slot : slots_of_stripe_[stripe]) {
       const Slot& s = slots_[slot];
       if (s.dirty) continue;
-      if (e.entry >= s.issue || e.box == s.requester) continue;
-      ++stats_.row_patches;
-      if (csr_.remove_source(slot, e.box) &&
-          matcher_.assignment(slot) == static_cast<std::int32_t>(e.box))
+      scratch_boxes_.clear();
+      for (auto e = first; e != last; ++e) {
+        if (e->entry < s.issue && e->box != s.requester)
+          scratch_boxes_.push_back(e->box);
+      }
+      stats_.row_patches += scratch_boxes_.size();
+      if (csr_.remove_sources(slot, scratch_boxes_) == 0) continue;
+      // Only a dropped box can have left the row.
+      const std::int32_t assigned = matcher_.assignment(slot);
+      if (assigned < 0) continue;
+      const auto server = static_cast<std::uint32_t>(assigned);
+      if (std::binary_search(scratch_boxes_.begin(), scratch_boxes_.end(),
+                             server) &&
+          !csr_.contains(slot, server))
         matcher_.unassign(slot);
     }
   }
+}
+
+const SparseRoundState::RowGroup& SparseRoundState::row_group(
+    model::StripeId stripe, model::Round issue, const RowCollector& collect) {
+  std::uint32_t* link = &stripe_group_[stripe];
+  while (*link != kNoGroup) {
+    const RowGroup& group = groups_[*link];
+    if (group.issue == issue) return group;
+    link = &groups_[*link].next;
+  }
+  *link = static_cast<std::uint32_t>(groups_.size());
+  scratch_row_.clear();
+  collect(stripe, issue, scratch_row_);
+  std::sort(scratch_row_.begin(), scratch_row_.end());
+  // Run-length encode: each occurrence of a box is one source.
+  RowGroup group{stripe, issue,
+                 static_cast<std::uint32_t>(group_boxes_.size()), 0, kNoGroup};
+  for (std::size_t i = 0; i < scratch_row_.size();) {
+    std::size_t j = i + 1;
+    while (j < scratch_row_.size() && scratch_row_[j] == scratch_row_[i]) ++j;
+    group_boxes_.push_back(scratch_row_[i]);
+    group_counts_.push_back(static_cast<std::uint32_t>(j - i));
+    i = j;
+  }
+  group.size = static_cast<std::uint32_t>(group_boxes_.size()) - group.begin;
+  groups_.push_back(group);
+  return groups_.back();
+}
+
+void SparseRoundState::rebuild_dirty(const RowCollector& collect) {
+  // Rebuild in ascending slot order: neither the result nor the pool layout
+  // depends on the arrival order of dirty marks.
+  std::sort(dirty_slots_.begin(), dirty_slots_.end());
+  groups_.clear();
+  group_boxes_.clear();
+  group_counts_.clear();
+  for (const std::uint32_t slot : dirty_slots_) {
+    Slot& s = slots_[slot];
+    if (!s.dirty) continue;  // duplicate queue entry
+    s.dirty = false;
+    if (!s.live) continue;  // retired while dirty; row already cleared
+    const RowGroup& group = row_group(s.stripe, s.issue, collect);
+    // The row is the group row minus the requester's own run.
+    scratch_boxes_.clear();
+    scratch_counts_.clear();
+    for (std::uint32_t i = group.begin; i < group.begin + group.size; ++i) {
+      if (group_boxes_[i] == s.requester) continue;
+      scratch_boxes_.push_back(group_boxes_[i]);
+      scratch_counts_.push_back(group_counts_[i]);
+    }
+    csr_.assign_row(slot, scratch_boxes_, scratch_counts_);
+    ++stats_.rows_built;
+    const std::int32_t assigned = matcher_.assignment(slot);
+    if (assigned >= 0 &&
+        !csr_.contains(slot, static_cast<std::uint32_t>(assigned)))
+      matcher_.unassign(slot);
+  }
+  for (const RowGroup& group : groups_) stripe_group_[group.stripe] = kNoGroup;
+  dirty_slots_.clear();
+  dirty_count_ = 0;
 }
 
 std::uint32_t SparseRoundState::solve(
@@ -183,18 +256,7 @@ std::uint32_t SparseRoundState::solve(
       }
     }
 
-    // Rebuild in ascending slot order: determinism does not depend on the
-    // arrival order of dirty marks.
-    std::sort(dirty_slots_.begin(), dirty_slots_.end());
-    for (const std::uint32_t slot : dirty_slots_) {
-      Slot& s = slots_[slot];
-      if (!s.dirty) continue;  // duplicate queue entry
-      s.dirty = false;
-      if (!s.live) continue;  // retired while dirty; row already cleared
-      rebuild_row(slot, collect);
-    }
-    dirty_slots_.clear();
-    dirty_count_ = 0;
+    rebuild_dirty(collect);
   }
 
   // Matching repair: everything still assigned is kept; only unmatched
@@ -216,6 +278,62 @@ std::uint32_t SparseRoundState::solve(
     }
   }
   return served;
+}
+
+std::vector<std::uint32_t> SparseRoundState::hall_witness(
+    std::span<const std::uint32_t> capacity) const {
+  std::vector<std::uint32_t> witness;
+  bool stalled = false;
+  for (std::uint32_t slot = 0; slot < slots_.size(); ++slot)
+    stalled = stalled || (slots_[slot].live && matcher_.assignment(slot) < 0);
+  if (!stalled) return witness;
+
+  // Box -> live rows listing it (a transpose of the CSR rows).
+  std::vector<std::uint32_t> first(capacity.size() + 1, 0);
+  for (std::uint32_t slot = 0; slot < slots_.size(); ++slot) {
+    if (!slots_[slot].live) continue;
+    for (const std::uint32_t box : csr_.row(slot)) ++first[box + 1];
+  }
+  std::partial_sum(first.begin(), first.end(), first.begin());
+  std::vector<std::uint32_t> rows_of(first.back());
+  std::vector<std::uint32_t> fill(first.begin(), first.end() - 1);
+  for (std::uint32_t slot = 0; slot < slots_.size(); ++slot) {
+    if (!slots_[slot].live) continue;
+    for (const std::uint32_t box : csr_.row(slot)) rows_of[fill[box]++] = slot;
+  }
+
+  // The source side of the residual graph: boxes with a spare slot, then
+  // every box serving a row that a reached box lists but does not serve.
+  std::vector<bool> reached(capacity.size(), false);
+  std::vector<std::uint32_t> queue;
+  for (std::uint32_t box = 0; box < capacity.size(); ++box) {
+    if (matcher_.degree(box) < capacity[box]) {
+      reached[box] = true;
+      queue.push_back(box);
+    }
+  }
+  for (std::size_t head = 0; head < queue.size(); ++head) {
+    const std::uint32_t box = queue[head];
+    for (std::uint32_t i = first[box]; i < first[box + 1]; ++i) {
+      const std::int32_t server = matcher_.assignment(rows_of[i]);
+      if (server < 0)
+        throw std::logic_error(
+            "SparseRoundState::hall_witness: matching is not maximum");
+      const auto serving = static_cast<std::uint32_t>(server);
+      if (serving == box || reached[serving]) continue;
+      reached[serving] = true;
+      queue.push_back(serving);
+    }
+  }
+
+  for (std::uint32_t slot = 0; slot < slots_.size(); ++slot) {
+    if (!slots_[slot].live) continue;
+    const auto row = csr_.row(slot);
+    if (std::none_of(row.begin(), row.end(),
+                     [&](std::uint32_t box) { return reached[box]; }))
+      witness.push_back(slot);
+  }
+  return witness;
 }
 
 }  // namespace p2pvod::sim

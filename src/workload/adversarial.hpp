@@ -12,6 +12,10 @@
 // experiment E2 sweeps u across the threshold with it.
 #pragma once
 
+#include <cstdint>
+#include <vector>
+
+#include "model/ids.hpp"
 #include "util/rng.hpp"
 #include "workload/demand.hpp"
 
@@ -36,6 +40,10 @@ class AvoiderAdversary final : public DemandGenerator {
   util::Rng rng_;
   Fallback fallback_;
   std::uint32_t max_per_round_;  ///< 0 = unlimited
+  // Scratch reused across boxes: the videos a box holds data of (ascending)
+  // and how many of their stripes it stores.
+  std::vector<model::VideoId> held_;
+  std::vector<std::uint32_t> held_stripes_;
 };
 
 }  // namespace p2pvod::workload

@@ -11,6 +11,7 @@
 #include <span>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "alloc/allocation.hpp"
@@ -72,21 +73,121 @@ TEST(CsrProblem, AddSourceKeepsRowsSortedUnique) {
   EXPECT_FALSE(csr.contains(0, 4));
 }
 
+namespace {
+
+/// remove_sources with a braced list of boxes.
+std::uint32_t remove(f::CsrProblem& csr, std::uint32_t row,
+                     std::vector<std::uint32_t> boxes) {
+  return csr.remove_sources(row, boxes);
+}
+
+std::vector<std::uint32_t> row_of(const f::CsrProblem& csr, std::uint32_t r) {
+  const auto row = csr.row(r);
+  return {row.begin(), row.end()};
+}
+
+}  // namespace
+
 TEST(CsrProblem, RemoveSourceHonorsCounts) {
   f::CsrProblem csr;
   csr.ensure_row(0);
   csr.add_source(0, 2);
   csr.add_source(0, 2);
   // First removal drops one of two sources: box 2 stays a candidate.
-  EXPECT_FALSE(csr.remove_source(0, 2));
+  EXPECT_EQ(remove(csr, 0, {2}), 0u);
   EXPECT_TRUE(csr.contains(0, 2));
   EXPECT_EQ(csr.edge_count(), 1u);
   // Second removal exhausts the count: the box leaves the row.
-  EXPECT_TRUE(csr.remove_source(0, 2));
+  EXPECT_EQ(remove(csr, 0, {2}), 1u);
   EXPECT_FALSE(csr.contains(0, 2));
   EXPECT_EQ(csr.edge_count(), 0u);
   // A miss is a tolerated no-op (the row was rebuilt since the grant).
-  EXPECT_FALSE(csr.remove_source(0, 7));
+  EXPECT_EQ(remove(csr, 0, {7}), 0u);
+  EXPECT_EQ(remove(csr, 0, {}), 0u);
+}
+
+TEST(CsrProblem, RemoveSourcesDropsEachBoxItsOwnCount) {
+  // Row {1:1, 3:2, 5:1, 8:3, 9:1}. One pass drops a source of 3, two of 5
+  // (one more than it has), one of 8 and all of 9, and misses 4 and 12:
+  // boxes 5 and 9 leave, 3 and 8 keep a source less, 1 is untouched.
+  f::CsrProblem csr;
+  csr.ensure_row(0);
+  const std::vector<std::uint32_t> boxes = {1, 3, 5, 8, 9};
+  const std::vector<std::uint32_t> counts = {1, 2, 1, 3, 1};
+  csr.assign_row(0, boxes, counts);
+  EXPECT_EQ(remove(csr, 0, {3, 4, 5, 5, 8, 9, 12}), 2u);
+  EXPECT_EQ(row_of(csr, 0), (std::vector<std::uint32_t>{1, 3, 8}));
+  EXPECT_EQ(csr.edge_count(), 3u);
+  // What is left holds one source of 3 and two of 8.
+  EXPECT_EQ(remove(csr, 0, {3, 8}), 1u);
+  EXPECT_EQ(row_of(csr, 0), (std::vector<std::uint32_t>{1, 8}));
+  EXPECT_EQ(remove(csr, 0, {8}), 1u);
+  EXPECT_EQ(row_of(csr, 0), (std::vector<std::uint32_t>{1}));
+  // Every box below, at and above the row's range, repeated: the row empties.
+  EXPECT_EQ(remove(csr, 0, {0, 1, 1, 2}), 1u);
+  EXPECT_EQ(csr.row(0).size(), 0u);
+  EXPECT_EQ(csr.edge_count(), 0u);
+}
+
+TEST(CsrProblem, RemoveSourcesMatchesOneOccurrenceAtATime) {
+  // Random rows and random sorted batches with repeats and misses: one
+  // merge pass must leave what dropping the batch's occurrences one at a
+  // time leaves (a per-box count that falls to zero drops the box, and a
+  // drop of an absent box is a no-op), touch no other row, and report how
+  // many boxes left.
+  p2pvod::util::Rng rng(0x5EB47C4);
+  constexpr std::uint32_t kRows = 8;
+  f::CsrProblem csr;
+  csr.ensure_row(kRows - 1);
+  std::vector<std::map<std::uint32_t, std::uint32_t>> truth(kRows);
+  std::uint32_t left_total = 0;
+  for (std::uint32_t step = 0; step < 3000; ++step) {
+    const auto r = static_cast<std::uint32_t>(rng.next_below(kRows));
+    const auto universe = static_cast<std::uint32_t>(rng.next_between(1, 40));
+    if (rng.next_bool(0.5)) {
+      const auto adds = rng.next_below(12);
+      for (std::uint64_t i = 0; i < adds; ++i) {
+        const auto box = static_cast<std::uint32_t>(rng.next_below(universe));
+        csr.add_source(r, box);
+        ++truth[r][box];
+      }
+      continue;
+    }
+    std::vector<std::uint32_t> batch(rng.next_below(10));
+    for (auto& box : batch)
+      box = static_cast<std::uint32_t>(rng.next_below(universe));
+    std::sort(batch.begin(), batch.end());
+    std::uint32_t left = 0;
+    for (const std::uint32_t box : batch) {
+      const auto it = truth[r].find(box);
+      if (it == truth[r].end()) continue;
+      if (--it->second == 0) {
+        truth[r].erase(it);
+        ++left;
+      }
+    }
+    EXPECT_EQ(csr.remove_sources(r, batch), left) << "step " << step;
+    left_total += left;
+    for (std::uint32_t row = 0; row < kRows; ++row) {
+      std::vector<std::uint32_t> expected;
+      for (const auto& [box, count] : truth[row]) expected.push_back(box);
+      ASSERT_EQ(row_of(csr, row), expected) << "step " << step;
+    }
+  }
+  // The counts, not only the membership: drain every row one box at a time.
+  std::uint64_t edges = 0;
+  for (std::uint32_t r = 0; r < kRows; ++r) {
+    edges += truth[r].size();
+    for (const auto& [box, count] : truth[r]) {
+      const std::vector<std::uint32_t> all(count, box);
+      EXPECT_EQ(csr.remove_sources(r, std::span(all).first(count - 1)), 0u);
+      EXPECT_EQ(remove(csr, r, {box}), 1u);
+    }
+    EXPECT_EQ(csr.row(r).size(), 0u);
+  }
+  EXPECT_GT(left_total, 100u);
+  EXPECT_GT(edges, 0u);
+  EXPECT_EQ(csr.edge_count(), 0u);
 }
 
 TEST(CsrProblem, RemoveBoxDropsAllSourcesAtOnce) {
@@ -116,8 +217,8 @@ TEST(CsrProblem, AssignRowReplacesAndClearRowEmpties) {
   EXPECT_TRUE(csr.contains(1, 4));
   EXPECT_EQ(csr.edge_count(), 3u);
   // Counted membership survives the bulk assignment.
-  EXPECT_FALSE(csr.remove_source(1, 4));
-  EXPECT_TRUE(csr.remove_source(1, 4));
+  EXPECT_EQ(remove(csr, 1, {4}), 0u);
+  EXPECT_EQ(remove(csr, 1, {4}), 1u);
   csr.clear_row(1);
   EXPECT_EQ(csr.row(1).size(), 0u);
   EXPECT_EQ(csr.edge_count(), 0u);
@@ -141,12 +242,12 @@ TEST(CsrProblem, RelocationAndCompactionStress) {
       csr.add_source(r, box);
       ++truth[r][box];
     } else if (roll < 0.98) {
-      const bool left = csr.remove_source(r, box);
+      const std::uint32_t left = remove(csr, r, {box});
       auto it = truth[r].find(box);
       if (it == truth[r].end()) {
-        EXPECT_FALSE(left);
+        EXPECT_EQ(left, 0u);
       } else {
-        EXPECT_EQ(left, it->second == 1);
+        EXPECT_EQ(left, it->second == 1 ? 1u : 0u);
         if (--it->second == 0) truth[r].erase(it);
       }
     } else {
@@ -509,9 +610,9 @@ TEST(SparseRoundState, ExpiryRetiresCacheSources) {
   s::CacheIndex cache(3, 1, /*window=*/3);
   m::Round now = 0;
   const auto collect = [&](m::StripeId stripe, m::Round issue,
-                           m::BoxId requester, std::vector<m::BoxId>& out) {
-    if (requester != 2) out.push_back(2);
-    cache.collect_servers(stripe, issue, now, requester, out);
+                           std::vector<m::BoxId>& out) {
+    out.push_back(2);
+    cache.collect_servers(stripe, issue, now, m::kInvalidBox, out);
   };
   const std::vector<std::uint32_t> cap = {4, 4, 4};
   std::vector<s::CacheExpiry> expired;
@@ -546,9 +647,8 @@ TEST(SparseRoundState, GrantWalksRowsOnlyWhenOneIsIssuedAfterItsEntry) {
   // and records no span. One entered at round 2 patches the row issued at 3.
   s::SparseRoundState state(/*box_count=*/4, /*stripe_count=*/2,
                             /*rebuild_fraction=*/0.5);
-  const auto collect = [](m::StripeId, m::Round, m::BoxId requester,
-                          std::vector<m::BoxId>& out) {
-    if (requester != 3) out.push_back(3);
+  const auto collect = [](m::StripeId, m::Round, std::vector<m::BoxId>& out) {
+    out.push_back(3);
   };
   const std::vector<std::uint32_t> cap = {4, 4, 4, 4};
   std::vector<s::CacheExpiry> no_expiries;
@@ -580,7 +680,7 @@ TEST(SparseRoundState, GrantWalksRowsOnlyWhenOneIsIssuedAfterItsEntry) {
 
 TEST(SparseRoundState, DirtyFractionTriggersFullRebuild) {
   s::SparseRoundState state(4, 2, /*rebuild_fraction=*/0.0);
-  const auto collect = [&](m::StripeId stripe, m::Round, m::BoxId,
+  const auto collect = [&](m::StripeId stripe, m::Round,
                            std::vector<m::BoxId>& out) {
     out.push_back(stripe == 0 ? 2u : 3u);
   };
@@ -599,6 +699,96 @@ TEST(SparseRoundState, DirtyFractionTriggersFullRebuild) {
   EXPECT_EQ(state.stats().full_rebuilds, 1u);
   EXPECT_EQ(state.stats().rows_built, 7u);  // 3 + all 4 live rows
   EXPECT_EQ(state.live_rows(), 4u);
+}
+
+TEST(SparseRoundState, RowsOfOneStripeAndIssueShareOneCollection) {
+  // Three requests of stripe 0 issued at round 1 and one issued at round 2:
+  // two collections. Each row is its group's sources minus the requester's
+  // own (box 1 holds two sources of the group, and requests it too).
+  s::SparseRoundState state(/*box_count=*/6, /*stripe_count=*/1,
+                            /*rebuild_fraction=*/0.5);
+  std::vector<std::pair<m::StripeId, m::Round>> calls;
+  const auto collect = [&](m::StripeId stripe, m::Round issue,
+                           std::vector<m::BoxId>& out) {
+    calls.emplace_back(stripe, issue);
+    for (const m::BoxId box : {4u, 1u, 3u, 1u}) out.push_back(box);
+  };
+  const std::vector<std::uint32_t> cap = {0, 1, 1, 1, 1, 0};
+  std::vector<s::CacheExpiry> none;
+  const auto a = state.add_request(/*stripe=*/0, /*issue=*/1, /*requester=*/1);
+  const auto b = state.add_request(0, 1, /*requester=*/5);
+  const auto later = state.add_request(0, 2, /*requester=*/3);
+  const auto c = state.add_request(0, 1, /*requester=*/3);
+  EXPECT_EQ(state.solve(none, cap, collect), 3u);
+  EXPECT_EQ(calls.size(), 2u);
+  const auto row = [&](std::uint32_t slot) {
+    const auto boxes = state.row(slot);
+    return std::vector<std::uint32_t>(boxes.begin(), boxes.end());
+  };
+  EXPECT_EQ(row(a), (std::vector<std::uint32_t>{3, 4}));
+  EXPECT_EQ(row(b), (std::vector<std::uint32_t>{1, 3, 4}));
+  EXPECT_EQ(row(c), (std::vector<std::uint32_t>{1, 4}));
+  EXPECT_EQ(row(later), (std::vector<std::uint32_t>{1, 4}));
+  EXPECT_EQ(state.stats().rows_built, 4u);
+  EXPECT_EQ(state.edge_count(), 9u);
+  // Box 1's two sources are both in request b's row: one expiry leaves it.
+  std::vector<s::CacheExpiry> expired = {{0, 1, 0}};
+  EXPECT_EQ(state.solve(expired, cap, collect), 3u);
+  EXPECT_EQ(row(b), (std::vector<std::uint32_t>{1, 3, 4}));
+  expired = {{0, 1, 0}};
+  (void)state.solve(expired, cap, collect);
+  EXPECT_EQ(row(b), (std::vector<std::uint32_t>{3, 4}));
+  EXPECT_EQ(calls.size(), 2u);  // no row was dirty again
+}
+
+TEST(SparseRoundState, HallWitnessIsTheDenseMinCut) {
+  // Random rows, each request on its own stripe so the collector hands it
+  // its own sources (repeats and the requester's included), over boxes of
+  // capacity 0 to 3. After the solve, the witness read off the matching
+  // must be the request set the dense min cut names.
+  p2pvod::util::Rng rng(0x4A11);
+  std::uint32_t stalled = 0;
+  for (int trial = 0; trial < 400; ++trial) {
+    const auto boxes = static_cast<std::uint32_t>(rng.next_between(1, 12));
+    const auto rows = static_cast<std::uint32_t>(rng.next_between(1, 30));
+    std::vector<std::uint32_t> cap(boxes);
+    for (auto& slots : cap) slots = static_cast<std::uint32_t>(rng.next_below(4));
+    std::vector<std::vector<m::BoxId>> sources(rows);
+    s::SparseRoundState state(boxes, rows, 0.5);
+    f::ConnectionProblem dense(boxes);
+    dense.set_capacities(cap);
+    const double density = 0.05 + 0.4 * rng.next_double();
+    for (std::uint32_t r = 0; r < rows; ++r) {
+      const auto requester = static_cast<m::BoxId>(rng.next_below(boxes));
+      std::vector<std::uint32_t> candidates;
+      for (m::BoxId box = 0; box < boxes; ++box) {
+        if (!rng.next_bool(density)) continue;
+        sources[r].push_back(box);
+        if (rng.next_bool(0.2)) sources[r].push_back(box);
+        if (box != requester) candidates.push_back(box);
+      }
+      std::reverse(sources[r].begin(), sources[r].end());
+      dense.add_request(std::move(candidates));
+      ASSERT_EQ(state.add_request(r, 0, requester), r);
+    }
+    const auto collect = [&](m::StripeId stripe, m::Round,
+                             std::vector<m::BoxId>& out) {
+      out.insert(out.end(), sources[stripe].begin(), sources[stripe].end());
+    };
+    std::vector<s::CacheExpiry> none;
+    const std::uint32_t served = state.solve(none, cap, collect);
+    ASSERT_EQ(served, dense.solve().served) << "trial " << trial;
+    ASSERT_EQ(state.edge_count(), dense.edge_count()) << "trial " << trial;
+    const auto expected = dense.infeasibility_witness();
+    const auto witness = state.hall_witness(cap);
+    if (!expected.has_value()) {
+      EXPECT_TRUE(witness.empty()) << "trial " << trial;
+      continue;
+    }
+    ++stalled;
+    EXPECT_EQ(witness, *expected) << "trial " << trial;
+  }
+  EXPECT_GT(stalled, 150u);
 }
 
 // ------------------------------------------- churn capacity ±delta (bugfix)
@@ -863,6 +1053,106 @@ TEST(SparseTwins, StrictThresholdAdversaries) {
   // Both outcomes occur at the threshold, so both paths get checked.
   EXPECT_GT(stalled, 0u);
   EXPECT_LT(stalled, 6u);
+}
+
+TEST(SparseTwins, AdversariesAcrossSeeds) {
+  // The flash crowd shares one video's stripes among every viewer, so its
+  // rounds expire many entries of one stripe at once and rebuild many rows
+  // of one (stripe, issue); the avoider spreads its viewers over many
+  // videos. Both, strict and not, with and without churn, over many seeds:
+  // every round checks each batched expiry and grouped rebuild against
+  // ground truth, row by row.
+  std::uint32_t runs = 0;
+  std::uint64_t expiries = 0;
+  for (const Audience audience : {Audience::kFlashCrowd, Audience::kAvoider}) {
+    for (const bool strict : {true, false}) {
+      for (const double fail_prob : {0.0, 0.03}) {
+        for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+          TwinConfig cfg;
+          cfg.boxes = 40;
+          cfg.videos = 40;
+          cfg.storage = 4.0;
+          cfg.replicas = 4;
+          cfg.upload = 1.0;
+          cfg.duration = 8;
+          cfg.rounds = 40;
+          cfg.audience = audience;
+          cfg.seed = seed;
+          cfg.fail_prob = fail_prob;
+          cfg.outage = 3;
+          cfg.options.strict = strict;
+          SCOPED_TRACE("audience " +
+                       std::to_string(static_cast<int>(audience)) +
+                       " strict " + std::to_string(strict) + " churn " +
+                       std::to_string(fail_prob) + " seed " +
+                       std::to_string(seed));
+          expiries += run_twins(cfg).expiry_events;
+          ++runs;
+        }
+      }
+    }
+  }
+  EXPECT_EQ(runs, 64u);
+  EXPECT_GT(expiries, 1000u);
+}
+
+TEST(SparseTwins, StallWitnessIsTheDenseMinCut) {
+  // verify_incremental checks the first stall's witness, read off the CSR
+  // matching, against the dense min cut of the same round, request for
+  // request. Five stall-prone configurations over many seeds: strict flash
+  // crowds and avoiders at u <= 1, a tight Zipf audience, Zipf under churn
+  // (offline boxes; not strict, so later rounds keep running), and Zipf
+  // over capacity overrides with zero-capacity boxes.
+  std::uint32_t stalls = 0;
+  for (std::uint64_t seed = 1; seed <= 240; ++seed) {
+    for (int kind = 0; kind < 5; ++kind) {
+      TwinConfig cfg;
+      cfg.boxes = 24;
+      cfg.videos = 24;  // ⌊d·n/k⌋
+      cfg.storage = 4.0;
+      cfg.replicas = 4;
+      cfg.duration = 8;
+      cfg.rounds = 16;
+      cfg.seed = seed * 8 + static_cast<std::uint64_t>(kind);
+      cfg.upload = 1.0;
+      cfg.options.strict = true;
+      switch (kind) {
+        case 0:
+          cfg.audience = Audience::kFlashCrowd;
+          cfg.upload = 0.75;
+          break;
+        case 1:
+          cfg.audience = Audience::kAvoider;
+          cfg.upload = 0.75;
+          break;
+        case 2:
+          cfg.upload = 0.75;
+          cfg.alpha = 1.2;
+          cfg.demand_prob = 0.9;
+          break;
+        case 3:
+          cfg.upload = 0.75;
+          cfg.demand_prob = 0.6;
+          cfg.fail_prob = 0.05;
+          cfg.outage = 3;
+          cfg.options.strict = false;
+          break;
+        default:
+          cfg.demand_prob = 0.6;
+          cfg.options.capacity_override.resize(cfg.boxes);
+          for (std::uint32_t b = 0; b < cfg.boxes; ++b)
+            cfg.options.capacity_override[b] = b % 4 == 0 ? 0 : 1 + b % 3;
+          break;
+      }
+      SCOPED_TRACE("kind " + std::to_string(kind) + " seed " +
+                   std::to_string(seed));
+      const s::RunReport report = run_twins(cfg);
+      if (report.first_stall < 0) continue;
+      ++stalls;
+      EXPECT_GT(report.stall_witness_size, 0u);
+    }
+  }
+  EXPECT_GE(stalls, 1000u);
 }
 
 // ------------------------------------------------------------ engine choice

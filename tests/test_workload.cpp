@@ -5,9 +5,13 @@
 #include <limits>
 #include <set>
 #include <sstream>
+#include <string>
+#include <vector>
 
+#include "alloc/allocation.hpp"
 #include "alloc/permutation.hpp"
 #include "sim/simulator.hpp"
+#include "util/rng.hpp"
 #include "workload/adversarial.hpp"
 #include "workload/distinct.hpp"
 #include "workload/flash_crowd.hpp"
@@ -91,6 +95,118 @@ TEST(Avoider, RespectsPerRoundCap) {
   w::AvoiderAdversary adversary(9, w::AvoiderAdversary::Fallback::kStaySilent,
                                 /*max per round=*/3);
   EXPECT_LE(adversary.demands(world.simulator).size(), 3u);
+}
+
+namespace {
+
+/// The avoider as it scanned every video of every idle box: one
+/// box_has_video_data search per video, and one box_has per stripe for the
+/// fallback. The reference the stored-stripe walk must follow draw for draw.
+class ReferenceAvoider final : public w::DemandGenerator {
+ public:
+  using Fallback = w::AvoiderAdversary::Fallback;
+  ReferenceAvoider(std::uint64_t seed, Fallback fallback,
+                   std::uint32_t max_demands_per_round)
+      : rng_(seed), fallback_(fallback), max_per_round_(max_demands_per_round) {}
+
+  std::vector<s::Demand> demands(const s::Simulator& sim) override {
+    std::vector<s::Demand> out;
+    const m::Catalog& catalog = sim.catalog();
+    const a::Allocation& allocation = sim.allocation();
+    const std::uint32_t videos = catalog.video_count();
+    std::uint32_t emitted = 0;
+    for (const m::BoxId b : w::idle_boxes(sim)) {
+      if (max_per_round_ != 0 && emitted >= max_per_round_) break;
+      std::vector<m::VideoId> missing;
+      for (m::VideoId v = 0; v < videos; ++v) {
+        if (!allocation.box_has_video_data(b, catalog, v)) missing.push_back(v);
+      }
+      if (!missing.empty()) {
+        out.push_back({b, missing[rng_.next_below(missing.size())]});
+        ++emitted;
+        continue;
+      }
+      if (fallback_ == Fallback::kStaySilent) continue;
+      m::VideoId best = 0;
+      std::uint32_t best_count = catalog.stripes_per_video() + 1;
+      for (m::VideoId v = 0; v < videos; ++v) {
+        std::uint32_t count = 0;
+        for (std::uint32_t i = 0; i < catalog.stripes_per_video(); ++i) {
+          if (allocation.box_has(b, catalog.stripe_id(v, i))) ++count;
+        }
+        if (count < best_count) {
+          best_count = count;
+          best = v;
+        }
+      }
+      out.push_back({b, best});
+      ++emitted;
+    }
+    return out;
+  }
+  [[nodiscard]] std::string name() const override { return "reference"; }
+
+ private:
+  p2pvod::util::Rng rng_;
+  Fallback fallback_;
+  std::uint32_t max_per_round_;
+};
+
+}  // namespace
+
+TEST(Avoider, FollowsTheVideoScanDrawForDraw) {
+  // Random placements, duplicates included, dense enough that some boxes
+  // hold data of every video (the fallback) and sparse enough that others
+  // hold none. Each round both generators see the same simulator; the
+  // rewrite must emit the same demands and leave its RNG where the scan
+  // left it.
+  p2pvod::util::Rng world_rng(0xA701DE);
+  std::size_t demands = 0;
+  std::size_t fallbacks = 0;
+  for (int world = 0; world < 80; ++world) {
+    const auto n = static_cast<std::uint32_t>(world_rng.next_between(2, 20));
+    const auto videos =
+        static_cast<std::uint32_t>(world_rng.next_between(1, 10));
+    const auto c = static_cast<std::uint32_t>(world_rng.next_between(1, 4));
+    const m::Catalog catalog(videos, c, world_rng.next_between(2, 6));
+    const double density = world_rng.next_double();
+    std::vector<a::Allocation::Placement> placements;
+    for (m::BoxId b = 0; b < n; ++b) {
+      for (m::StripeId stripe = 0; stripe < videos * c; ++stripe) {
+        if (!world_rng.next_bool(density)) continue;
+        placements.push_back({b, stripe});
+        if (world_rng.next_bool(0.1)) placements.push_back({b, stripe});
+      }
+    }
+    const a::Allocation allocation(n, videos * c, std::move(placements));
+    const auto profile = m::CapacityProfile::homogeneous(n, 2.0, 8.0);
+    for (const auto fallback : {w::AvoiderAdversary::Fallback::kStaySilent,
+                                w::AvoiderAdversary::Fallback::kLeastLocalData}) {
+      const std::uint64_t seed = world_rng();
+      const auto cap = static_cast<std::uint32_t>(world % 3);
+      w::AvoiderAdversary avoider(seed, fallback, cap);
+      ReferenceAvoider reference(seed, fallback, cap);
+      s::PreloadingStrategy strategy;
+      s::SimulatorOptions options;
+      options.strict = false;
+      s::Simulator sim(catalog, profile, allocation, strategy, options);
+      for (int round = 0; round < 10; ++round) {
+        const auto got = avoider.demands(sim);
+        const auto want = reference.demands(sim);
+        ASSERT_EQ(got.size(), want.size()) << "world " << world;
+        for (std::size_t i = 0; i < got.size(); ++i) {
+          EXPECT_EQ(got[i].box, want[i].box) << "world " << world;
+          ASSERT_EQ(got[i].video, want[i].video) << "world " << world;
+          if (allocation.box_has_video_data(got[i].box, catalog, got[i].video))
+            ++fallbacks;
+        }
+        demands += got.size();
+        sim.step(got);
+      }
+    }
+  }
+  EXPECT_GT(demands, 1000u);
+  EXPECT_GT(fallbacks, 50u);
 }
 
 // ----------------------------------------------------------------- flash crowd
