@@ -59,12 +59,12 @@ void CsrProblem::assign_row(std::uint32_t row,
   maybe_compact();
 }
 
-void CsrProblem::add_source(std::uint32_t row, std::uint32_t box) {
+bool CsrProblem::add_source(std::uint32_t row, std::uint32_t box) {
   RowRef& ref = rows_.at(row);
   const std::uint32_t pos = lower_bound_in(ref, box);
   if (pos < ref.size && boxes_[ref.offset + pos] == box) {
     ++counts_[ref.offset + pos];
-    return;
+    return false;
   }
   if (ref.size == ref.capacity) relocate(row, ref.size + slack_for(ref.size));
   RowRef& placed = rows_[row];
@@ -80,10 +80,12 @@ void CsrProblem::add_source(std::uint32_t row, std::uint32_t box) {
   ++placed.size;
   ++edges_;
   maybe_compact();
+  return true;
 }
 
 std::uint32_t CsrProblem::remove_sources(
-    std::uint32_t row, std::span<const std::uint32_t> boxes) {
+    std::uint32_t row, std::span<const std::uint32_t> boxes,
+    std::vector<std::uint32_t>* left) {
   RowRef& ref = rows_.at(row);
   if (boxes.empty()) return 0;
   const auto row_boxes = boxes_.begin() + ref.offset;
@@ -100,24 +102,27 @@ std::uint32_t CsrProblem::remove_sources(
     for (; next < boxes.size() && boxes[next] == box; ++next) {
       if (count > 0) --count;
     }
-    if (count == 0) continue;
+    if (count == 0) {
+      if (left != nullptr) left->push_back(box);
+      continue;
+    }
     row_boxes[write] = box;
     row_counts[write] = count;
     ++write;
   }
-  const std::uint32_t left = read - write;
-  if (left == 0) return 0;
+  const std::uint32_t gone = read - write;
+  if (gone == 0) return 0;
   std::copy(row_boxes + read, row_boxes + ref.size, row_boxes + write);
   std::copy(row_counts + read, row_counts + ref.size, row_counts + write);
-  ref.size -= left;
-  edges_ -= left;
-  return left;
+  ref.size -= gone;
+  edges_ -= gone;
+  return gone;
 }
 
-void CsrProblem::remove_box(std::uint32_t row, std::uint32_t box) {
+bool CsrProblem::remove_box(std::uint32_t row, std::uint32_t box) {
   RowRef& ref = rows_.at(row);
   const std::uint32_t pos = lower_bound_in(ref, box);
-  if (pos >= ref.size || boxes_[ref.offset + pos] != box) return;
+  if (pos >= ref.size || boxes_[ref.offset + pos] != box) return false;
   const std::size_t at = static_cast<std::size_t>(ref.offset) + pos;
   std::copy(boxes_.begin() + at + 1, boxes_.begin() + ref.offset + ref.size,
             boxes_.begin() + at);
@@ -125,6 +130,7 @@ void CsrProblem::remove_box(std::uint32_t row, std::uint32_t box) {
             counts_.begin() + at);
   --ref.size;
   --edges_;
+  return true;
 }
 
 bool CsrProblem::contains(std::uint32_t row, std::uint32_t box) const {

@@ -2,10 +2,13 @@
 //
 // Rebuilding a ConnectionProblem from scratch every round costs O(edges) of
 // collection, sorting and deduplication even for requests whose candidate
-// set did not change. CsrProblem is the persistent alternative: one row per
-// request slot, kept alive across rounds and edited surgically as cache
-// grants arrive, retention windows expire (a round's expiries leave a row in
-// one merge pass) and boxes churn.
+// set did not change. CsrProblem is the persistent alternative: rows kept
+// alive across rounds and edited surgically as cache grants arrive,
+// retention windows expire (a round's expiries leave a row in one merge
+// pass) and boxes churn. The round engine keeps one row per live swarm
+// class, the requests of one stripe issued in one round: they share every
+// source, so CsrMatcher reads the class's row for each of them (see
+// sim/sparse_round.hpp).
 //
 // Each row stores its candidate boxes sorted and unique, paired with a
 // *source count* — how many independent reasons (one static replica, each
@@ -19,8 +22,8 @@
 // parallel vectors). In-place edits shift within the row's capacity; growth
 // beyond it relocates the row to the pool tail with slack (amortized O(1)
 // per insert), and the pool compacts itself once more than half of it is
-// abandoned spans. A cleared row keeps its span, so the next request on a
-// recycled slot refills it in place instead of relocating.
+// abandoned spans. A cleared row keeps its span, so the next class on a
+// recycled row refills it in place instead of relocating.
 #pragma once
 
 #include <cstdint>
@@ -35,7 +38,7 @@ class CsrProblem {
 
   /// Grow the row table so `row` is addressable; new rows are empty.
   void ensure_row(std::uint32_t row);
-  /// Empty `row`. Its pool span is kept for the slot's next request.
+  /// Empty `row`. Its pool span is kept for the row's next use.
   void clear_row(std::uint32_t row);
 
   /// Replace `row`'s contents. `boxes` must be sorted unique and `counts`
@@ -44,21 +47,25 @@ class CsrProblem {
                   std::span<const std::uint32_t> counts);
 
   /// Add one source of `box` to `row`: a sorted insert when absent, a count
-  /// increment when already present.
-  void add_source(std::uint32_t row, std::uint32_t box);
+  /// increment when already present. Returns true when `box` entered the
+  /// row.
+  bool add_source(std::uint32_t row, std::uint32_t box);
 
   /// Drop one source of `row` per entry of `boxes` (sorted ascending;
   /// repeats allowed, each occurrence one source) in one merge pass over the
   /// row. A box whose count runs out leaves the row. Occurrences beyond a
   /// box's count, and boxes not in the row, are tolerated no-ops: the row
   /// was rebuilt from scratch after the source was recorded, which already
-  /// folded the removal in. Returns the number of boxes that left the row.
+  /// folded the removal in. Returns the number of boxes that left the row,
+  /// and appends them, ascending, to `left` when it is non-null.
   std::uint32_t remove_sources(std::uint32_t row,
-                               std::span<const std::uint32_t> boxes);
+                               std::span<const std::uint32_t> boxes,
+                               std::vector<std::uint32_t>* left = nullptr);
 
   /// Drop `box` from `row` entirely, whatever its count — every source it
   /// contributed died at once (the box went offline). Misses are no-ops.
-  void remove_box(std::uint32_t row, std::uint32_t box);
+  /// Returns true when `box` left the row.
+  bool remove_box(std::uint32_t row, std::uint32_t box);
 
   [[nodiscard]] bool contains(std::uint32_t row, std::uint32_t box) const;
   /// Sorted unique candidate boxes of row `r`.
@@ -66,7 +73,7 @@ class CsrProblem {
   [[nodiscard]] std::uint32_t row_count() const noexcept {
     return static_cast<std::uint32_t>(rows_.size());
   }
-  /// Live (request, box) incidences over all rows: the matcher edge count.
+  /// Stored (row, box) incidences over all rows.
   [[nodiscard]] std::uint64_t edge_count() const noexcept { return edges_; }
   /// Pool slots currently allocated (diagnostics; includes abandoned spans).
   [[nodiscard]] std::size_t pool_size() const noexcept { return boxes_.size(); }

@@ -48,11 +48,13 @@ struct RunReport {
 
   // --- candidate-construction accounting ---
   /// Candidate rows collected from ground truth. The zone-aware dense path
-  /// pays one per live request per round; the CSR engine only for dirtied
-  /// rows.
+  /// pays one per live request per round; the CSR engine one per swarm
+  /// class (the live requests of one stripe issued in one round).
   std::uint64_t rows_built = 0;
   std::uint64_t row_patches = 0;          ///< surgical CSR row edits
-  std::uint64_t sparse_full_rebuilds = 0; ///< dirty-fraction fallback trips
+  /// Always 0: the CSR engine has no full-rebuild fallback any more. Kept
+  /// because the benchmark reads it.
+  std::uint64_t sparse_full_rebuilds = 0;
   /// Cache retention-window expiry events processed (CSR engine only).
   std::uint64_t expiry_events = 0;
 

@@ -64,9 +64,8 @@ Simulator::Simulator(const model::Catalog& catalog,
         "Simulator: sparse engine cannot honor a topology (cost-aware "
         "matching is dense-only)");
   if (options_.topology == nullptr) {
-    sparse_ = std::make_unique<SparseRoundState>(
-        profile_.size(), catalog_.stripe_count(),
-        options_.sparse_rebuild_fraction);
+    sparse_ = std::make_unique<SparseRoundState>(profile_.size(),
+                                                 catalog_.stripe_count());
   }
 }
 
@@ -255,7 +254,6 @@ std::uint32_t Simulator::solve_round_sparse() {
   report_.new_connections = stats.new_connections;
   report_.rows_built = stats.rows_built;
   report_.row_patches = stats.row_patches;
-  report_.sparse_full_rebuilds = stats.full_rebuilds;
   report_.expiry_events = stats.expiry_events;
 
   if (options_.verify_incremental) {

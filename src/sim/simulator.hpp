@@ -78,10 +78,6 @@ struct SimulatorOptions {
   /// Inert: the topology picks the engine. Setting it together with a
   /// topology throws std::invalid_argument (the CSR engine is cost-blind).
   bool sparse = false;
-  /// Dirty-row fraction above which the CSR engine rebuilds every row from
-  /// ground truth instead of patching (patch bookkeeping stops paying once
-  /// most rows changed anyway).
-  double sparse_rebuild_fraction = 0.5;
 };
 
 class Simulator {

@@ -10,21 +10,68 @@
 namespace p2pvod::sim {
 
 SparseRoundState::SparseRoundState(std::uint32_t box_count,
-                                   std::uint32_t stripe_count,
-                                   double rebuild_fraction)
+                                   std::uint32_t stripe_count)
     : matcher_(box_count),
-      slots_of_stripe_(stripe_count),
+      first_class_of_(stripe_count, kNone),
+      first_request_of_(box_count, kNone),
       latest_issue_(stripe_count, std::numeric_limits<model::Round>::min()),
-      rebuild_fraction_(rebuild_fraction),
-      stripe_group_(stripe_count, kNoGroup) {
-  if (rebuild_fraction < 0.0)
-    throw std::invalid_argument("SparseRoundState: rebuild_fraction < 0");
+      stripe_bucket_(stripe_count, kNone) {}
+
+template <typename Record>
+void SparseRoundState::link(std::vector<Record>& records, Link Record::*list,
+                            std::uint32_t& head, std::uint32_t id) {
+  records[id].*list = Link{kNone, head};
+  if (head != kNone) (records[head].*list).prev = id;
+  head = id;
+}
+
+template <typename Record>
+void SparseRoundState::unlink(std::vector<Record>& records, Link Record::*list,
+                              std::uint32_t& head, std::uint32_t id) {
+  const Link out = records[id].*list;
+  if (out.prev != kNone) {
+    (records[out.prev].*list).next = out.next;
+  } else {
+    head = out.next;
+  }
+  if (out.next != kNone) (records[out.next].*list).prev = out.prev;
+}
+
+std::uint32_t SparseRoundState::class_of(model::StripeId stripe,
+                                         model::Round issue) {
+  // Requests arrive in issue order, and the newest class comes first.
+  std::uint32_t& first = first_class_of_[stripe];
+  for (std::uint32_t cls = first; cls != kNone;
+       cls = classes_[cls].peers.next) {
+    if (classes_[cls].issue == issue) return cls;
+  }
+  std::uint32_t cls = 0;
+  if (!free_classes_.empty()) {
+    cls = free_classes_.back();
+    free_classes_.pop_back();
+  } else {
+    cls = static_cast<std::uint32_t>(classes_.size());
+    classes_.emplace_back();
+    csr_.ensure_row(cls);
+  }
+  SwarmClass& c = classes_[cls];
+  c.stripe = stripe;
+  c.issue = issue;
+  c.live = true;
+  link(classes_, &SwarmClass::peers, first, cls);
+  // A class dropped before its first solve is still queued.
+  if (!c.dirty) {
+    c.dirty = true;
+    dirty_classes_.push_back(cls);
+  }
+  return cls;
 }
 
 std::uint32_t SparseRoundState::add_request(model::StripeId stripe,
                                             model::Round issue,
                                             model::BoxId requester) {
-  if (stripe >= slots_of_stripe_.size())
+  if (stripe >= first_class_of_.size() ||
+      requester >= first_request_of_.size())
     throw std::out_of_range("SparseRoundState::add_request");
   std::uint32_t slot = 0;
   if (!free_slots_.empty()) {
@@ -33,17 +80,24 @@ std::uint32_t SparseRoundState::add_request(model::StripeId stripe,
   } else {
     slot = static_cast<std::uint32_t>(slots_.size());
     slots_.emplace_back();
-    csr_.ensure_row(slot);
     matcher_.ensure_rows(slot + 1);
   }
-  auto& by_stripe = slots_of_stripe_[stripe];
-  slots_[slot] = Slot{stripe, issue, requester,
-                      static_cast<std::uint32_t>(by_stripe.size()),
-                      /*live=*/true, /*dirty=*/slots_[slot].dirty};
-  by_stripe.push_back(slot);
+  const std::uint32_t cls = class_of(stripe, issue);
+  SwarmClass& c = classes_[cls];
+  slots_[slot].cls = cls;
+  slots_[slot].requester = requester;
+  slots_[slot].live = true;
+  link(slots_, &Slot::member, c.first_member, slot);
+  ++c.members;
+  link(slots_, &Slot::request, first_request_of_[requester], slot);
+  matcher_.bind(slot, cls, requester);
+  if (!c.dirty) {  // joins a built row as it stands
+    const bool self = csr_.contains(cls, requester);
+    slots_[slot].self = self;
+    edges_ += csr_.row(cls).size() - (self ? 1 : 0);
+  }
   latest_issue_[stripe] = std::max(latest_issue_[stripe], issue);
   ++live_count_;
-  mark_dirty(slot);
   return slot;
 }
 
@@ -52,32 +106,66 @@ void SparseRoundState::remove_request(std::uint32_t slot) {
   if (!s.live)
     throw std::logic_error("SparseRoundState::remove_request: slot not live");
   matcher_.unassign(slot);
-  csr_.clear_row(slot);
-  // Swap-pop out of the stripe's slot list; fix the moved slot's back-link.
-  auto& by_stripe = slots_of_stripe_[s.stripe];
-  const std::uint32_t moved = by_stripe.back();
-  by_stripe[s.stripe_pos] = moved;
-  slots_[moved].stripe_pos = s.stripe_pos;
-  by_stripe.pop_back();
-  s.live = false;  // a queued dirty flag survives; rebuilds skip dead slots
+  const std::uint32_t cls = s.cls;
+  SwarmClass& c = classes_[cls];
+  if (!c.dirty) edges_ -= csr_.row(cls).size() - (s.self ? 1 : 0);
+  s.live = false;
+  s.self = false;
+  unlink(slots_, &Slot::member, c.first_member, slot);
+  --c.members;
+  unlink(slots_, &Slot::request, first_request_of_[s.requester], slot);
   free_slots_.push_back(slot);
   --live_count_;
+  if (c.members == 0) drop_class(cls);
+}
+
+void SparseRoundState::drop_class(std::uint32_t cls) {
+  SwarmClass& c = classes_[cls];
+  csr_.clear_row(cls);
+  unlink(classes_, &SwarmClass::peers, first_class_of_[c.stripe], cls);
+  c.live = false;  // a queued dirty flag survives; the build skips dead ones
+  free_classes_.push_back(cls);
+}
+
+std::uint32_t SparseRoundState::own_requests(std::uint32_t cls,
+                                             model::BoxId box, bool self) {
+  std::uint32_t count = 0;
+  for (std::uint32_t slot = first_request_of_[box]; slot != kNone;
+       slot = slots_[slot].request.next) {
+    if (slots_[slot].cls != cls) continue;
+    slots_[slot].self = self;
+    ++count;
+  }
+  return count;
+}
+
+void SparseRoundState::box_entered(std::uint32_t cls, model::BoxId box) {
+  edges_ += classes_[cls].members - own_requests(cls, box, true);
+}
+
+void SparseRoundState::box_left(std::uint32_t cls, model::BoxId box) {
+  edges_ -= classes_[cls].members - own_requests(cls, box, false);
+  scratch_unassigned_.clear();
+  for (const std::uint32_t slot : matcher_.servings(box)) {
+    if (slots_[slot].cls == cls) scratch_unassigned_.push_back(slot);
+  }
+  for (const std::uint32_t slot : scratch_unassigned_) matcher_.unassign(slot);
 }
 
 void SparseRoundState::on_grant(model::StripeId stripe, model::BoxId box,
                                 model::Round entry) {
-  if (stripe >= slots_of_stripe_.size())
+  if (stripe >= first_class_of_.size() || box >= first_request_of_.size())
     throw std::out_of_range("SparseRoundState::on_grant");
-  // Only a row issued after the entry gains the box as a source.
+  // Only a class issued after the entry gains the box as a source.
   if (entry >= latest_issue_[stripe]) return;
   OBS_SPAN("sim/sparse_grant_patch");
-  for (const std::uint32_t slot : slots_of_stripe_[stripe]) {
-    const Slot& s = slots_[slot];
-    if (s.dirty) continue;  // rebuild will collect it from ground truth
-    if (entry < s.issue && box != s.requester) {
-      csr_.add_source(slot, box);
-      ++stats_.row_patches;
-    }
+  for (std::uint32_t cls = first_class_of_[stripe]; cls != kNone;
+       cls = classes_[cls].peers.next) {
+    const SwarmClass& c = classes_[cls];
+    // A class not built yet collects the grant from ground truth.
+    if (c.dirty || entry >= c.issue) continue;
+    if (csr_.add_source(cls, box)) box_entered(cls, box);
+    ++stats_.row_patches;
   }
 }
 
@@ -89,9 +177,10 @@ void SparseRoundState::on_box_offline(model::BoxId box,
   matcher_.unassign_box(box, scratch_unassigned_);
   const auto strip = [&](std::span<const model::StripeId> stripes) {
     for (const model::StripeId stripe : stripes) {
-      for (const std::uint32_t slot : slots_of_stripe_.at(stripe)) {
-        if (slots_[slot].dirty) continue;
-        csr_.remove_box(slot, box);  // miss (e.g. own request) is a no-op
+      for (std::uint32_t cls = first_class_of_.at(stripe); cls != kNone;
+           cls = classes_[cls].peers.next) {
+        if (classes_[cls].dirty) continue;
+        if (csr_.remove_box(cls, box)) box_left(cls, box);  // a miss: no-op
         ++stats_.row_patches;
       }
     }
@@ -104,21 +193,13 @@ void SparseRoundState::on_box_online(model::BoxId box,
                                      std::span<const model::StripeId> stored) {
   OBS_SPAN("sim/sparse_churn_patch");
   for (const model::StripeId stripe : stored) {
-    for (const std::uint32_t slot : slots_of_stripe_.at(stripe)) {
-      const Slot& s = slots_[slot];
-      if (s.dirty || s.requester == box) continue;
-      csr_.add_source(slot, box);
+    for (std::uint32_t cls = first_class_of_.at(stripe); cls != kNone;
+         cls = classes_[cls].peers.next) {
+      if (classes_[cls].dirty) continue;
+      if (csr_.add_source(cls, box)) box_entered(cls, box);
       ++stats_.row_patches;
     }
   }
-}
-
-void SparseRoundState::mark_dirty(std::uint32_t slot) {
-  Slot& s = slots_[slot];
-  if (s.dirty) return;
-  s.dirty = true;
-  ++dirty_count_;
-  dirty_slots_.push_back(slot);
 }
 
 void SparseRoundState::process_expiries(
@@ -128,8 +209,8 @@ void SparseRoundState::process_expiries(
   // count, then scatter the expiries into one contiguous run per bucket.
   bucket_start_.clear();
   for (const CacheExpiry& e : expired) {
-    std::uint32_t& bucket = stripe_group_.at(e.stripe);
-    if (bucket == kNoGroup) {
+    std::uint32_t& bucket = stripe_bucket_.at(e.stripe);
+    if (bucket == kNone) {
       bucket = static_cast<std::uint32_t>(bucket_start_.size());
       bucket_start_.push_back(0);
     }
@@ -139,97 +220,67 @@ void SparseRoundState::process_expiries(
                    bucket_start_.begin());
   bucketed_.resize(expired.size());
   for (auto e = expired.rbegin(); e != expired.rend(); ++e)
-    bucketed_[--bucket_start_[stripe_group_[e->stripe]]] = *e;
+    bucketed_[--bucket_start_[stripe_bucket_[e->stripe]]] = *e;
   bucket_start_.push_back(static_cast<std::uint32_t>(expired.size()));
 
   for (std::size_t bucket = 0; bucket + 1 < bucket_start_.size(); ++bucket) {
     const auto first = bucketed_.begin() + bucket_start_[bucket];
     const auto last = bucketed_.begin() + bucket_start_[bucket + 1];
     const model::StripeId stripe = first->stripe;
-    stripe_group_[stripe] = kNoGroup;
+    stripe_bucket_[stripe] = kNone;
     std::sort(first, last, [](const CacheExpiry& x, const CacheExpiry& y) {
       return x.box < y.box;
     });
-    for (const std::uint32_t slot : slots_of_stripe_[stripe]) {
-      const Slot& s = slots_[slot];
-      if (s.dirty) continue;
+    for (std::uint32_t cls = first_class_of_[stripe]; cls != kNone;
+         cls = classes_[cls].peers.next) {
+      const SwarmClass& c = classes_[cls];
+      if (c.dirty) continue;
       scratch_boxes_.clear();
       for (auto e = first; e != last; ++e) {
-        if (e->entry < s.issue && e->box != s.requester)
-          scratch_boxes_.push_back(e->box);
+        if (e->entry < c.issue) scratch_boxes_.push_back(e->box);
       }
       stats_.row_patches += scratch_boxes_.size();
-      if (csr_.remove_sources(slot, scratch_boxes_) == 0) continue;
-      // Only a dropped box can have left the row.
-      const std::int32_t assigned = matcher_.assignment(slot);
-      if (assigned < 0) continue;
-      const auto server = static_cast<std::uint32_t>(assigned);
-      if (std::binary_search(scratch_boxes_.begin(), scratch_boxes_.end(),
-                             server) &&
-          !csr_.contains(slot, server))
-        matcher_.unassign(slot);
+      scratch_left_.clear();
+      csr_.remove_sources(cls, scratch_boxes_, &scratch_left_);
+      for (const model::BoxId box : scratch_left_) box_left(cls, box);
     }
   }
 }
 
-const SparseRoundState::RowGroup& SparseRoundState::row_group(
-    model::StripeId stripe, model::Round issue, const RowCollector& collect) {
-  std::uint32_t* link = &stripe_group_[stripe];
-  while (*link != kNoGroup) {
-    const RowGroup& group = groups_[*link];
-    if (group.issue == issue) return group;
-    link = &groups_[*link].next;
-  }
-  *link = static_cast<std::uint32_t>(groups_.size());
-  scratch_row_.clear();
-  collect(stripe, issue, scratch_row_);
-  std::sort(scratch_row_.begin(), scratch_row_.end());
-  // Run-length encode: each occurrence of a box is one source.
-  RowGroup group{stripe, issue,
-                 static_cast<std::uint32_t>(group_boxes_.size()), 0, kNoGroup};
-  for (std::size_t i = 0; i < scratch_row_.size();) {
-    std::size_t j = i + 1;
-    while (j < scratch_row_.size() && scratch_row_[j] == scratch_row_[i]) ++j;
-    group_boxes_.push_back(scratch_row_[i]);
-    group_counts_.push_back(static_cast<std::uint32_t>(j - i));
-    i = j;
-  }
-  group.size = static_cast<std::uint32_t>(group_boxes_.size()) - group.begin;
-  groups_.push_back(group);
-  return groups_.back();
-}
-
-void SparseRoundState::rebuild_dirty(const RowCollector& collect) {
-  // Rebuild in ascending slot order: neither the result nor the pool layout
-  // depends on the arrival order of dirty marks.
-  std::sort(dirty_slots_.begin(), dirty_slots_.end());
-  groups_.clear();
-  group_boxes_.clear();
-  group_counts_.clear();
-  for (const std::uint32_t slot : dirty_slots_) {
-    Slot& s = slots_[slot];
-    if (!s.dirty) continue;  // duplicate queue entry
-    s.dirty = false;
-    if (!s.live) continue;  // retired while dirty; row already cleared
-    const RowGroup& group = row_group(s.stripe, s.issue, collect);
-    // The row is the group row minus the requester's own run.
+void SparseRoundState::build_classes(const RowCollector& collect) {
+  for (const std::uint32_t cls : dirty_classes_) {
+    SwarmClass& c = classes_[cls];
+    c.dirty = false;
+    if (!c.live) continue;  // dropped before its first solve
+    scratch_row_.clear();
+    collect(c.stripe, c.issue, scratch_row_);
+    std::sort(scratch_row_.begin(), scratch_row_.end());
+    // Run-length encode: each occurrence of a box is one source.
     scratch_boxes_.clear();
     scratch_counts_.clear();
-    for (std::uint32_t i = group.begin; i < group.begin + group.size; ++i) {
-      if (group_boxes_[i] == s.requester) continue;
-      scratch_boxes_.push_back(group_boxes_[i]);
-      scratch_counts_.push_back(group_counts_[i]);
+    for (std::size_t i = 0; i < scratch_row_.size();) {
+      std::size_t j = i + 1;
+      while (j < scratch_row_.size() && scratch_row_[j] == scratch_row_[i])
+        ++j;
+      scratch_boxes_.push_back(scratch_row_[i]);
+      scratch_counts_.push_back(static_cast<std::uint32_t>(j - i));
+      i = j;
     }
-    csr_.assign_row(slot, scratch_boxes_, scratch_counts_);
+    csr_.assign_row(cls, scratch_boxes_, scratch_counts_);
     ++stats_.rows_built;
-    const std::int32_t assigned = matcher_.assignment(slot);
-    if (assigned >= 0 &&
-        !csr_.contains(slot, static_cast<std::uint32_t>(assigned)))
-      matcher_.unassign(slot);
+    // Members are new: none is assigned yet.
+    std::uint64_t edges =
+        static_cast<std::uint64_t>(c.members) * scratch_boxes_.size();
+    for (std::uint32_t slot = c.first_member; slot != kNone;
+         slot = slots_[slot].member.next) {
+      Slot& s = slots_[slot];
+      s.self = std::binary_search(scratch_boxes_.begin(), scratch_boxes_.end(),
+                                  s.requester);
+      if (s.self) --edges;
+    }
+    edges_ += edges;
   }
-  for (const RowGroup& group : groups_) stripe_group_[group.stripe] = kNoGroup;
-  dirty_slots_.clear();
-  dirty_count_ = 0;
+  dirty_classes_.clear();
 }
 
 std::uint32_t SparseRoundState::solve(
@@ -243,20 +294,7 @@ std::uint32_t SparseRoundState::solve(
 
   {
     OBS_SPAN("sim/sparse_rebuild");
-    // Fallback: past the threshold, patch bookkeeping costs more than honest
-    // collection — rebuild everything. (Equality keeps the all-new first
-    // round counted as a plain rebuild of each row, not a "fallback".)
-    if (live_count_ > 0 &&
-        static_cast<double>(dirty_count_) >
-            rebuild_fraction_ * static_cast<double>(live_count_) &&
-        dirty_count_ < live_count_) {
-      ++stats_.full_rebuilds;
-      for (std::uint32_t slot = 0; slot < slots_.size(); ++slot) {
-        if (slots_[slot].live) mark_dirty(slot);
-      }
-    }
-
-    rebuild_dirty(collect);
+    build_classes(collect);
   }
 
   // Matching repair: everything still assigned is kept; only unmatched
@@ -264,20 +302,32 @@ std::uint32_t SparseRoundState::solve(
   // matching yields a maximum matching.
   OBS_SPAN("sim/sparse_augment");
   std::uint32_t served = 0;
+  matcher_.begin_pass();
   for (std::uint32_t slot = 0;
        slot < static_cast<std::uint32_t>(slots_.size()); ++slot) {
-    if (!slots_[slot].live) continue;
-    if (matcher_.assignment(slot) >= 0) {
+    if (matcher_.assignment(slot) >= 0) {  // a retired slot is unassigned
       ++served;
       ++stats_.kept_connections;
       continue;
     }
+    if (!slots_[slot].live) continue;
     if (matcher_.augment(csr_, capacity, slot)) {
       ++served;
       ++stats_.new_connections;
     }
   }
+  matcher_.end_pass();
   return served;
+}
+
+std::vector<std::uint32_t> SparseRoundState::row(std::uint32_t slot) const {
+  const Slot& s = slots_.at(slot);
+  std::vector<std::uint32_t> boxes;
+  if (!s.live) return boxes;
+  for (const std::uint32_t box : csr_.row(s.cls)) {
+    if (box != s.requester) boxes.push_back(box);
+  }
+  return boxes;
 }
 
 std::vector<std::uint32_t> SparseRoundState::hall_witness(
@@ -288,22 +338,24 @@ std::vector<std::uint32_t> SparseRoundState::hall_witness(
     stalled = stalled || (slots_[slot].live && matcher_.assignment(slot) < 0);
   if (!stalled) return witness;
 
-  // Box -> live rows listing it (a transpose of the CSR rows).
+  // Box -> live classes listing it (a transpose of the class rows).
+  const auto classes = static_cast<std::uint32_t>(classes_.size());
   std::vector<std::uint32_t> first(capacity.size() + 1, 0);
-  for (std::uint32_t slot = 0; slot < slots_.size(); ++slot) {
-    if (!slots_[slot].live) continue;
-    for (const std::uint32_t box : csr_.row(slot)) ++first[box + 1];
+  for (std::uint32_t cls = 0; cls < classes; ++cls) {
+    if (!classes_[cls].live) continue;
+    for (const std::uint32_t box : csr_.row(cls)) ++first[box + 1];
   }
   std::partial_sum(first.begin(), first.end(), first.begin());
-  std::vector<std::uint32_t> rows_of(first.back());
+  std::vector<std::uint32_t> classes_of(first.back());
   std::vector<std::uint32_t> fill(first.begin(), first.end() - 1);
-  for (std::uint32_t slot = 0; slot < slots_.size(); ++slot) {
-    if (!slots_[slot].live) continue;
-    for (const std::uint32_t box : csr_.row(slot)) rows_of[fill[box]++] = slot;
+  for (std::uint32_t cls = 0; cls < classes; ++cls) {
+    if (!classes_[cls].live) continue;
+    for (const std::uint32_t box : csr_.row(cls)) classes_of[fill[box]++] = cls;
   }
 
   // The source side of the residual graph: boxes with a spare slot, then
-  // every box serving a row that a reached box lists but does not serve.
+  // every box serving a request that a reached box is a candidate of but
+  // does not serve.
   std::vector<bool> reached(capacity.size(), false);
   std::vector<std::uint32_t> queue;
   for (std::uint32_t box = 0; box < capacity.size(); ++box) {
@@ -315,22 +367,36 @@ std::vector<std::uint32_t> SparseRoundState::hall_witness(
   for (std::size_t head = 0; head < queue.size(); ++head) {
     const std::uint32_t box = queue[head];
     for (std::uint32_t i = first[box]; i < first[box + 1]; ++i) {
-      const std::int32_t server = matcher_.assignment(rows_of[i]);
-      if (server < 0)
-        throw std::logic_error(
-            "SparseRoundState::hall_witness: matching is not maximum");
-      const auto serving = static_cast<std::uint32_t>(server);
-      if (serving == box || reached[serving]) continue;
-      reached[serving] = true;
-      queue.push_back(serving);
+      for (std::uint32_t slot = classes_[classes_of[i]].first_member;
+           slot != kNone; slot = slots_[slot].member.next) {
+        if (slots_[slot].requester == box) continue;  // not its candidate
+        const std::int32_t server = matcher_.assignment(slot);
+        if (server < 0)
+          throw std::logic_error(
+              "SparseRoundState::hall_witness: matching is not maximum");
+        const auto serving = static_cast<std::uint32_t>(server);
+        if (serving == box || reached[serving]) continue;
+        reached[serving] = true;
+        queue.push_back(serving);
+      }
     }
   }
 
+  // X: the requests whose class row holds no reached box but, at most,
+  // their own requester.
+  std::vector<std::uint32_t> reached_in(classes, 0);
+  for (std::uint32_t cls = 0; cls < classes; ++cls) {
+    if (!classes_[cls].live) continue;
+    const auto row = csr_.row(cls);
+    reached_in[cls] = static_cast<std::uint32_t>(
+        std::count_if(row.begin(), row.end(),
+                      [&](std::uint32_t box) { return reached[box]; }));
+  }
   for (std::uint32_t slot = 0; slot < slots_.size(); ++slot) {
-    if (!slots_[slot].live) continue;
-    const auto row = csr_.row(slot);
-    if (std::none_of(row.begin(), row.end(),
-                     [&](std::uint32_t box) { return reached[box]; }))
+    const Slot& s = slots_[slot];
+    if (!s.live) continue;
+    const std::uint32_t count = reached_in[s.cls];
+    if (count == 0 || (count == 1 && s.self && reached[s.requester]))
       witness.push_back(slot);
   }
   return witness;

@@ -5,36 +5,43 @@
 // unique) and re-deriving the matching costs O(live requests) even when
 // nothing changed. SparseRoundState instead owns a flow::CsrProblem whose
 // rows persist across rounds and a flow::CsrMatcher whose matching persists
-// across rounds, and maintains both by deltas:
+// across rounds, and maintains both by deltas.
 //
-//   - a cache grant point-inserts one source into the live rows of its
-//     stripe;
+// A row belongs to a swarm class, not to a request. By the §2.2
+// availability rule every request for stripe s issued at round t has the
+// same sources: the online static holders of s plus the in-window cache
+// entries of s entered before t. So the live requests of one (stripe,
+// issue) form a class with one sorted, source-counted row that holds every
+// source, requesters included. The row is collected from ground truth
+// (RowCollector) once, at the first solve after the class's first request
+// arrives, and dropped with its last request; requests that join a built
+// class read its row as it stands. Deltas patch classes:
+//
+//   - a cache grant point-inserts one source into the classes of its stripe
+//     issued after the entry;
 //   - the expiries CacheIndex::prune reports are consumed at the next solve,
-//     batched by stripe: they are bucketed per stripe in O(k), and each
-//     clean row of the stripe drops all of its eligible boxes (entry before
-//     its issue, not its requester) in one merge pass
-//     (CsrProblem::remove_sources), one source per expiry;
+//     batched by stripe: they are bucketed per stripe in O(k), and each built
+//     class of the stripe drops its eligible boxes (entry before its issue)
+//     in one merge pass (CsrProblem::remove_sources), one source per expiry;
 //   - box churn bulk-removes (offline) or re-adds (online) the box across
-//     the rows of the stripes it stores/caches (the cache never reports an
-//     entry that died with its box);
-//   - request arrival marks its new row dirty; dirty rows are rebuilt from
-//     ground truth at the next solve, in ascending slot order. Requests of
-//     one stripe issued in the same round share every source except the
-//     requester's own, so the collector (RowCollector) is called once per
-//     (stripe, issue) group and returns the group's sources with no
-//     requester excluded; the group row is sorted and run-length encoded
-//     once, and each row is that group row minus its requester's run. When
-//     the dirty fraction crosses a threshold the whole table is rebuilt
-//     instead (patching would cost more than collecting).
+//     the classes of the stripes it stores/caches (the cache never reports
+//     an entry that died with its box).
 //
-// Invariant tying it together: a row's per-box source count always equals
-// the number of ground-truth reasons the box can serve that request (static
-// replica while online, plus each in-window cache entry with entry < issue).
-// Every source is added exactly once (insert or rebuild) and retired exactly
-// once (its reported expiry, an offline bulk-removal, or the row's rebuild
-// folding it in), so rows never drift from what a from-scratch collection
-// would produce — the equivalence the simulator's verify path asserts, row
-// by row.
+// The matching stays per request. The matcher reads each request's class
+// row through a slot → row index and skips the request's own requester,
+// which can be a source of its own class (a §4 relay re-requesting a stripe
+// it caches): a request's candidates are its class row minus its requester,
+// exactly what Simulator::build_connection_problem collects for it.
+// edge_count() counts those per-request candidates, Σ members × row length
+// minus the members whose requester is in their own row.
+//
+// Invariant tying it together: a class row's per-box source count always
+// equals the number of ground-truth reasons the box can serve the class
+// (static replica while online, plus each in-window cache entry with
+// entry < issue). Every source is added exactly once (insert or build) and
+// retired exactly once (its reported expiry or an offline bulk-removal), so
+// rows never drift from what a from-scratch collection would produce — the
+// equivalence the simulator's verify path asserts, request by request.
 //
 // The Hall witness of a stalled round (hall_witness) is read off the
 // maximum matching the solve leaves. In the flow network of Lemma 1
@@ -64,12 +71,11 @@ namespace p2pvod::sim {
 /// into its RunReport after each solve, and publishes its obs metrics from
 /// there.
 struct SparseStats {
-  std::uint64_t rows_built = 0;     ///< rows collected from ground truth
+  std::uint64_t rows_built = 0;     ///< class rows collected from ground truth
   std::uint64_t row_patches = 0;    ///< surgical source inserts/removals
   /// Cache expiries consumed; entries that died with their box are not
   /// among them (the cache never reports those).
   std::uint64_t expiry_events = 0;
-  std::uint64_t full_rebuilds = 0;  ///< dirty-fraction fallback trips
   std::uint64_t kept_connections = 0;
   std::uint64_t new_connections = 0;
 };
@@ -79,24 +85,25 @@ class SparseRoundState {
   /// Ground-truth source collection for the requests of `stripe` issued at
   /// `issue`: the boxes Simulator::build_connection_problem collects before
   /// de-duplicating, with no requester excluded (each occurrence is one
-  /// source). The engine drops each requester's own sources from its row.
+  /// source).
   using RowCollector = std::function<void(
       model::StripeId stripe, model::Round issue, std::vector<model::BoxId>&)>;
 
-  SparseRoundState(std::uint32_t box_count, std::uint32_t stripe_count,
-                   double rebuild_fraction);
+  SparseRoundState(std::uint32_t box_count, std::uint32_t stripe_count);
 
   /// Register a new live request; returns its slot id (slots are recycled).
   std::uint32_t add_request(model::StripeId stripe, model::Round issue,
                             model::BoxId requester);
-  /// Retire a live request: drops its assignment and row.
+  /// Retire a live request: drops its assignment, and its class with the
+  /// class's last request.
   void remove_request(std::uint32_t slot);
 
-  /// A cache grant was registered: patch the live rows of `stripe` issued
-  /// after `entry`. Returns at once when no row added for the stripe was.
+  /// A cache grant was registered: patch the classes of `stripe` issued
+  /// after `entry`. Returns at once when no request added for the stripe
+  /// was.
   void on_grant(model::StripeId stripe, model::BoxId box, model::Round entry);
-  /// `box` went offline: its assignments dissolve and it leaves every row of
-  /// the stripes it held statically (`stored`) or served from cache
+  /// `box` went offline: its assignments dissolve and it leaves every class
+  /// of the stripes it held statically (`stored`) or served from cache
   /// (`cached`).
   void on_box_offline(model::BoxId box,
                       std::span<const model::StripeId> stored,
@@ -106,10 +113,10 @@ class SparseRoundState {
                      std::span<const model::StripeId> stored);
 
   /// Run one round: consume `expired` (the cache expiries reported since
-  /// the last solve, in report order; cleared on return), rebuild dirty rows
-  /// via `collect`, then augment every unmatched live slot. Returns the
-  /// number of served requests (a maximum matching, equal to a from-scratch
-  /// solve).
+  /// the last solve, in report order; cleared on return), build the rows of
+  /// new classes via `collect`, then augment every unmatched live slot.
+  /// Returns the number of served requests (a maximum matching, equal to a
+  /// from-scratch solve).
   std::uint32_t solve(std::vector<CacheExpiry>& expired,
                       const std::vector<std::uint32_t>& capacity,
                       const RowCollector& collect);
@@ -118,81 +125,98 @@ class SparseRoundState {
   [[nodiscard]] std::int32_t assignment(std::uint32_t slot) const {
     return matcher_.assignment(slot);
   }
-  /// Sorted unique candidate boxes of `slot`'s row.
-  [[nodiscard]] std::span<const std::uint32_t> row(std::uint32_t slot) const {
-    return csr_.row(slot);
-  }
+  /// Sorted unique candidate boxes of `slot`: its class row minus its
+  /// requester.
+  [[nodiscard]] std::vector<std::uint32_t> row(std::uint32_t slot) const;
   /// After a solve, the live slots of the Hall-violating set X (ascending):
   /// the requests none of whose candidates is reachable from a box with a
   /// spare slot (see the file comment); empty when every request is served.
-  /// `capacity` is the one the solve used. Builds a box → rows index, so
+  /// `capacity` is the one the solve used. Builds a box → classes index, so
   /// costs O(boxes + edges); meant for a stalled round.
   [[nodiscard]] std::vector<std::uint32_t> hall_witness(
       std::span<const std::uint32_t> capacity) const;
-  [[nodiscard]] std::uint64_t edge_count() const noexcept {
-    return csr_.edge_count();
-  }
+  /// Candidate edges over the live requests of built classes: Σ members ×
+  /// row length, minus the members whose requester is in their own row.
+  [[nodiscard]] std::uint64_t edge_count() const noexcept { return edges_; }
   [[nodiscard]] std::uint32_t live_rows() const noexcept {
     return live_count_;
   }
   [[nodiscard]] const SparseStats& stats() const noexcept { return stats_; }
 
  private:
-  struct Slot {
-    model::StripeId stripe = model::kInvalidStripe;
-    model::Round issue = 0;
-    model::BoxId requester = model::kInvalidBox;
-    std::uint32_t stripe_pos = 0;  ///< index in slots_of_stripe_[stripe]
-    bool live = false;
-    bool dirty = false;
-  };
-  /// A (stripe, issue) group of dirty rows: its collected row lives in
-  /// group_boxes_/group_counts_ at [begin, begin + size).
-  struct RowGroup {
-    model::StripeId stripe = model::kInvalidStripe;
-    model::Round issue = 0;
-    std::uint32_t begin = 0;
-    std::uint32_t size = 0;
-    std::uint32_t next = kNoGroup;  ///< next group of the same stripe
-  };
-  static constexpr std::uint32_t kNoGroup = 0xFFFFFFFFu;
+  static constexpr std::uint32_t kNone = 0xFFFFFFFFu;
 
-  void mark_dirty(std::uint32_t slot);
+  /// Links of an intrusive doubly linked list of record ids.
+  struct Link {
+    std::uint32_t prev = kNone;
+    std::uint32_t next = kNone;
+  };
+  struct Slot {
+    std::uint32_t cls = kNone;  ///< its swarm class, also its CSR row
+    model::BoxId requester = model::kInvalidBox;
+    Link member;   ///< in its class's member list
+    Link request;  ///< in its requester's list of live requests
+    bool live = false;
+    /// The requester is a source of its own built class row.
+    bool self = false;
+  };
+  /// A live (stripe, issue). Its index in classes_ is its CSR row, which
+  /// its members share.
+  struct SwarmClass {
+    model::StripeId stripe = model::kInvalidStripe;
+    model::Round issue = 0;
+    Link peers;  ///< in its stripe's class list
+    std::uint32_t first_member = kNone;
+    std::uint32_t members = 0;
+    bool live = false;
+    bool dirty = false;  ///< row not built yet; queued in dirty_classes_
+  };
+
+  template <typename Record>
+  static void link(std::vector<Record>& records, Link Record::*list,
+                   std::uint32_t& head, std::uint32_t id);
+  template <typename Record>
+  static void unlink(std::vector<Record>& records, Link Record::*list,
+                     std::uint32_t& head, std::uint32_t id);
+  std::uint32_t class_of(model::StripeId stripe, model::Round issue);
+  void drop_class(std::uint32_t cls);
+  /// `box` entered or left class `cls`'s row: every member but those it
+  /// requests for gains or loses a candidate, and a member it served loses
+  /// its server.
+  void box_entered(std::uint32_t cls, model::BoxId box);
+  void box_left(std::uint32_t cls, model::BoxId box);
+  /// Members of `cls` requested by `box`, their `self` flags set to `self`.
+  std::uint32_t own_requests(std::uint32_t cls, model::BoxId box, bool self);
   void process_expiries(const std::vector<CacheExpiry>& expired);
-  void rebuild_dirty(const RowCollector& collect);
-  /// The group of (stripe, issue) in the rebuild pass, collected on first
-  /// use.
-  const RowGroup& row_group(model::StripeId stripe, model::Round issue,
-                            const RowCollector& collect);
+  void build_classes(const RowCollector& collect);
 
   flow::CsrProblem csr_;
   flow::CsrMatcher matcher_;
   std::vector<Slot> slots_;
   std::vector<std::uint32_t> free_slots_;
-  std::vector<std::vector<std::uint32_t>> slots_of_stripe_;
+  std::vector<SwarmClass> classes_;
+  std::vector<std::uint32_t> free_classes_;
+  /// Per stripe, the first of its live classes (the newest), or kNone.
+  std::vector<std::uint32_t> first_class_of_;
+  /// Per box, the first of its live requests, or kNone.
+  std::vector<std::uint32_t> first_request_of_;
   /// Per stripe, the latest issue round of any request added: a bound on
-  /// the issue round of its live rows.
+  /// the issue round of its live classes.
   std::vector<model::Round> latest_issue_;
-  std::vector<std::uint32_t> dirty_slots_;  ///< queue; flags de-dup entries
-  std::uint32_t dirty_count_ = 0;
-  double rebuild_fraction_;
+  std::vector<std::uint32_t> dirty_classes_;  ///< queue; flags de-dup
   std::uint32_t live_count_ = 0;
+  std::uint64_t edges_ = 0;
   SparseStats stats_;
 
-  /// Per stripe, during an expiry or rebuild pass: its expiry bucket or its
-  /// first row group, else kNoGroup. Each pass resets what it set.
-  std::vector<std::uint32_t> stripe_group_;
-
   // scratch reused across rounds
-  std::vector<std::uint32_t> scratch_unassigned_;
-  std::vector<CacheExpiry> bucketed_;          ///< expiries, stripe buckets
-  std::vector<std::uint32_t> bucket_start_;    ///< per bucket, in bucketed_
-  std::vector<RowGroup> groups_;
-  std::vector<std::uint32_t> group_boxes_;
-  std::vector<std::uint32_t> group_counts_;
+  std::vector<std::uint32_t> stripe_bucket_;  ///< per stripe, or kNone
+  std::vector<CacheExpiry> bucketed_;         ///< expiries, stripe buckets
+  std::vector<std::uint32_t> bucket_start_;   ///< per bucket, in bucketed_
   std::vector<model::BoxId> scratch_row_;
   std::vector<std::uint32_t> scratch_boxes_;
   std::vector<std::uint32_t> scratch_counts_;
+  std::vector<std::uint32_t> scratch_left_;
+  std::vector<std::uint32_t> scratch_unassigned_;
 };
 
 }  // namespace p2pvod::sim

@@ -1,8 +1,8 @@
 // Tests for the CSR round engine: CsrProblem delta maintenance, CsrMatcher
-// incremental repair, validate_assignment (the verify_incremental check), the
-// ±delta capacity bookkeeping under churn, and whole runs checked against the
-// Dinic oracle every round across churn / strict / override / rebuild /
-// adversarial configurations.
+// incremental repair, SparseRoundState's swarm-class rows, validate_assignment
+// (the verify_incremental check), the ±delta capacity bookkeeping under
+// churn, and whole runs checked against the Dinic oracle every round across
+// churn / strict / override / adversarial / relay configurations.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -20,6 +20,8 @@
 #include "flow/csr_matcher.hpp"
 #include "flow/csr_problem.hpp"
 #include "flow/verify.hpp"
+#include "hetero/compensation.hpp"
+#include "hetero/relay.hpp"
 #include "net/topology.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -39,6 +41,7 @@ namespace m = p2pvod::model;
 namespace a = p2pvod::alloc;
 namespace f = p2pvod::flow;
 namespace w = p2pvod::workload;
+namespace h = p2pvod::hetero;
 
 namespace {
 
@@ -518,6 +521,78 @@ TEST(CsrMatcher, DescendingAugmentsKeepEveryServedRow) {
   EXPECT_GT(moved, 0u) << "no search displaced a served row";
 }
 
+TEST(CsrMatcher, PassCursorPicksWhatAFullScanPicks) {
+  // Slots share rows, several per row and each skipping its own box, as the
+  // requests of one swarm class do. Within a pass each row keeps a cursor
+  // past its saturated prefix: the matching must equal the one full scans
+  // build, augment for augment, also once a dropped connection has ended
+  // the pass, and stay maximum for the candidates "row minus skip".
+  p2pvod::util::Rng rng(0xC0125);
+  for (int trial = 0; trial < 40; ++trial) {
+    constexpr std::uint32_t kBoxes = 24;
+    const auto rows = static_cast<std::uint32_t>(rng.next_between(1, 6));
+    const auto slots = static_cast<std::uint32_t>(rng.next_between(1, 40));
+    std::vector<std::uint32_t> cap(kBoxes);
+    for (auto& c : cap) c = static_cast<std::uint32_t>(rng.next_below(3));
+    f::CsrProblem csr;
+    csr.ensure_row(rows - 1);
+    for (std::uint32_t r = 0; r < rows; ++r) {
+      for (std::uint32_t b = 0; b < kBoxes; ++b) {
+        if (rng.next_bool(0.4)) csr.add_source(r, b);
+      }
+    }
+    f::CsrMatcher with_pass(kBoxes);
+    f::CsrMatcher plain(kBoxes);
+    with_pass.ensure_rows(slots);
+    plain.ensure_rows(slots);
+    f::ConnectionProblem dense(kBoxes);
+    dense.set_capacities(cap);
+    std::vector<std::uint32_t> skip(slots);
+    for (std::uint32_t s = 0; s < slots; ++s) {
+      const auto row = static_cast<std::uint32_t>(rng.next_below(rows));
+      skip[s] = static_cast<std::uint32_t>(rng.next_below(kBoxes));
+      with_pass.bind(s, row, skip[s]);
+      plain.bind(s, row, skip[s]);
+      std::vector<std::uint32_t> candidates;
+      for (const std::uint32_t box : csr.row(row)) {
+        if (box != skip[s]) candidates.push_back(box);
+      }
+      dense.add_request(std::move(candidates));
+    }
+    const std::uint32_t maximum = dense.solve().served;
+    for (int pass = 0; pass < 2; ++pass) {
+      with_pass.begin_pass();
+      std::uint32_t served = 0;
+      for (std::uint32_t s = 0; s < slots; ++s) {
+        if (pass == 1 && s == slots / 2) {  // ends with_pass's pass
+          with_pass.unassign(s / 2);
+          plain.unassign(s / 2);
+        }
+        if (plain.assignment(s) < 0) {
+          const bool ok = plain.augment(csr, cap, s);
+          ASSERT_EQ(with_pass.augment(csr, cap, s), ok)
+              << "trial " << trial << " slot " << s;
+        }
+        for (std::uint32_t t = 0; t < slots; ++t) {
+          ASSERT_EQ(with_pass.assignment(t), plain.assignment(t))
+              << "trial " << trial << " slot " << t;
+        }
+        EXPECT_NE(plain.assignment(s), static_cast<std::int32_t>(skip[s]));
+        if (plain.assignment(s) >= 0) ++served;
+      }
+      with_pass.end_pass();
+      if (pass == 0) {
+        EXPECT_EQ(served, maximum) << "trial " << trial;
+      }
+      for (std::uint32_t s = 0; s < slots; ++s) {
+        if (!rng.next_bool(1.0 / 3.0)) continue;
+        with_pass.unassign(s);
+        plain.unassign(s);
+      }
+    }
+  }
+}
+
 // ----------------------------------------------------- validate_assignment
 
 namespace {
@@ -605,8 +680,7 @@ TEST(ValidateAssignment, RejectsBookkeepingMismatches) {
 TEST(SparseRoundState, ExpiryRetiresCacheSources) {
   // Window 3; box 2 is the static holder of stripe 0; box 1 gains a cache
   // entry at round 0, which the cache reports expired at round 4.
-  s::SparseRoundState state(/*box_count=*/3, /*stripe_count=*/1,
-                            /*rebuild_fraction=*/0.5);
+  s::SparseRoundState state(/*box_count=*/3, /*stripe_count=*/1);
   s::CacheIndex cache(3, 1, /*window=*/3);
   m::Round now = 0;
   const auto collect = [&](m::StripeId stripe, m::Round issue,
@@ -645,8 +719,7 @@ TEST(SparseRoundState, GrantWalksRowsOnlyWhenOneIsIssuedAfterItsEntry) {
   // Stripe 0 has rows issued at rounds 1 and 3, stripe 1 none. A grant
   // entered at round 3 or later patches no row: it returns before its walk
   // and records no span. One entered at round 2 patches the row issued at 3.
-  s::SparseRoundState state(/*box_count=*/4, /*stripe_count=*/2,
-                            /*rebuild_fraction=*/0.5);
+  s::SparseRoundState state(/*box_count=*/4, /*stripe_count=*/2);
   const auto collect = [](m::StripeId, m::Round, std::vector<m::BoxId>& out) {
     out.push_back(3);
   };
@@ -678,35 +751,12 @@ TEST(SparseRoundState, GrantWalksRowsOnlyWhenOneIsIssuedAfterItsEntry) {
   EXPECT_THROW(state.on_grant(/*stripe=*/2, 2, 0), std::out_of_range);
 }
 
-TEST(SparseRoundState, DirtyFractionTriggersFullRebuild) {
-  s::SparseRoundState state(4, 2, /*rebuild_fraction=*/0.0);
-  const auto collect = [&](m::StripeId stripe, m::Round,
-                           std::vector<m::BoxId>& out) {
-    out.push_back(stripe == 0 ? 2u : 3u);
-  };
-  const std::vector<std::uint32_t> cap = {1, 1, 1, 1};
-  std::vector<s::CacheExpiry> no_expiries;
-  (void)state.add_request(0, 1, 0);
-  (void)state.add_request(0, 1, 1);
-  (void)state.add_request(1, 1, 0);
-  // First solve: every row is new (dirty == live), not a fallback trip.
-  EXPECT_EQ(state.solve(no_expiries, cap, collect), 2u);  // caps bind: 2 of 3
-  EXPECT_EQ(state.stats().full_rebuilds, 0u);
-  EXPECT_EQ(state.stats().rows_built, 3u);
-  // One new arrival dirties one row; fraction 0 forces a global rebuild.
-  (void)state.add_request(1, 2, 1);
-  EXPECT_EQ(state.solve(no_expiries, cap, collect), 2u);
-  EXPECT_EQ(state.stats().full_rebuilds, 1u);
-  EXPECT_EQ(state.stats().rows_built, 7u);  // 3 + all 4 live rows
-  EXPECT_EQ(state.live_rows(), 4u);
-}
-
 TEST(SparseRoundState, RowsOfOneStripeAndIssueShareOneCollection) {
-  // Three requests of stripe 0 issued at round 1 and one issued at round 2:
-  // two collections. Each row is its group's sources minus the requester's
-  // own (box 1 holds two sources of the group, and requests it too).
-  s::SparseRoundState state(/*box_count=*/6, /*stripe_count=*/1,
-                            /*rebuild_fraction=*/0.5);
+  // Three requests of stripe 0 issued at round 1 and one issued at round 2,
+  // added out of issue order: two classes, two collections, two stored
+  // rows. Each request's candidates are its class row minus its requester
+  // (box 1 holds two sources of the class, and requests it too).
+  s::SparseRoundState state(/*box_count=*/6, /*stripe_count=*/1);
   std::vector<std::pair<m::StripeId, m::Round>> calls;
   const auto collect = [&](m::StripeId stripe, m::Round issue,
                            std::vector<m::BoxId>& out) {
@@ -720,25 +770,111 @@ TEST(SparseRoundState, RowsOfOneStripeAndIssueShareOneCollection) {
   const auto later = state.add_request(0, 2, /*requester=*/3);
   const auto c = state.add_request(0, 1, /*requester=*/3);
   EXPECT_EQ(state.solve(none, cap, collect), 3u);
-  EXPECT_EQ(calls.size(), 2u);
-  const auto row = [&](std::uint32_t slot) {
-    const auto boxes = state.row(slot);
-    return std::vector<std::uint32_t>(boxes.begin(), boxes.end());
-  };
+  EXPECT_EQ(calls, (std::vector<std::pair<m::StripeId, m::Round>>{{0, 1},
+                                                                  {0, 2}}));
+  const auto row = [&](std::uint32_t slot) { return state.row(slot); };
   EXPECT_EQ(row(a), (std::vector<std::uint32_t>{3, 4}));
   EXPECT_EQ(row(b), (std::vector<std::uint32_t>{1, 3, 4}));
   EXPECT_EQ(row(c), (std::vector<std::uint32_t>{1, 4}));
   EXPECT_EQ(row(later), (std::vector<std::uint32_t>{1, 4}));
-  EXPECT_EQ(state.stats().rows_built, 4u);
-  EXPECT_EQ(state.edge_count(), 9u);
-  // Box 1's two sources are both in request b's row: one expiry leaves it.
+  EXPECT_EQ(state.stats().rows_built, 2u);  // one per class
+  EXPECT_EQ(state.edge_count(), 9u);        // 2 + 3 + 2 + 2 candidates
+  // Box 1's two sources are both in each class row: one expiry leaves it,
+  // one source patch per class.
   std::vector<s::CacheExpiry> expired = {{0, 1, 0}};
   EXPECT_EQ(state.solve(expired, cap, collect), 3u);
   EXPECT_EQ(row(b), (std::vector<std::uint32_t>{1, 3, 4}));
+  EXPECT_EQ(state.stats().row_patches, 2u);
   expired = {{0, 1, 0}};
   (void)state.solve(expired, cap, collect);
+  EXPECT_EQ(row(a), (std::vector<std::uint32_t>{3, 4}));
   EXPECT_EQ(row(b), (std::vector<std::uint32_t>{3, 4}));
-  EXPECT_EQ(calls.size(), 2u);  // no row was dirty again
+  EXPECT_EQ(row(c), (std::vector<std::uint32_t>{4}));
+  EXPECT_EQ(row(later), (std::vector<std::uint32_t>{4}));
+  EXPECT_EQ(state.stats().row_patches, 4u);
+  EXPECT_EQ(state.edge_count(), 6u);
+  EXPECT_EQ(calls.size(), 2u);  // no class was collected again
+  // A request joining a built class reads its row as it stands; the class
+  // and its row go with its last request.
+  const auto d = state.add_request(0, 1, /*requester=*/2);
+  (void)state.solve(none, cap, collect);
+  EXPECT_EQ(calls.size(), 2u);
+  EXPECT_EQ(row(d), (std::vector<std::uint32_t>{3, 4}));
+  EXPECT_EQ(state.edge_count(), 8u);
+  for (const auto slot : {a, b, c, d}) state.remove_request(slot);
+  EXPECT_EQ(state.edge_count(), 1u);  // `later` alone
+  EXPECT_EQ(state.live_rows(), 1u);
+  (void)state.add_request(0, 1, /*requester=*/0);
+  (void)state.solve(none, cap, collect);
+  EXPECT_EQ(calls.size(), 3u);  // a new class for (0, 1)
+  EXPECT_EQ(state.stats().rows_built, 3u);
+}
+
+TEST(SparseRoundState, RequesterSourcingItsOwnClassIsSkipped) {
+  // Stripe 0, issued at round 5: requests a, b and c from boxes 1, 2 and 3,
+  // whose class row is {1, 4}: box 1 caches the stripe from an earlier
+  // entry, so a's own requester is a source of its class. Stripe 1: request
+  // d from box 0, whose row is {4}. Box 1 has three slots, box 4 one.
+  s::SparseRoundState state(/*box_count=*/5, /*stripe_count=*/2);
+  const auto collect = [](m::StripeId stripe, m::Round,
+                          std::vector<m::BoxId>& out) {
+    if (stripe == 0) out.push_back(1);
+    out.push_back(4);
+  };
+  const std::vector<std::uint32_t> cap = {0, 3, 0, 0, 1};
+  std::vector<s::CacheExpiry> none;
+  const auto a = state.add_request(/*stripe=*/0, /*issue=*/5, /*requester=*/1);
+  const auto b = state.add_request(0, 5, /*requester=*/2);
+  const auto c = state.add_request(0, 5, /*requester=*/3);
+  const auto d = state.add_request(/*stripe=*/1, 5, /*requester=*/0);
+  f::ConnectionProblem dense(5);
+  dense.set_capacities(cap);
+  dense.add_request({4});
+  dense.add_request({1, 4});
+  dense.add_request({1, 4});
+  dense.add_request({4});
+
+  // a takes box 4, the only candidate it has; d, which needs box 4 too,
+  // cannot displace it: box 1 is a's own requester.
+  EXPECT_EQ(state.solve(none, cap, collect), 3u);
+  EXPECT_EQ(dense.solve().served, 3u);
+  EXPECT_EQ(state.row(a), (std::vector<std::uint32_t>{4}));
+  EXPECT_EQ(state.row(b), (std::vector<std::uint32_t>{1, 4}));
+  EXPECT_EQ(state.edge_count(), dense.edge_count());
+  EXPECT_EQ(state.edge_count(), 6u);  // 2 × 3 members − a's own box, + 1
+  EXPECT_EQ(state.assignment(a), 4);
+  EXPECT_EQ(state.assignment(b), 1);
+  EXPECT_EQ(state.assignment(c), 1);
+  EXPECT_EQ(state.assignment(d), -1);
+  // Box 1 has a spare slot, but its only request without a server, a, is
+  // its own: X is {a, d}, the dense min cut's set.
+  const auto expected = dense.infeasibility_witness();
+  ASSERT_TRUE(expected.has_value());
+  EXPECT_EQ(state.hall_witness(cap), *expected);
+  EXPECT_EQ(state.hall_witness(cap), (std::vector<std::uint32_t>{a, d}));
+
+  // Box 2 caches the stripe too, from round 3: a and c gain it, b, its
+  // requester, does not; its expiry takes it back from all three.
+  state.on_grant(/*stripe=*/0, /*box=*/2, /*entry=*/3);
+  EXPECT_EQ(state.row(a), (std::vector<std::uint32_t>{2, 4}));
+  EXPECT_EQ(state.row(b), (std::vector<std::uint32_t>{1, 4}));
+  EXPECT_EQ(state.row(c), (std::vector<std::uint32_t>{1, 2, 4}));
+  EXPECT_EQ(state.edge_count(), 8u);
+  std::vector<s::CacheExpiry> expired = {{0, 2, 3}};
+  EXPECT_EQ(state.solve(expired, cap, collect), 3u);
+  EXPECT_EQ(state.row(c), (std::vector<std::uint32_t>{1, 4}));
+  EXPECT_EQ(state.edge_count(), 6u);
+  EXPECT_EQ(state.assignment(a), 4);
+  // Box 1 goes offline and comes back: the same accounting in reverse.
+  state.on_box_offline(1, std::span<const m::StripeId>{},
+                       std::vector<m::StripeId>{0});
+  EXPECT_EQ(state.edge_count(), 4u);
+  EXPECT_EQ(state.row(b), (std::vector<std::uint32_t>{4}));
+  state.on_box_online(1, std::vector<m::StripeId>{0});
+  EXPECT_EQ(state.edge_count(), 6u);
+  EXPECT_EQ(state.row(a), (std::vector<std::uint32_t>{4}));
+  EXPECT_EQ(state.solve(none, cap, collect), 3u);
+  EXPECT_EQ(state.assignment(a), 4);
 }
 
 TEST(SparseRoundState, HallWitnessIsTheDenseMinCut) {
@@ -754,7 +890,7 @@ TEST(SparseRoundState, HallWitnessIsTheDenseMinCut) {
     std::vector<std::uint32_t> cap(boxes);
     for (auto& slots : cap) slots = static_cast<std::uint32_t>(rng.next_below(4));
     std::vector<std::vector<m::BoxId>> sources(rows);
-    s::SparseRoundState state(boxes, rows, 0.5);
+    s::SparseRoundState state(boxes, rows);
     f::ConnectionProblem dense(boxes);
     dense.set_capacities(cap);
     const double density = 0.05 + 0.4 * rng.next_double();
@@ -997,16 +1133,6 @@ TEST(SparseTwins, CapacityOverride) {
   expect_patched(run_twins(cfg));
 }
 
-TEST(SparseTwins, EagerRebuildFallback) {
-  // rebuild_fraction 0 forces the dirty-fraction fallback almost every round;
-  // correctness must not depend on the patch path being taken.
-  TwinConfig cfg;
-  cfg.options.sparse_rebuild_fraction = 0.0;
-  cfg.fail_prob = 0.02;
-  cfg.rounds = 30;
-  EXPECT_GT(run_twins(cfg).sparse_full_rebuilds, 0u);
-}
-
 TEST(SparseTwins, RandomizedChurnProperty) {
   // Seeded property sweep: modest world, random churn + Zipf demands; every
   // round must agree with the oracle (verify_incremental inside run_twins).
@@ -1153,6 +1279,85 @@ TEST(SparseTwins, StallWitnessIsTheDenseMinCut) {
     }
   }
   EXPECT_GE(stalls, 1000u);
+}
+
+namespace {
+
+/// Records every plan of the strategy it wraps.
+class RecordingStrategy final : public s::RequestStrategy {
+ public:
+  explicit RecordingStrategy(s::RequestStrategy& inner) : inner_(inner) {}
+
+  void plan(m::BoxId b, m::VideoId v, std::uint64_t ticket, m::Round now,
+            s::Simulator& sim, std::vector<s::PlannedRequest>& out) override {
+    const auto before = static_cast<std::ptrdiff_t>(out.size());
+    inner_.plan(b, v, ticket, now, sim, out);
+    plans.insert(plans.end(), out.begin() + before, out.end());
+  }
+  [[nodiscard]] std::string name() const override { return inner_.name(); }
+
+  std::vector<s::PlannedRequest> plans;
+
+ private:
+  s::RequestStrategy& inner_;
+};
+
+}  // namespace
+
+TEST(SparseTwins, RelayRequestingAStripeItCaches) {
+  // §4 relays: poor boxes 0-3 all relay through box 4 and start video 0 in
+  // rounds 0-3. Box 4 downloads the relayed stripes once per viewer, three
+  // rounds after the demand, and caches each as it downloads it: from the
+  // second viewer on it requests stripes it holds an in-window cache entry
+  // of, so it is a source of its own swarm class. verify_incremental checks
+  // every request's candidates (its class row minus its requester), the
+  // edge total and the assignment against ground truth every round.
+  const m::Catalog catalog(2, 8, 20);
+  const auto profile =
+      m::CapacityProfile::two_class(12, 4, 0.5, 2.0, 4.0, 8.0);
+  auto plan = *h::Compensator::plan(profile, 1.5, 8, 1.0);
+  for (m::BoxId b = 0; b < 4; ++b) plan.relay[b] = 4;
+  p2pvod::util::Rng rng(0x5E1F);
+  const a::Allocation allocation =
+      a::PermutationAllocator().allocate(catalog, profile, 3, rng);
+  h::RelayStrategy relay(plan);
+  RecordingStrategy strategy(relay);
+  s::SimulatorOptions options;
+  options.capacity_override = plan.capacity_slots();
+  options.strict = false;
+  options.verify_incremental = true;
+  s::Simulator sim(catalog, profile, allocation, strategy, options);
+  ASSERT_TRUE(sim.sparse_active());
+  constexpr m::Round kRounds = 30;
+  for (m::Round round = 0; round < kRounds; ++round) {
+    std::vector<s::Demand> demands;
+    if (round < 4) demands.push_back({static_cast<m::BoxId>(round), 0});
+    ASSERT_NO_THROW(sim.step(demands)) << "round " << round;
+  }
+  EXPECT_EQ(sim.report().demands_admitted, 4u);
+  EXPECT_EQ(sim.report().sessions_completed, 4u);
+
+  // The case occurred: a request whose requester had cached its stripe
+  // from an entry before its issue and still inside the window.
+  std::uint32_t own_source = 0;
+  for (const s::PlannedRequest& request : strategy.plans) {
+    if (request.requester == m::kInvalidBox || request.issue >= kRounds)
+      continue;
+    const bool cached = std::any_of(
+        strategy.plans.begin(), strategy.plans.end(),
+        [&](const s::PlannedRequest& earlier) {
+          return earlier.stripe == request.stripe &&
+                 std::any_of(earlier.grants.begin(), earlier.grants.end(),
+                             [&](const s::CacheGrant& grant) {
+                               return grant.box == request.requester &&
+                                      grant.entry < request.issue &&
+                                      grant.entry >= request.issue -
+                                                         catalog.duration();
+                             });
+        });
+    if (cached) ++own_source;
+  }
+  EXPECT_GT(own_source, 0u);
 }
 
 // ------------------------------------------------------------ engine choice
