@@ -1,13 +1,12 @@
 // Executor + calibration microbenchmarks (google-benchmark).
 //
-// Quantifies the two halves of the work-stealing change:
+// Two parts:
 //   * raw pool throughput — submit/drain floods, parallel_for at several
 //     grain sizes, nested submission from workers (the steal-heavy path);
-//   * calibration searches — sequential vs speculative-probe
-//     min_feasible_k / max_catalog at 1..8 threads. The speculative variant
-//     should cut wall time at >= 4 threads on a multi-core runner while
-//     returning identical results (asserted cheaply here, enforced
-//     rigorously in tests/test_analysis.cpp).
+//   * calibration searches — min_feasible_k / max_catalog at 1..8 threads.
+//     Each probe's trials run in parallel while the probes themselves run
+//     one after another, so the search's wall time has a floor of (probes x
+//     one trial) however many threads exist.
 //
 // Wall time is what parallel execution changes, so every multithreaded
 // benchmark uses UseRealTime().
@@ -112,15 +111,13 @@ analysis::TrialSpec calibration_spec() {
   return spec;
 }
 
-// Few trials per probe: the regime speculation targets. The sequential
-// search's wall time has a hard floor of (probes x one trial) however many
-// threads exist — each probe is a barrier, and 2 trials occupy at most 2
-// workers. Speculative ladders break that floor by filling the idle workers
-// with the probes the search may need next.
+// Few trials per probe: each probe is a barrier, and 2 trials occupy at most
+// 2 workers, so these cases show the per-probe floor rather than trial
+// throughput.
 constexpr std::uint32_t kCalibrationTrials = 2;
 constexpr std::uint64_t kCalibrationSeed = 0xBE7C;
 
-void BM_MinFeasibleKSequential(benchmark::State& state) {
+void BM_MinFeasibleK(benchmark::State& state) {
   const analysis::TrialSpec spec = calibration_spec();
   util::ThreadPool pool(static_cast<std::size_t>(state.range(0)));
   for (auto _ : state) {
@@ -129,31 +126,10 @@ void BM_MinFeasibleKSequential(benchmark::State& state) {
     benchmark::DoNotOptimize(result.k);
   }
 }
-BENCHMARK(BM_MinFeasibleKSequential)->Arg(1)->Arg(4)->Arg(8)
+BENCHMARK(BM_MinFeasibleK)->Arg(1)->Arg(4)->Arg(8)
     ->UseRealTime()->Unit(benchmark::kMillisecond);
 
-void BM_MinFeasibleKSpeculative(benchmark::State& state) {
-  const analysis::TrialSpec spec = calibration_spec();
-  util::ThreadPool pool(static_cast<std::size_t>(state.range(0)));
-  analysis::SpeculationOptions options;
-  options.pool = &pool;  // width 0: the adaptive default users get
-  // Same answer as the sequential search, or the comparison is meaningless.
-  const auto reference = analysis::Calibrator::min_feasible_k(
-      spec, 1, 64, 1.0, kCalibrationTrials, kCalibrationSeed, &pool);
-  for (auto _ : state) {
-    const auto result = analysis::Calibrator::min_feasible_k_speculative(
-        spec, 1, 64, 1.0, kCalibrationTrials, kCalibrationSeed, options);
-    if (result.k != reference.k) {
-      state.SkipWithError("speculative result diverged from sequential");
-      break;
-    }
-    benchmark::DoNotOptimize(result.k);
-  }
-}
-BENCHMARK(BM_MinFeasibleKSpeculative)->Arg(1)->Arg(4)->Arg(8)
-    ->UseRealTime()->Unit(benchmark::kMillisecond);
-
-void BM_MaxCatalogSequential(benchmark::State& state) {
+void BM_MaxCatalog(benchmark::State& state) {
   const analysis::TrialSpec spec = calibration_spec();
   util::ThreadPool pool(static_cast<std::size_t>(state.range(0)));
   for (auto _ : state) {
@@ -162,27 +138,7 @@ void BM_MaxCatalogSequential(benchmark::State& state) {
     benchmark::DoNotOptimize(result.m);
   }
 }
-BENCHMARK(BM_MaxCatalogSequential)->Arg(1)->Arg(4)->Arg(8)
-    ->UseRealTime()->Unit(benchmark::kMillisecond);
-
-void BM_MaxCatalogSpeculative(benchmark::State& state) {
-  const analysis::TrialSpec spec = calibration_spec();
-  util::ThreadPool pool(static_cast<std::size_t>(state.range(0)));
-  analysis::SpeculationOptions options;
-  options.pool = &pool;  // width 0: the adaptive default users get
-  const auto reference = analysis::Calibrator::max_catalog(
-      spec, 1.0, kCalibrationTrials, kCalibrationSeed, &pool);
-  for (auto _ : state) {
-    const auto result = analysis::Calibrator::max_catalog_speculative(
-        spec, 1.0, kCalibrationTrials, kCalibrationSeed, options);
-    if (result.m != reference.m) {
-      state.SkipWithError("speculative result diverged from sequential");
-      break;
-    }
-    benchmark::DoNotOptimize(result.m);
-  }
-}
-BENCHMARK(BM_MaxCatalogSpeculative)->Arg(1)->Arg(4)->Arg(8)
+BENCHMARK(BM_MaxCatalog)->Arg(1)->Arg(4)->Arg(8)
     ->UseRealTime()->Unit(benchmark::kMillisecond);
 
 }  // namespace

@@ -1,18 +1,8 @@
 #include "analysis/calibrate.hpp"
 
 #include <algorithm>
-#include <cmath>
-#include <deque>
-#include <limits>
-#include <map>
-#include <optional>
-#include <set>
 #include <stdexcept>
-#include <unordered_map>
-#include <utility>
 #include <vector>
-
-#include "util/cli.hpp"
 
 #include "model/catalog.hpp"
 #include "sim/simulator.hpp"
@@ -80,6 +70,12 @@ bool run_one_workload(const TrialSpec& spec, const model::Catalog& catalog,
   throw std::logic_error("run_one_workload: bad suite");
 }
 
+std::uint32_t k_for_catalog(const TrialSpec& spec, std::uint32_t m) {
+  const double k =
+      spec.d * static_cast<double>(spec.n) / static_cast<double>(m);
+  return std::max<std::uint32_t>(1, static_cast<std::uint32_t>(k));
+}
+
 }  // namespace
 
 bool Calibrator::run_trial(const TrialSpec& spec, std::uint64_t seed) {
@@ -126,105 +122,74 @@ util::Proportion Calibrator::success_rate(const TrialSpec& spec,
   return util::wilson_interval(successes, trials);
 }
 
-namespace {
-
-// --- shared search drives ---------------------------------------------------
-//
-// Both public searches (sequential and speculative) replay the SAME decision
-// process through these drives; the only difference is where the success
-// rates come from. A drive consumes rates through `lookup(value) ->
-// optional<double>`: the sequential search answers every lookup by running
-// trials, the speculative search answers from a memo cache and aborts the
-// replay (returning the missing candidate in `need`) when a rate is unknown.
-// Sharing the control flow is what makes "speculative == sequential" a
-// structural property instead of two implementations kept in sync by hand.
-
-/// Replication threshold search (doubling bracket + binary search). Returns
-/// true when the search completed with `result` filled in; false when a rate
-/// was missing, with `need` set to the next probe the sequential search
-/// would evaluate. `result.explored` is valid only on completion.
-template <typename Lookup>
-bool drive_min_k(std::uint32_t k_lo, std::uint32_t k_hi, double target,
-                 Lookup&& lookup, Calibrator::MinKResult& result,
-                 std::uint32_t& need) {
-  auto rate_at = [&](std::uint32_t k, double& rate) {
-    const std::optional<double> known = lookup(k);
-    if (!known.has_value()) {
-      need = k;
-      return false;
-    }
-    result.explored.emplace_back(k, *known);
-    rate = *known;
-    return true;
+Calibrator::MinKResult Calibrator::min_feasible_k(TrialSpec spec,
+                                                  std::uint32_t k_lo,
+                                                  std::uint32_t k_hi,
+                                                  double target,
+                                                  std::uint32_t trials,
+                                                  std::uint64_t base_seed,
+                                                  util::ThreadPool* pool) {
+  if (k_lo == 0 || k_hi < k_lo)
+    throw std::invalid_argument("min_feasible_k: bad k range");
+  MinKResult result;
+  // One probe: run k's trials and record (k, rate) in evaluation order.
+  auto reaches_target = [&](std::uint32_t k) {
+    spec.k = k;
+    const double rate = success_rate(spec, trials, base_seed, pool).estimate;
+    result.explored.emplace_back(k, rate);
+    return rate >= target;
   };
 
   // Doubling phase to bracket the transition, then binary search.
   std::uint32_t hi = k_lo;
   std::uint32_t lo_fail = 0;  // largest known-failing k
-  for (;;) {
-    if (hi > k_hi) return true;  // never reached target
-    double rate = 0.0;
-    if (!rate_at(hi, rate)) return false;
-    if (rate >= target) break;
+  while (!reaches_target(hi)) {
     lo_fail = hi;
     hi = std::min(k_hi, hi * 2);
-    if (hi == lo_fail) return true;  // hit the cap while failing
+    if (hi == lo_fail) return result;  // hit the cap while failing
   }
 
   std::uint32_t lo = std::max(k_lo, lo_fail + 1);
   // Invariant: rate(hi) >= target; everything <= lo_fail failed.
   while (lo < hi) {
     const std::uint32_t mid = lo + (hi - lo) / 2;
-    double rate = 0.0;
-    if (!rate_at(mid, rate)) return false;
-    if (rate >= target) {
+    if (reaches_target(mid)) {
       hi = mid;
     } else {
       lo = mid + 1;
     }
   }
   result.k = hi;
-  return true;
+  spec.k = hi;
+  result.catalog = spec.catalog();
+  return result;
 }
 
-std::uint32_t k_for_catalog(const TrialSpec& spec, std::uint32_t m) {
-  const double k =
-      spec.d * static_cast<double>(spec.n) / static_cast<double>(m);
-  return std::max<std::uint32_t>(1, static_cast<std::uint32_t>(k));
-}
-
-/// Catalog-size search (largest feasible m, success decreasing in m). Same
-/// contract as drive_min_k, over candidate catalog sizes.
-template <typename Lookup>
-bool drive_max_catalog(const TrialSpec& spec, double target, Lookup&& lookup,
-                       Calibrator::MaxCatalogResult& result,
-                       std::uint32_t& need) {
+Calibrator::MaxCatalogResult Calibrator::max_catalog(TrialSpec spec,
+                                                     double target,
+                                                     std::uint32_t trials,
+                                                     std::uint64_t base_seed,
+                                                     util::ThreadPool* pool) {
+  MaxCatalogResult result;
   const auto m_max =
       static_cast<std::uint32_t>(spec.d * static_cast<double>(spec.n));
-  if (m_max == 0) return true;
-
-  auto feasible = [&](std::uint32_t m, bool& is_feasible) {
-    const std::optional<double> rate = lookup(m);
-    if (!rate.has_value()) {
-      need = m;
-      return false;
-    }
-    result.explored.emplace_back(m, *rate);
-    is_feasible = *rate >= target;
-    return true;
+  if (m_max == 0) return result;
+  // One probe: run m's trials at k = ⌊d·n/m⌋ and record (m, rate).
+  auto feasible = [&](std::uint32_t m) {
+    spec.k = k_for_catalog(spec, m);
+    spec.m_override = m;
+    const double rate = success_rate(spec, trials, base_seed, pool).estimate;
+    result.explored.emplace_back(m, rate);
+    return rate >= target;
   };
 
-  bool ok = false;
-  if (!feasible(1, ok)) return false;
-  if (!ok) return true;  // even m=1 fails
+  if (!feasible(1)) return result;  // even m=1 fails
   std::uint32_t lo = 1, hi = m_max;
-  if (!feasible(m_max, ok)) return false;
-  if (!ok) {
+  if (!feasible(m_max)) {
     // Binary search inside (1, m_max).
     while (lo + 1 < hi) {
       const std::uint32_t mid = lo + (hi - lo) / 2;
-      if (!feasible(mid, ok)) return false;
-      if (ok) {
+      if (feasible(mid)) {
         lo = mid;
       } else {
         hi = mid;
@@ -235,236 +200,7 @@ bool drive_max_catalog(const TrialSpec& spec, double target, Lookup&& lookup,
   }
   result.m = lo;
   result.k = k_for_catalog(spec, lo);
-  return true;
-}
-
-// --- speculation machinery --------------------------------------------------
-
-std::uint32_t resolve_ladder_width(std::uint32_t requested,
-                                   std::uint32_t trials,
-                                   std::size_t threads) {
-  constexpr std::uint32_t kMaxWidth = 64;
-  if (requested > 0) return std::min(requested, kMaxWidth);
-  if (const auto width = util::env_positive_long("P2PVOD_PROBE_WIDTH")) {
-    return static_cast<std::uint32_t>(
-        std::min(*width, static_cast<long>(kMaxWidth)));
-  }
-  // Implicit default: adapt to pool slack. Speculation trades up to
-  // width-times extra trial work for search latency, so it only pays when
-  // spare threads exist beyond one probe's own trials — one probe occupies
-  // `trials` workers, leaving room for threads/trials concurrent probes.
-  // Explicit widths (parameter or env) are honored as-is: the caller asked.
-  const auto slack = static_cast<std::uint32_t>(
-      threads / std::max<std::uint32_t>(1, trials));
-  return std::min<std::uint32_t>(4, std::max<std::uint32_t>(slack, 1));
-}
-
-/// True when speculation cannot pay off: serial pool, degenerate width, or a
-/// caller already inside a parallel region — a pool worker, or a non-worker
-/// thread executing parallel_for chunks it claimed. Nested parallel helpers
-/// degrade to serial loops in both cases, so a ladder would just multiply
-/// the serial work by its width.
-bool should_degrade_to_sequential(std::uint32_t width, std::uint32_t trials,
-                                  const util::ThreadPool& pool) {
-  return width <= 1 || trials == 0 || pool.size() <= 1 ||
-         util::ThreadPool::current() != nullptr ||
-         util::ThreadPool::inside_parallel_for();
-}
-
-/// The next `width` candidates the sequential search could probe, given what
-/// is already memoized: BFS over the search's decision branches, assuming
-/// success/failure in turn at every unknown probe. The first collected
-/// candidate is always the probe the real replay needs next, so every ladder
-/// round makes progress.
-template <typename Drive>
-std::vector<std::uint32_t> speculate_candidates(
-    const std::unordered_map<std::uint32_t, double>& cache,
-    std::uint32_t width, Drive&& drive) {
-  std::vector<std::uint32_t> ladder;
-  std::set<std::uint32_t> seen;
-  std::deque<std::map<std::uint32_t, bool>> frontier;
-  frontier.emplace_back();
-  while (!frontier.empty() && ladder.size() < width) {
-    const std::map<std::uint32_t, bool> assumed = std::move(frontier.front());
-    frontier.pop_front();
-    auto lookup = [&](std::uint32_t value) -> std::optional<double> {
-      if (const auto it = cache.find(value); it != cache.end()) {
-        return it->second;
-      }
-      if (const auto it = assumed.find(value); it != assumed.end()) {
-        // Hypothetical outcome: +inf passes any target, -inf fails any.
-        return it->second ? std::numeric_limits<double>::infinity()
-                          : -std::numeric_limits<double>::infinity();
-      }
-      return std::nullopt;
-    };
-    std::uint32_t unknown = 0;
-    if (drive(lookup, unknown)) continue;  // this branch terminates
-    if (seen.insert(unknown).second) ladder.push_back(unknown);
-    std::map<std::uint32_t, bool> success = assumed;
-    success[unknown] = true;
-    frontier.push_back(std::move(success));
-    std::map<std::uint32_t, bool> failure = assumed;
-    failure[unknown] = false;
-    frontier.push_back(std::move(failure));
-  }
-  return ladder;
-}
-
-/// Evaluate every candidate's success rate as one flattened (candidate x
-/// trial) parallel map: trial t of every candidate uses child_seed(base_seed,
-/// t) — exactly the seeds success_rate consumes — so cached rates equal what
-/// the sequential search computes, bit for bit.
-template <typename ApplyCandidate>
-void evaluate_ladder(const TrialSpec& base,
-                     const std::vector<std::uint32_t>& candidates,
-                     std::uint32_t trials, std::uint64_t base_seed,
-                     util::ThreadPool* pool,
-                     std::unordered_map<std::uint32_t, double>& cache,
-                     ApplyCandidate&& apply) {
-  const std::size_t total =
-      candidates.size() * static_cast<std::size_t>(trials);
-  // kHigh: a ladder is latency-critical (the search is blocked on it), so
-  // its trials overtake any bulk work already queued at kNormal.
-  const std::vector<char> outcomes = util::parallel_map<char>(
-      total,
-      [&](std::size_t index) -> char {
-        TrialSpec spec = base;
-        apply(spec, candidates[index / trials]);
-        return Calibrator::run_trial(
-                   spec, util::child_seed(base_seed, index % trials))
-                   ? 1
-                   : 0;
-      },
-      pool, /*grain=*/0, util::TaskPriority::kHigh);
-  for (std::size_t c = 0; c < candidates.size(); ++c) {
-    const auto begin = outcomes.begin() + static_cast<std::ptrdiff_t>(
-                                              c * static_cast<std::size_t>(
-                                                      trials));
-    const auto successes = static_cast<std::size_t>(
-        std::count(begin, begin + trials, 1));
-    cache[candidates[c]] = util::wilson_interval(successes, trials).estimate;
-  }
-}
-
-/// The shared speculative driver: replay the search against the memo cache;
-/// on a missing rate, speculate a candidate ladder, evaluate it in parallel,
-/// and retry. `drive(lookup, result, need)` is one of the search replays
-/// above, `apply(spec, candidate)` configures a trial spec for a candidate.
-/// Terminates because every ladder's first candidate is the probe the real
-/// replay needs next.
-template <typename Result, typename Drive, typename Apply>
-Result speculative_search(const TrialSpec& spec, std::uint32_t trials,
-                          std::uint64_t base_seed, util::ThreadPool* pool,
-                          std::uint32_t width, Drive&& drive, Apply&& apply) {
-  std::unordered_map<std::uint32_t, double> cache;
-  auto cached = [&cache](std::uint32_t value) -> std::optional<double> {
-    const auto it = cache.find(value);
-    if (it == cache.end()) return std::nullopt;
-    return it->second;
-  };
-  for (;;) {
-    Result result;
-    std::uint32_t unknown = 0;
-    if (drive(cached, result, unknown)) return result;
-    const std::vector<std::uint32_t> ladder = speculate_candidates(
-        cache, width, [&](auto& lookup, std::uint32_t& need) {
-          Result scratch;
-          return drive(lookup, scratch, need);
-        });
-    evaluate_ladder(spec, ladder, trials, base_seed, pool, cache, apply);
-  }
-}
-
-}  // namespace
-
-Calibrator::MinKResult Calibrator::min_feasible_k(TrialSpec spec,
-                                                  std::uint32_t k_lo,
-                                                  std::uint32_t k_hi,
-                                                  double target,
-                                                  std::uint32_t trials,
-                                                  std::uint64_t base_seed,
-                                                  util::ThreadPool* pool) {
-  MinKResult result;
-  if (k_lo == 0 || k_hi < k_lo)
-    throw std::invalid_argument("min_feasible_k: bad k range");
-
-  auto lookup = [&](std::uint32_t k) -> std::optional<double> {
-    spec.k = k;
-    return success_rate(spec, trials, base_seed, pool).estimate;
-  };
-  std::uint32_t unused = 0;
-  drive_min_k(k_lo, k_hi, target, lookup, result, unused);
-  if (result.k != 0) {
-    spec.k = result.k;
-    result.catalog = spec.catalog();
-  }
   return result;
-}
-
-Calibrator::MinKResult Calibrator::min_feasible_k_speculative(
-    TrialSpec spec, std::uint32_t k_lo, std::uint32_t k_hi, double target,
-    std::uint32_t trials, std::uint64_t base_seed,
-    const SpeculationOptions& options) {
-  if (k_lo == 0 || k_hi < k_lo)
-    throw std::invalid_argument("min_feasible_k: bad k range");
-  util::ThreadPool* pool =
-      options.pool != nullptr ? options.pool : &util::ThreadPool::global();
-  const std::uint32_t width =
-      resolve_ladder_width(options.ladder_width, trials, pool->size());
-  if (should_degrade_to_sequential(width, trials, *pool)) {
-    return min_feasible_k(spec, k_lo, k_hi, target, trials, base_seed, pool);
-  }
-
-  MinKResult result = speculative_search<MinKResult>(
-      spec, trials, base_seed, pool, width,
-      [&](auto& lookup, MinKResult& out, std::uint32_t& need) {
-        return drive_min_k(k_lo, k_hi, target, lookup, out, need);
-      },
-      [](TrialSpec& trial_spec, std::uint32_t k) { trial_spec.k = k; });
-  if (result.k != 0) {
-    spec.k = result.k;
-    result.catalog = spec.catalog();
-  }
-  return result;
-}
-
-Calibrator::MaxCatalogResult Calibrator::max_catalog(TrialSpec spec,
-                                                     double target,
-                                                     std::uint32_t trials,
-                                                     std::uint64_t base_seed,
-                                                     util::ThreadPool* pool) {
-  MaxCatalogResult result;
-  auto lookup = [&](std::uint32_t m) -> std::optional<double> {
-    spec.k = k_for_catalog(spec, m);
-    spec.m_override = m;
-    return success_rate(spec, trials, base_seed, pool).estimate;
-  };
-  std::uint32_t unused = 0;
-  drive_max_catalog(spec, target, lookup, result, unused);
-  return result;
-}
-
-Calibrator::MaxCatalogResult Calibrator::max_catalog_speculative(
-    TrialSpec spec, double target, std::uint32_t trials,
-    std::uint64_t base_seed, const SpeculationOptions& options) {
-  util::ThreadPool* pool =
-      options.pool != nullptr ? options.pool : &util::ThreadPool::global();
-  const std::uint32_t width =
-      resolve_ladder_width(options.ladder_width, trials, pool->size());
-  if (should_degrade_to_sequential(width, trials, *pool)) {
-    return max_catalog(spec, target, trials, base_seed, pool);
-  }
-
-  return speculative_search<MaxCatalogResult>(
-      spec, trials, base_seed, pool, width,
-      [&](auto& lookup, MaxCatalogResult& out, std::uint32_t& need) {
-        return drive_max_catalog(spec, target, lookup, out, need);
-      },
-      [&spec](TrialSpec& trial_spec, std::uint32_t m) {
-        trial_spec.k = k_for_catalog(spec, m);
-        trial_spec.m_override = m;
-      });
 }
 
 }  // namespace p2pvod::analysis

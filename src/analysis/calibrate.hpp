@@ -51,27 +51,6 @@ struct TrialSpec {
   [[nodiscard]] std::uint32_t catalog() const;
 };
 
-/// Tuning for the speculative-probe search variants. The speculative search
-/// evaluates a small ladder of candidate k (or m) values concurrently per
-/// round — the candidates the sequential doubling/binary search could visit
-/// next — then discards refuted probes. Because every candidate's success
-/// rate is a pure function of (spec, trials, base_seed) with deterministic
-/// per-candidate child seeds, the speculative search returns results
-/// identical to the sequential one at any thread count.
-struct SpeculationOptions {
-  /// Probes evaluated concurrently per round. 0 reads the
-  /// P2PVOD_PROBE_WIDTH environment variable; when that is unset too, the
-  /// width adapts to pool slack (threads / trials, at most 4) because
-  /// speculation trades extra trial work for latency and only pays when
-  /// spare threads exist beyond one probe's own trials. Explicit values
-  /// (here or via the env) are clamped to [1, 64] and honored as-is;
-  /// 1 degrades to the plain sequential search.
-  std::uint32_t ladder_width = 0;
-  /// Pool for the flattened (candidate x trial) evaluation; nullptr selects
-  /// ThreadPool::global().
-  util::ThreadPool* pool = nullptr;
-};
-
 class Calibrator {
  public:
   /// One allocation + workload-suite run. True iff every request-round was
@@ -97,18 +76,6 @@ class Calibrator {
       std::uint32_t trials, std::uint64_t base_seed,
       util::ThreadPool* pool = nullptr);
 
-  /// Speculative-probe variant of min_feasible_k: concurrent candidate
-  /// ladders instead of one probe at a time. Returns a result identical to
-  /// the sequential search (same k, catalog, and explored list) at any
-  /// thread count; falls back to the sequential path when the ladder width
-  /// is 1, the pool is serial, or the caller is already a pool worker
-  /// (nested parallelism degrades to serial trial loops, where speculation
-  /// would only multiply work).
-  [[nodiscard]] static MinKResult min_feasible_k_speculative(
-      TrialSpec spec, std::uint32_t k_lo, std::uint32_t k_hi, double target,
-      std::uint32_t trials, std::uint64_t base_seed,
-      const SpeculationOptions& options = {});
-
   struct MaxCatalogResult {
     std::uint32_t m = 0;  ///< largest feasible catalog (0 = none feasible)
     std::uint32_t k = 0;  ///< replication at that m
@@ -119,12 +86,6 @@ class Calibrator {
   [[nodiscard]] static MaxCatalogResult max_catalog(
       TrialSpec spec, double target, std::uint32_t trials,
       std::uint64_t base_seed, util::ThreadPool* pool = nullptr);
-
-  /// Speculative-probe variant of max_catalog; same result-identity
-  /// guarantee and fallback rules as min_feasible_k_speculative.
-  [[nodiscard]] static MaxCatalogResult max_catalog_speculative(
-      TrialSpec spec, double target, std::uint32_t trials,
-      std::uint64_t base_seed, const SpeculationOptions& options = {});
 };
 
 }  // namespace p2pvod::analysis

@@ -74,7 +74,7 @@ Plan CatalogPlanner::plan(PlanMode mode, std::uint32_t trials,
     spec.rounds = 3 * duration_;
     const auto k_hi = static_cast<std::uint32_t>(
         std::max(1.0, d_ * static_cast<double>(n_) / 2.0));
-    const auto result = analysis::Calibrator::min_feasible_k_speculative(
+    const auto result = analysis::Calibrator::min_feasible_k(
         spec, 1, k_hi, 1.0, trials, seed);
     out.k = result.k;
     out.m = result.catalog;

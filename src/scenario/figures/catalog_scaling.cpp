@@ -43,7 +43,7 @@ Scenario make_catalog_scaling_scenario() {
         {"main", std::move(grid),
          {"max_m", "k"},
          [trials](const sweep::GridPoint& point, std::uint64_t /*seed*/) {
-           const auto found = analysis::Calibrator::max_catalog_speculative(
+           const auto found = analysis::Calibrator::max_catalog(
                point.spec, 1.0, trials, 0xE3);
            return std::vector<double>{static_cast<double>(found.m),
                                       static_cast<double>(found.k)};

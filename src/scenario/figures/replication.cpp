@@ -62,13 +62,9 @@ Scenario make_replication_scenario() {
            spec.duration = 10;
            spec.rounds = 30;
            spec.suite = analysis::WorkloadSuite::kFull;
-           // Speculative probing degrades to the exact sequential search
-           // inside a sweep worker, and returns identical results either
-           // way, so the figure stays byte-stable.
-           const auto measured =
-               analysis::Calibrator::min_feasible_k_speculative(
-                   spec, 1, static_cast<std::uint32_t>(d * n / 2), 1.0, trials,
-                   0xE4);
+           const auto measured = analysis::Calibrator::min_feasible_k(
+               spec, 1, static_cast<std::uint32_t>(d * n / 2), 1.0, trials,
+               0xE4);
 
            return std::vector<double>{static_cast<double>(bounds.c),
                                       bounds.valid ? 1.0 : 0.0,

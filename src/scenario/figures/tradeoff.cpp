@@ -49,7 +49,7 @@ Scenario make_tradeoff_scenario() {
         {"empirical", std::move(grid),
          {"max_m"},
          [trials](const sweep::GridPoint& point, std::uint64_t /*seed*/) {
-           const auto found = analysis::Calibrator::max_catalog_speculative(
+           const auto found = analysis::Calibrator::max_catalog(
                point.spec, 1.0, trials, 0xE8);
            return std::vector<double>{static_cast<double>(found.m)};
          }});

@@ -104,8 +104,7 @@ struct ReportCounter {
 /// since its last publish to the row's counter, so a metric cannot disagree
 /// with its field. kStable: each run's round loop is sequential and
 /// seed-determined, and the multiset of runs a sweep evaluates is
-/// thread-count-invariant (speculative calibration excepted; see the
-/// Observability notes in the README).
+/// thread-count-invariant.
 inline constexpr std::array kReportCounters{
     ReportCounter{&RunReport::demands_admitted, "sim/demands_admitted"},
     ReportCounter{&RunReport::demands_rejected, "sim/demands_rejected"},

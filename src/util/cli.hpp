@@ -72,10 +72,9 @@ class ArgParser {
                                          std::uint32_t min_value = 1);
 
 /// Positive integer read from environment variable `name`: nullopt when the
-/// variable is unset, unparsable, or <= 0. Shared by the runtime knobs
-/// (P2PVOD_THREADS, P2PVOD_GRAIN, P2PVOD_PROBE_WIDTH) so their parsing
-/// cannot drift apart. Re-reads the environment on every call — tests
-/// toggle these at runtime.
+/// variable is unset, unparsable, or <= 0. Shared by the integer runtime
+/// knobs so their parsing cannot drift apart. Re-reads the environment on
+/// every call — tests toggle these at runtime.
 [[nodiscard]] std::optional<long> env_positive_long(const char* name);
 
 }  // namespace p2pvod::util

@@ -76,11 +76,6 @@ ThreadPool::~ThreadPool() {
 }
 
 std::future<void> ThreadPool::submit(std::function<void()> task) {
-  return submit(std::move(task), TaskPriority::kNormal);
-}
-
-std::future<void> ThreadPool::submit(std::function<void()> task,
-                                     TaskPriority priority) {
   Task packaged(std::move(task));
   auto future = packaged.get_future();
   // Workers push to their own deque (LIFO locality for nested submission);
@@ -93,11 +88,11 @@ std::future<void> ThreadPool::submit(std::function<void()> task,
                 queues_.size();
   stat_submitted_.fetch_add(1, std::memory_order_relaxed);
   obs_submitted().add();
-  push(target, std::move(packaged), priority);
+  push(target, std::move(packaged));
   return future;
 }
 
-void ThreadPool::push(std::size_t target, Task task, TaskPriority priority) {
+void ThreadPool::push(std::size_t target, Task task) {
   // Bump pending_ BEFORE the task becomes stealable: if a thief popped (and
   // decremented) between publish and a later increment, the unsigned counter
   // would wrap to SIZE_MAX and every idle worker would busy-spin on the
@@ -106,8 +101,7 @@ void ThreadPool::push(std::size_t target, Task task, TaskPriority priority) {
   pending_.fetch_add(1);
   {
     const std::lock_guard lock(queues_[target]->mutex);
-    queues_[target]->tasks[static_cast<std::size_t>(priority)].push_back(
-        std::move(task));
+    queues_[target]->tasks.push_back(std::move(task));
   }
   // Wake a sleeper only when one might exist: submitters on a busy pool skip
   // the shared idle_mutex_ entirely, keeping the submit fast path on the
@@ -127,53 +121,36 @@ void ThreadPool::push(std::size_t target, Task task, TaskPriority priority) {
 bool ThreadPool::pop_local(std::size_t self, Task& out) {
   WorkerQueue& queue = *queues_[self];
   const std::lock_guard lock(queue.mutex);
-  for (auto& level : queue.tasks) {
-    if (!level.empty()) {
-      out = std::move(level.back());
-      level.pop_back();
-      pending_.fetch_sub(1);
-      stat_executed_local_.fetch_add(1, std::memory_order_relaxed);
-      obs_executed_local().add();
-      return true;
-    }
-  }
-  return false;
+  if (queue.tasks.empty()) return false;
+  out = std::move(queue.tasks.back());
+  queue.tasks.pop_back();
+  pending_.fetch_sub(1);
+  stat_executed_local_.fetch_add(1, std::memory_order_relaxed);
+  obs_executed_local().add();
+  return true;
 }
 
 bool ThreadPool::steal(std::size_t self, Task& out) {
   const std::size_t count = queues_.size();
-  // Priority is the outer loop: every victim's kHigh deque is tried before
-  // any victim's kNormal one, so a stealing worker cannot invert priorities
-  // across queues (the documented contract, same as the local pop).
-  for (std::size_t level = 0; level < kTaskPriorityCount; ++level) {
-    for (std::size_t offset = 1; offset <= count; ++offset) {
-      const std::size_t victim = (self + offset) % count;
-      if (victim == self) continue;
-      WorkerQueue& queue = *queues_[victim];
-      const std::unique_lock lock(queue.mutex, std::try_to_lock);
-      if (!lock.owns_lock()) continue;  // contended victim: move on
-      auto& tasks = queue.tasks[level];
-      if (!tasks.empty()) {
-        out = std::move(tasks.front());
-        tasks.pop_front();
-        pending_.fetch_sub(1);
-        stat_executed_stolen_.fetch_add(1, std::memory_order_relaxed);
-        obs_executed_stolen().add();
-        return true;
-      }
-    }
+  for (std::size_t offset = 1; offset <= count; ++offset) {
+    const std::size_t victim = (self + offset) % count;
+    if (victim == self) continue;
+    WorkerQueue& queue = *queues_[victim];
+    const std::unique_lock lock(queue.mutex, std::try_to_lock);
+    if (!lock.owns_lock()) continue;  // contended victim: move on
+    if (queue.tasks.empty()) continue;
+    out = std::move(queue.tasks.front());
+    queue.tasks.pop_front();
+    pending_.fetch_sub(1);
+    stat_executed_stolen_.fetch_add(1, std::memory_order_relaxed);
+    obs_executed_stolen().add();
+    return true;
   }
   return false;
 }
 
 bool ThreadPool::on_worker_thread() const noexcept {
   return t_current_pool == this;
-}
-
-ThreadPool* ThreadPool::current() noexcept { return t_current_pool; }
-
-bool ThreadPool::inside_parallel_for() noexcept {
-  return t_parallel_for_depth > 0;
 }
 
 bool ThreadPool::try_run_one() {
@@ -269,14 +246,10 @@ void ThreadPool::worker_loop(std::size_t self) {
 
 namespace {
 
-/// Chunk length for parallel_for when the caller passed 0: the P2PVOD_GRAIN
-/// environment override, else count / (4 * workers) rounded up (4 chunks per
-/// worker absorbs moderate cost imbalance without drowning in task
-/// bookkeeping). Re-read per call: tests toggle the variable at runtime.
+/// Chunk length for parallel_for when the caller passed 0: count /
+/// (4 * workers) rounded up (4 chunks per worker absorbs moderate cost
+/// imbalance without drowning in task bookkeeping).
 std::size_t default_grain(std::size_t count, std::size_t workers) {
-  if (const auto grain = env_positive_long("P2PVOD_GRAIN")) {
-    return static_cast<std::size_t>(*grain);
-  }
   const std::size_t chunks = workers * 4;
   return (count + chunks - 1) / chunks;
 }
@@ -285,7 +258,7 @@ std::size_t default_grain(std::size_t count, std::size_t workers) {
 
 void parallel_for(std::size_t begin, std::size_t end,
                   const std::function<void(std::size_t)>& body,
-                  ThreadPool* pool, std::size_t grain, TaskPriority priority) {
+                  ThreadPool* pool, std::size_t grain) {
   if (begin >= end) return;
   if (pool == nullptr) pool = &ThreadPool::global();
   const std::size_t count = end - begin;
@@ -295,7 +268,7 @@ void parallel_for(std::size_t begin, std::size_t end,
   // region; going parallel again would only add scheduling overhead and
   // make sibling chunks' nested structure nondeterministic).
   if (pool->size() <= 1 || count <= 1 || pool->on_worker_thread() ||
-      ThreadPool::inside_parallel_for()) {
+      t_parallel_for_depth > 0) {
     for (std::size_t i = begin; i < end; ++i) body(i);
     return;
   }
@@ -313,7 +286,7 @@ void parallel_for(std::size_t begin, std::size_t end,
   // granularity. The caller claims chunks alongside `runners` worker tasks
   // instead of executing arbitrary foreign pool tasks while blocked: helping
   // restricted to this loop's own chunks cannot nest unrelated work (stack
-  // depth stays the program's logical nesting) and cannot invert priorities.
+  // depth stays the program's logical nesting).
   //
   // Heap-shared state: a runner scheduled after the loop already finished
   // must find valid memory (it claims nothing and returns). Every chunk runs
@@ -369,7 +342,7 @@ void parallel_for(std::size_t begin, std::size_t end,
     // once every chunk has finished elsewhere.
     (void)pool->submit([state, run_claimed_chunks] {
       run_claimed_chunks(*state);
-    }, priority);
+    });
   }
   run_claimed_chunks(*state);
   state->done.get_future().wait();

@@ -5,18 +5,17 @@
 // are identical regardless of thread count or scheduling order. The executor
 // therefore optimizes throughput freely — scheduling never leaks into output.
 //
-// Structure: every worker owns a small array of deques, one per priority
-// level. A worker pushes and pops its own work LIFO (hot caches, bounded
-// space under nested submission) and steals FIFO from a victim's opposite end
-// (oldest task first, the one least likely to be in the victim's cache).
-// External submitters distribute round-robin across the worker deques, so
-// there is no single contended queue. Deques are guarded by one mutex per
-// worker — steals use try_lock so a contended victim is skipped, which makes
-// the fast paths lock-free-ish in practice without the memory-ordering
-// hazards of a full Chase-Lev deque.
+// Structure: every worker owns one deque. A worker pushes and pops its own
+// work LIFO (hot caches, bounded space under nested submission) and steals
+// FIFO from a victim's opposite end (oldest task first, the one least likely
+// to be in the victim's cache). External submitters distribute round-robin
+// across the worker deques, so there is no single contended queue. Each deque
+// is guarded by its worker's mutex — steals use try_lock so a contended
+// victim is skipped, which makes the fast paths lock-free-ish in practice
+// without the memory-ordering hazards of a full Chase-Lev deque. Tasks run
+// in no specified order; callers that need an order wait on futures.
 #pragma once
 
-#include <array>
 #include <atomic>
 #include <condition_variable>
 #include <cstddef>
@@ -30,18 +29,6 @@
 #include <vector>
 
 namespace p2pvod::util {
-
-/// Scheduling classes for submitted tasks. Workers drain higher priorities
-/// first (both on the local LIFO pop and on the steal path); within one level
-/// ordering is unspecified. Calibration probes use kHigh so speculative
-/// ladders overtake bulk trial chunks already queued at kNormal.
-enum class TaskPriority : std::uint8_t {
-  kHigh = 0,
-  kNormal = 1,
-  kLow = 2,
-};
-
-inline constexpr std::size_t kTaskPriorityCount = 3;
 
 /// Cumulative scheduling counters for one pool instance. Every task leaves a
 /// queue through exactly one of pop_local (own deque) or steal (another
@@ -76,26 +63,14 @@ class ThreadPool {
 
   [[nodiscard]] std::size_t size() const noexcept { return workers_.size(); }
 
-  /// Submit a task at kNormal priority; returns a future for its completion.
+  /// Submit a task; returns a future for its completion.
   std::future<void> submit(std::function<void()> task);
-  std::future<void> submit(std::function<void()> task, TaskPriority priority);
 
   /// True when the calling thread is one of this pool's workers. Parallel
   /// helpers use this to degrade to a serial loop instead of deadlocking:
   /// a worker that blocked on nested futures would wait for queue slots that
   /// only it could drain.
   [[nodiscard]] bool on_worker_thread() const noexcept;
-
-  /// The pool owning the calling thread, or nullptr when the caller is not a
-  /// pool worker at all. Lets top-level helpers (speculative calibration)
-  /// detect nesting across distinct pools, not just within one.
-  [[nodiscard]] static ThreadPool* current() noexcept;
-
-  /// True while the calling thread is executing chunks inside a
-  /// parallel_for claiming loop. Non-worker callers run chunks themselves,
-  /// so `current() == nullptr` alone under-detects nesting; helpers that
-  /// degrade under nested parallelism check both.
-  [[nodiscard]] static bool inside_parallel_for() noexcept;
 
   /// Execute one pending task on the calling thread if any is available
   /// (own deque first for workers, then a steal sweep). Returns false when
@@ -106,10 +81,10 @@ class ThreadPool {
   /// waiting ("helping"). This is what makes nested submit-then-wait safe at
   /// any pool size: a worker waiting on a task it just queued will execute
   /// it itself rather than deadlock. Tradeoff of the explicit opt-in: the
-  /// helped task is arbitrary (any queue, any priority) and runs nested on
-  /// the waiter's stack — callers with deep chains of waits-inside-tasks
-  /// should bound that nesting themselves. parallel_for does not use this;
-  /// it only executes chunks of its own loop.
+  /// helped task is arbitrary (any queue) and runs nested on the waiter's
+  /// stack — callers with deep chains of waits-inside-tasks should bound
+  /// that nesting themselves. parallel_for does not use this; it only
+  /// executes chunks of its own loop.
   void wait(std::future<void>& future);
 
   /// Global pool shared by the library's parallel helpers. Sized from the
@@ -125,18 +100,18 @@ class ThreadPool {
  private:
   using Task = std::packaged_task<void()>;
 
-  /// One worker's deques, all priority levels under a single mutex. Owner
-  /// pushes/pops at the back (LIFO), thieves pop at the front (FIFO).
+  /// One worker's deque and its mutex. Owner pushes/pops at the back
+  /// (LIFO), thieves pop at the front (FIFO).
   struct WorkerQueue {
     std::mutex mutex;
-    std::array<std::deque<Task>, kTaskPriorityCount> tasks;
+    std::deque<Task> tasks;
     /// Tasks executed BY this queue's owning worker thread (wherever they
     /// were dequeued from), for PoolStats::per_worker_executed.
     std::atomic<std::uint64_t> executed{0};
   };
 
   void worker_loop(std::size_t self);
-  void push(std::size_t target, Task task, TaskPriority priority);
+  void push(std::size_t target, Task task);
   bool pop_local(std::size_t self, Task& out);
   /// Steal sweep over every queue except `self` (pass size() to sweep all,
   /// e.g. from threads that are not workers of this pool).
@@ -169,21 +144,17 @@ class ThreadPool {
 
 /// Run body(i) for i in [begin, end) across the pool; blocks until all done.
 /// Falls back to a serial loop when the range is tiny, the pool has a single
-/// thread, or the caller is already one of the pool's workers (nested
-/// parallelism guard). `grain` is the number of consecutive indices per
-/// chunk: 0 reads P2PVOD_GRAIN, else defaults to count / (4 * workers)
-/// rounded up. Chunk boundaries depend only on (range, grain, pool size),
-/// never on scheduling, so deterministic bodies stay deterministic. The
-/// calling thread executes chunks of THIS loop alongside the workers (never
-/// arbitrary other pool tasks, so waiting cannot nest unrelated work or
-/// invert priorities).
-/// `priority` is the level the chunks are submitted at — latency-sensitive
-/// work (speculative calibration ladders) uses kHigh to overtake bulk chunks
-/// already queued at kNormal.
+/// thread, or the caller is already inside a parallel region (a worker of
+/// this pool, or any thread running another parallel_for's chunks: the
+/// nested parallelism guard). `grain` is the number of consecutive indices
+/// per chunk; 0 selects count / (4 * workers) rounded up. Chunk boundaries
+/// depend only on (range, grain, pool size), never on scheduling, so
+/// deterministic bodies stay deterministic. The calling thread executes
+/// chunks of THIS loop alongside the workers (never arbitrary other pool
+/// tasks, so waiting cannot nest unrelated work).
 void parallel_for(std::size_t begin, std::size_t end,
                   const std::function<void(std::size_t)>& body,
-                  ThreadPool* pool = nullptr, std::size_t grain = 0,
-                  TaskPriority priority = TaskPriority::kNormal);
+                  ThreadPool* pool = nullptr, std::size_t grain = 0);
 
 /// Map-reduce over [0, count): results[i] = map(i), combined serially in index
 /// order so reduction is deterministic.
@@ -191,12 +162,10 @@ template <typename Result>
 std::vector<Result> parallel_map(std::size_t count,
                                  const std::function<Result(std::size_t)>& map,
                                  ThreadPool* pool = nullptr,
-                                 std::size_t grain = 0,
-                                 TaskPriority priority = TaskPriority::kNormal) {
+                                 std::size_t grain = 0) {
   std::vector<Result> results(count);
   parallel_for(
-      0, count, [&](std::size_t i) { results[i] = map(i); }, pool, grain,
-      priority);
+      0, count, [&](std::size_t i) { results[i] = map(i); }, pool, grain);
   return results;
 }
 

@@ -4,7 +4,6 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <cstdlib>
 #include <stdexcept>
 
 #include "alloc/permutation.hpp"
@@ -499,13 +498,13 @@ TEST(Calibrate, MinKRejectsBadRange) {
                std::invalid_argument);
 }
 
-// ------------------------------------------------- speculative calibration
+// --------------------------------------------- calibration across pool sizes
 
 namespace {
 
 /// Small-but-real calibration spec: cheap enough to search repeatedly, rich
 /// enough that the doubling + binary search takes several probes.
-an::TrialSpec speculation_spec(double u, double d) {
+an::TrialSpec threads_spec(double u, double d) {
   an::TrialSpec spec;
   spec.n = 12;
   spec.u = u;
@@ -520,116 +519,80 @@ an::TrialSpec speculation_spec(double u, double d) {
 
 }  // namespace
 
-// Acceptance criterion: speculative min_feasible_k / max_catalog return
-// results identical to the sequential search at 1, 4, and 8 threads —
-// including the explored (value, rate) trace, which must list exactly the
-// probes the sequential search evaluates, in the same order (refuted
-// speculative probes are discarded, never reported).
-TEST(CalibrateSpeculative, MatchesSequentialAtOneFourEightThreads) {
+// min_feasible_k / max_catalog return the same result on pools of 1, 4 and 8
+// threads — including the explored (value, rate) trace, which lists every
+// probe in evaluation order. Each probe's trials run in parallel; the probe
+// sequence and every rate are functions of (spec, trials, seed) alone.
+TEST(CalibrateThreads, SearchesIdenticalAtOneFourEightThreads) {
   const std::uint32_t trials = 4;
   for (const double u : {0.75, 1.5, 3.0}) {
     for (const double d : {2.0, 4.0}) {
-      const an::TrialSpec spec = speculation_spec(u, d);
+      const an::TrialSpec spec = threads_spec(u, d);
       const auto k_hi =
           static_cast<std::uint32_t>(spec.d * static_cast<double>(spec.n));
       p2pvod::util::ThreadPool reference_pool(1);
-      const auto sequential_min = an::Calibrator::min_feasible_k(
+      const auto reference_min = an::Calibrator::min_feasible_k(
           spec, 1, k_hi, 1.0, trials, 0xCAFE, &reference_pool);
-      const auto sequential_max = an::Calibrator::max_catalog(
+      const auto reference_max = an::Calibrator::max_catalog(
           spec, 1.0, trials, 0xCAFE, &reference_pool);
+      EXPECT_FALSE(reference_min.explored.empty());
+      EXPECT_FALSE(reference_max.explored.empty());
 
-      for (const std::size_t threads :
-           {std::size_t{1}, std::size_t{4}, std::size_t{8}}) {
+      for (const std::size_t threads : {std::size_t{4}, std::size_t{8}}) {
         p2pvod::util::ThreadPool pool(threads);
-        an::SpeculationOptions options;
-        options.pool = &pool;
-        options.ladder_width = 4;
-        const auto speculative_min = an::Calibrator::min_feasible_k_speculative(
-            spec, 1, k_hi, 1.0, trials, 0xCAFE, options);
-        EXPECT_EQ(speculative_min.k, sequential_min.k)
+        const auto min_k = an::Calibrator::min_feasible_k(
+            spec, 1, k_hi, 1.0, trials, 0xCAFE, &pool);
+        EXPECT_EQ(min_k.k, reference_min.k)
             << "u=" << u << " d=" << d << " threads=" << threads;
-        EXPECT_EQ(speculative_min.catalog, sequential_min.catalog);
-        EXPECT_EQ(speculative_min.explored, sequential_min.explored)
+        EXPECT_EQ(min_k.catalog, reference_min.catalog);
+        EXPECT_EQ(min_k.explored, reference_min.explored)
             << "u=" << u << " d=" << d << " threads=" << threads;
 
-        const auto speculative_max = an::Calibrator::max_catalog_speculative(
-            spec, 1.0, trials, 0xCAFE, options);
-        EXPECT_EQ(speculative_max.m, sequential_max.m)
+        const auto max_m = an::Calibrator::max_catalog(spec, 1.0, trials,
+                                                       0xCAFE, &pool);
+        EXPECT_EQ(max_m.m, reference_max.m)
             << "u=" << u << " d=" << d << " threads=" << threads;
-        EXPECT_EQ(speculative_max.k, sequential_max.k);
-        EXPECT_EQ(speculative_max.explored, sequential_max.explored)
+        EXPECT_EQ(max_m.k, reference_max.k);
+        EXPECT_EQ(max_m.explored, reference_max.explored)
             << "u=" << u << " d=" << d << " threads=" << threads;
       }
     }
   }
 }
 
-TEST(CalibrateSpeculative, LadderWidthNeverChangesTheResult) {
-  const an::TrialSpec spec = speculation_spec(1.5, 4.0);
-  p2pvod::util::ThreadPool pool(4);
-  an::SpeculationOptions reference;
-  reference.pool = &pool;
-  reference.ladder_width = 1;  // degrades to the sequential path
-  const auto sequential =
-      an::Calibrator::min_feasible_k_speculative(spec, 1, 48, 1.0, 3, 7,
-                                                 reference);
-  for (const std::uint32_t width : {2u, 3u, 8u, 32u}) {
-    an::SpeculationOptions options;
-    options.pool = &pool;
-    options.ladder_width = width;
-    const auto speculative = an::Calibrator::min_feasible_k_speculative(
-        spec, 1, 48, 1.0, 3, 7, options);
-    EXPECT_EQ(speculative.k, sequential.k) << width;
-    EXPECT_EQ(speculative.explored, sequential.explored) << width;
-  }
-}
-
-TEST(CalibrateSpeculative, EnvProbeWidthKnobIsHonored) {
-  // Width from P2PVOD_PROBE_WIDTH (including a garbage value falling back to
-  // the default) must not change results either.
-  const an::TrialSpec spec = speculation_spec(1.5, 2.0);
-  p2pvod::util::ThreadPool pool(4);
-  an::SpeculationOptions options;
-  options.pool = &pool;  // ladder_width stays 0: resolved from env
-  const auto reference = an::Calibrator::min_feasible_k(spec, 1, 24, 1.0, 3,
-                                                        11, &pool);
-  for (const char* width : {"2", "16", "0", "garbage"}) {
-    setenv("P2PVOD_PROBE_WIDTH", width, 1);
-    const auto speculative = an::Calibrator::min_feasible_k_speculative(
-        spec, 1, 24, 1.0, 3, 11, options);
-    EXPECT_EQ(speculative.explored, reference.explored) << width;
-  }
-  unsetenv("P2PVOD_PROBE_WIDTH");
-}
-
-TEST(CalibrateSpeculative, RejectsBadRangeLikeSequential) {
+TEST(CalibrateThreads, RejectsBadRange) {
   an::TrialSpec spec;
-  EXPECT_THROW((void)an::Calibrator::min_feasible_k_speculative(
-                   spec, 0, 4, 1.0, 1, 1),
+  p2pvod::util::ThreadPool pool(4);
+  EXPECT_THROW((void)an::Calibrator::min_feasible_k(spec, 0, 4, 1.0, 1, 1,
+                                                    &pool),
                std::invalid_argument);
-  EXPECT_THROW((void)an::Calibrator::min_feasible_k_speculative(
-                   spec, 5, 4, 1.0, 1, 1),
+  EXPECT_THROW((void)an::Calibrator::min_feasible_k(spec, 5, 4, 1.0, 1, 1,
+                                                    &pool),
                std::invalid_argument);
 }
 
-TEST(CalibrateSpeculative, DegenerateCatalogAndZeroTrials) {
-  // n*d == 0 (empty catalog bound) and trials == 0 must behave exactly like
-  // the sequential search instead of dividing by zero or hanging.
-  an::TrialSpec zero = speculation_spec(1.5, 0.0);
+TEST(CalibrateThreads, DegenerateCatalogAndZeroTrials) {
+  // n*d == 0 (empty catalog bound) probes nothing; trials == 0 gives every
+  // probe rate 0, the same search at every pool size, and no k.
+  an::TrialSpec zero = threads_spec(1.5, 0.0);
   zero.n = 0;
-  p2pvod::util::ThreadPool pool(4);
-  an::SpeculationOptions options;
-  options.pool = &pool;
-  options.ladder_width = 4;
-  const auto empty =
-      an::Calibrator::max_catalog_speculative(zero, 1.0, 2, 3, options);
-  EXPECT_EQ(empty.m, 0u);
-  EXPECT_TRUE(empty.explored.empty());
+  const an::TrialSpec spec = threads_spec(1.5, 2.0);
+  p2pvod::util::ThreadPool serial(1);
+  const auto reference =
+      an::Calibrator::min_feasible_k(spec, 1, 8, 1.0, 0, 3, &serial);
+  EXPECT_EQ(reference.k, 0u);
+  EXPECT_FALSE(reference.explored.empty());
+  for (const std::size_t threads :
+       {std::size_t{1}, std::size_t{4}, std::size_t{8}}) {
+    p2pvod::util::ThreadPool pool(threads);
+    const auto empty = an::Calibrator::max_catalog(zero, 1.0, 2, 3, &pool);
+    EXPECT_EQ(empty.m, 0u) << threads;
+    EXPECT_TRUE(empty.explored.empty()) << threads;
 
-  const an::TrialSpec spec = speculation_spec(1.5, 2.0);
-  const auto sequential = an::Calibrator::min_feasible_k(spec, 1, 8, 1.0, 0, 3);
-  const auto speculative = an::Calibrator::min_feasible_k_speculative(
-      spec, 1, 8, 1.0, 0, 3, options);
-  EXPECT_EQ(speculative.k, sequential.k);
-  EXPECT_EQ(speculative.explored, sequential.explored);
+    const auto no_trials =
+        an::Calibrator::min_feasible_k(spec, 1, 8, 1.0, 0, 3, &pool);
+    EXPECT_EQ(no_trials.k, reference.k) << threads;
+    EXPECT_EQ(no_trials.catalog, reference.catalog) << threads;
+    EXPECT_EQ(no_trials.explored, reference.explored) << threads;
+  }
 }

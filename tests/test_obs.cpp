@@ -421,32 +421,41 @@ obs::MetricsSnapshot stable_metrics_with_threads(const std::string& id,
 }  // namespace
 
 // The headline determinism contract: every kStable counter/histogram delta
-// of a scenario run is identical at 1, 4, and 8 threads. Scheduling metrics
-// (pool steals, trace drops) are excluded by construction via the stability
-// tag. Uses "threshold" (E2), whose calibration path evaluates a fixed,
-// thread-count-independent trial set.
+// of a scenario run is identical on sweep pools of 1, 4, and 8 threads.
+// Scheduling metrics (pool steals, trace drops) are excluded by construction
+// via the stability tag. Covers "threshold" (E2, fixed trial set per point)
+// and the three calibration-search scenarios, "tradeoff" (E8),
+// "catalog_scaling" (E3) and "replication" (E4), whose probe sequence
+// depends on measured success rates: the searches must evaluate the same
+// trials whatever pool the sweep or the trials run on.
 TEST(ObsDeterminism, StableMetricsIdenticalAcrossThreadCounts) {
   const ScopedEnv scale("P2PVOD_SCALE", "0.25");
-  const obs::MetricsSnapshot serial =
-      stable_metrics_with_threads("threshold", 1);
-  const obs::MetricsSnapshot four = stable_metrics_with_threads("threshold", 4);
-  const obs::MetricsSnapshot eight =
-      stable_metrics_with_threads("threshold", 8);
+  for (const std::string id :
+       {"threshold", "tradeoff", "catalog_scaling", "replication"}) {
+    SCOPED_TRACE(id);
+    const obs::MetricsSnapshot serial = stable_metrics_with_threads(id, 1);
+    const obs::MetricsSnapshot four = stable_metrics_with_threads(id, 4);
+    const obs::MetricsSnapshot eight = stable_metrics_with_threads(id, 8);
 
-  ASSERT_FALSE(serial.values.empty());
-  // The run must actually have exercised the instrumented hot paths.
-  EXPECT_GT(serial.values.at("sim/rounds").count, 0u);
-  EXPECT_GT(serial.values.at("sweep/points").count, 0u);
+    ASSERT_FALSE(serial.values.empty());
+    // The run must actually have exercised the instrumented hot paths.
+    EXPECT_GT(serial.values.at("sim/rounds").count, 0u);
+    EXPECT_GT(serial.values.at("sweep/points").count, 0u);
 
-  EXPECT_EQ(serial.values.size(), four.values.size());
-  EXPECT_EQ(serial.values.size(), eight.values.size());
-  for (const auto& [name, value] : serial.values) {
-    ASSERT_EQ(four.values.count(name), 1u) << name;
-    ASSERT_EQ(eight.values.count(name), 1u) << name;
-    EXPECT_EQ(value, four.values.at(name)) << "metric drifted at 4 threads: "
-                                           << name;
-    EXPECT_EQ(value, eight.values.at(name)) << "metric drifted at 8 threads: "
-                                            << name;
+    EXPECT_EQ(serial.values.size(), four.values.size());
+    EXPECT_EQ(serial.values.size(), eight.values.size());
+    for (const auto& [name, value] : serial.values) {
+      ASSERT_EQ(four.values.count(name), 1u) << name;
+      ASSERT_EQ(eight.values.count(name), 1u) << name;
+      const obs::MetricValue& at_four = four.values.at(name);
+      const obs::MetricValue& at_eight = eight.values.at(name);
+      EXPECT_EQ(value, at_four) << "metric drifted at 4 threads: " << name
+                                << " count " << value.count << " vs "
+                                << at_four.count;
+      EXPECT_EQ(value, at_eight) << "metric drifted at 8 threads: " << name
+                                 << " count " << value.count << " vs "
+                                 << at_eight.count;
+    }
   }
 }
 

@@ -434,16 +434,6 @@ TEST(ThreadPool, ParallelMapPreservesOrder) {
   for (std::size_t i = 0; i < out.size(); ++i) EXPECT_EQ(out[i], i * i);
 }
 
-TEST(ThreadPool, SubmitWithPriorityRunsTask) {
-  u::ThreadPool pool(2);
-  std::atomic<int> counter{0};
-  auto high = pool.submit([&counter] { ++counter; }, u::TaskPriority::kHigh);
-  auto low = pool.submit([&counter] { ++counter; }, u::TaskPriority::kLow);
-  high.get();
-  low.get();
-  EXPECT_EQ(counter.load(), 2);
-}
-
 // --- parallel_for grain-size properties: every grain choice must cover the
 // --- range exactly once, whatever its relation to range and worker count.
 
@@ -529,20 +519,6 @@ TEST(ParallelForGrain, ResultsIndependentOfGrainAndThreads) {
               reference)
         << grain;
   }
-}
-
-TEST(ParallelForGrain, EnvGrainKnobIsHonored) {
-  // P2PVOD_GRAIN only changes chunk shapes; coverage and results must not
-  // move. (Value 1 maximizes task count — the worst case for bookkeeping.)
-  u::ThreadPool pool(4);
-  setenv("P2PVOD_GRAIN", "1", 1);
-  expect_covers_once(0, 37, &pool, 0);
-  setenv("P2PVOD_GRAIN", "1000000", 1);
-  expect_covers_once(0, 37, &pool, 0);
-  setenv("P2PVOD_GRAIN", "garbage", 1);
-  expect_covers_once(0, 37, &pool, 0);
-  unsetenv("P2PVOD_GRAIN");
-  expect_covers_once(0, 37, &pool, 0);
 }
 
 // ----------------------------------------------------------------- cli
