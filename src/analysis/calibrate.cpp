@@ -185,7 +185,7 @@ Calibrator::MaxCatalogResult Calibrator::max_catalog(TrialSpec spec,
 
   if (!feasible(1)) return result;  // even m=1 fails
   std::uint32_t lo = 1, hi = m_max;
-  if (!feasible(m_max)) {
+  if (m_max > 1 && !feasible(m_max)) {  // m_max = 1 was just probed
     // Binary search inside (1, m_max).
     while (lo + 1 < hi) {
       const std::uint32_t mid = lo + (hi - lo) / 2;

@@ -7,16 +7,29 @@
 // request for s was issued at t_j with  t - T <= t_j < t_i  (strictly earlier
 // joiners still inside the retention window).
 //
-// The index stores, per stripe, the cache grants (box, entry round) and
-// answers "who can serve request (s, t_i) at round t" — excluding the
-// requester itself. Upkeep is in proportion to the entries that change, not
-// to the catalog's m·c stripes:
+// The index stores the cache grants (box, stripe, entry round) and answers
+// "who can serve request (s, t_i) at round t", excluding the requester
+// itself. Upkeep is O(1) per entry that changes, whatever the catalog's m·c
+// stripes, and makes no heap allocation once the pool has grown to the
+// peak entry count:
 //
-//   - an expiry calendar (a RoundCalendar) keyed by the round an entry
-//     leaves the window (entry + window + 1): prune() scans only the stripes
-//     holding an entry that leaves then, once per leaving entry;
-//   - a per-box index of each box's live entries, exact on grant, expiry
-//     and removal: remove_box() scans only that box's stripes, once each.
+//   - every entry lives in one pool, linked into two intrusive doubly
+//     linked lists: its stripe's (what collect_servers() walks) and its
+//     box's (what remove_box() walks). Unlinking is O(1), with no search;
+//   - an expiry calendar (a RoundCalendar of pool ids) keyed by the round an
+//     entry leaves the window (entry + window + 1): prune() visits only the
+//     entries that leave, in calendar order.
+//
+// Slot lifetime: a pool slot goes back to the free list only when its own
+// calendar event fires. An entry that dies with its box (remove_box) is
+// unlinked at once but keeps its slot, marked dead, until that event; so a
+// stale event can never name a recycled slot and drop a newer entry.
+//
+// The order of a stripe's list is not meaningful (a slot is pushed at the
+// head and unlinked from anywhere): both users of collect_servers() sort
+// what it appends (the dense ConnectionProblem build and the CSR rows). The
+// orders the index does promise come from elsewhere: prune() reports in
+// calendar order, remove_box() sorts the stripes it reports.
 //
 // The calendar is the simulator's only record of the retention window: the
 // CSR engine consumes the expiries prune() reports instead of keeping its
@@ -51,7 +64,8 @@ class CacheIndex {
 
   /// Append to `out` every box that, per the §2.2 rule, possesses the chunk a
   /// request issued at `issue` needs at round `now`; `exclude` (the
-  /// requester) is skipped. Returns the number of boxes appended.
+  /// requester) is skipped. Returns the number of boxes appended, in no
+  /// particular order.
   std::size_t collect_servers(model::StripeId stripe, model::Round issue,
                               model::Round now, model::BoxId exclude,
                               std::vector<model::BoxId>& out) const;
@@ -74,18 +88,35 @@ class CacheIndex {
   [[nodiscard]] model::Round window() const noexcept { return window_; }
 
  private:
-  struct Entry {
-    model::BoxId box;
-    model::Round entry;
-    bool operator==(const Entry&) const = default;
+  static constexpr std::uint32_t kNone = static_cast<std::uint32_t>(-1);
+
+  /// Intrusive doubly linked list links (pool ids, kNone at the ends).
+  struct Links {
+    std::uint32_t prev = kNone;
+    std::uint32_t next = kNone;
   };
 
-  std::vector<std::vector<Entry>> per_stripe_;
-  /// Per box, the stripe of each of its live entries.
-  std::vector<std::vector<model::StripeId>> per_box_;
-  /// Grants by expiry round, in grant order; an event whose entry already
-  /// died with its box finds nothing to drop.
-  RoundCalendar<CacheExpiry> calendar_;
+  /// A pool slot: a live entry, or a dead one awaiting its calendar event.
+  struct Slot {
+    model::Round entry = 0;
+    model::StripeId stripe = model::kInvalidStripe;
+    model::BoxId box = model::kInvalidBox;
+    Links by_stripe;  ///< in stripe_head_[stripe]'s list while live
+    Links by_box;     ///< in box_head_[box]'s list while live
+    bool live = false;
+  };
+
+  /// Unlink a live slot from both lists and mark it dead; its slot stays
+  /// taken until its calendar event fires.
+  void unlink(std::uint32_t id);
+
+  std::vector<Slot> pool_;
+  std::vector<std::uint32_t> free_;        ///< pool ids ready for reuse
+  std::vector<std::uint32_t> stripe_head_; ///< per stripe: first live slot
+  std::vector<std::uint32_t> box_head_;    ///< per box: first live slot
+  /// Pool ids by expiry round, in grant order: exactly one event per taken
+  /// slot, which frees it.
+  RoundCalendar<std::uint32_t> calendar_;
   model::Round window_;
   std::uint64_t entries_ = 0;
 };

@@ -6,12 +6,21 @@
 // under the §4 relay strategy both the relay and the poor box do, with the
 // poor box lagging one round behind the forwarder).
 //
+// Those are the only two caches a stripe's data passes through, so a plan
+// holds at most two grants, inline (PlanGrants): planning a demand costs no
+// heap allocation. A third grant throws std::length_error inside the
+// strategy, before the simulator admits anything.
+//
 // An *active* request is a planned request currently downloading. At round
 // `now` it needs the chunk at position (now - issue); it completes after
 // position T-1 is delivered (§2.2).
 #pragma once
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
+#include <initializer_list>
+#include <stdexcept>
 #include <vector>
 
 #include "model/ids.hpp"
@@ -29,12 +38,51 @@ struct CacheGrant {
   model::Round entry;
 };
 
+/// The cache grants of one plan, stored inline: at most kMaxGrants of them.
+/// Adding another throws std::length_error and leaves the list unchanged.
+class PlanGrants {
+ public:
+  /// The requester's cache and, under the §4 relay, the poor box's.
+  static constexpr std::size_t kMaxGrants = 2;
+
+  PlanGrants& operator=(std::initializer_list<CacheGrant> grants) {
+    if (grants.size() > kMaxGrants) throw_full();
+    size_ = 0;
+    for (const CacheGrant& grant : grants) items_[size_++] = grant;
+    return *this;
+  }
+
+  void push_back(const CacheGrant& grant) {
+    if (size_ == kMaxGrants) throw_full();
+    items_[size_++] = grant;
+  }
+
+  [[nodiscard]] std::size_t size() const noexcept { return size_; }
+  [[nodiscard]] const CacheGrant& operator[](std::size_t i) const noexcept {
+    return items_[i];
+  }
+  [[nodiscard]] const CacheGrant* begin() const noexcept {
+    return items_.data();
+  }
+  [[nodiscard]] const CacheGrant* end() const noexcept {
+    return items_.data() + size_;
+  }
+
+ private:
+  [[noreturn]] static void throw_full() {
+    throw std::length_error("PlannedRequest: more than two cache grants");
+  }
+
+  std::array<CacheGrant, kMaxGrants> items_{};
+  std::size_t size_ = 0;
+};
+
 struct PlannedRequest {
   model::BoxId requester = model::kInvalidBox;  ///< box whose download this is
   model::StripeId stripe = model::kInvalidStripe;
   model::Round issue = 0;  ///< round at which the request becomes active
   /// Boxes whose caches fill with this stripe's data (see CacheGrant).
-  std::vector<CacheGrant> grants;
+  PlanGrants grants;
 
   /// Convenience: the common case of a box downloading for itself.
   [[nodiscard]] static PlannedRequest direct(model::BoxId box,

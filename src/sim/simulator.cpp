@@ -55,7 +55,7 @@ Simulator::Simulator(const model::Catalog& catalog,
   for (const std::uint32_t slots : capacity_slots_)
     total_capacity_slots_ += slots;
   nominal_capacity_ = capacity_slots_;
-  online_.assign(profile_.size(), true);
+  online_.assign(profile_.size(), 1);
 
   // The CSR engine repairs last round's matching and is blind to costs, so
   // it cannot honor a topology: asking for both is a config error.
@@ -69,12 +69,15 @@ Simulator::Simulator(const model::Catalog& catalog,
   }
 }
 
-std::uint32_t Simulator::idle_box_count() const {
-  std::uint32_t idle = 0;
-  for (model::BoxId b = 0; b < profile_.size(); ++b) {
-    if (box_idle(b)) ++idle;
+void Simulator::idle_boxes(std::vector<model::BoxId>& out) const {
+  const std::size_t n = online_.size();
+  out.resize(n);
+  std::size_t idle = 0;
+  for (std::size_t b = 0; b < n; ++b) {
+    out[idle] = static_cast<model::BoxId>(b);  // kept only if b is idle
+    idle += static_cast<std::size_t>(online_[b] & (now_ >= busy_until_[b]));
   }
-  return idle;
+  out.resize(idle);
 }
 
 void Simulator::admit(const Demand& demand) {
@@ -426,8 +429,8 @@ void Simulator::set_box_online(model::BoxId box, bool online) {
   OBS_SPAN("sim/box_churn");
   if (box >= profile_.size())
     throw std::out_of_range("Simulator::set_box_online");
-  if (online_[box] == online) return;
-  online_[box] = online;
+  if ((online_[box] != 0) == online) return;
+  online_[box] = online ? 1 : 0;
   // ±delta, not a rescan: churn is per-event, and an O(n) sweep here was a
   // round-loop hot spot of its own at production n with per-round failures.
   const std::uint32_t was = capacity_slots_[box];

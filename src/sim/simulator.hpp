@@ -101,7 +101,7 @@ class Simulator {
   /// gone (it was volatile state).
   void set_box_online(model::BoxId box, bool online);
   [[nodiscard]] bool box_online(model::BoxId box) const {
-    return online_.at(box);
+    return online_.at(box) != 0;
   }
 
   /// Drive `rounds` rounds pulling demands from `generator`; returns the
@@ -123,11 +123,14 @@ class Simulator {
     return swarms_;
   }
   /// Online and not busy with a session; throws std::out_of_range for an
-  /// unknown box. Inline: demand generators call it once per box per round.
+  /// unknown box.
   [[nodiscard]] bool box_idle(model::BoxId b) const {
-    return online_.at(b) && now_ >= busy_until_.at(b);
+    return online_.at(b) != 0 && now_ >= busy_until_.at(b);
   }
-  [[nodiscard]] std::uint32_t idle_box_count() const;
+  /// Replace the contents of `out` with the ids of the idle boxes, ascending
+  /// (the box_idle() set). Demand generators call it once per round: one
+  /// branch-free pass over the boxes, into a buffer the caller reuses.
+  void idle_boxes(std::vector<model::BoxId>& out) const;
   [[nodiscard]] bool stalled() const noexcept { return stalled_; }
   [[nodiscard]] std::uint32_t active_request_count() const noexcept {
     return static_cast<std::uint32_t>(live_.size());
@@ -227,7 +230,7 @@ class Simulator {
   LiveRequestSoA live_;
   std::vector<std::uint32_t> capacity_slots_;
   std::vector<std::uint32_t> nominal_capacity_;  ///< restored on recovery
-  std::vector<bool> online_;
+  std::vector<std::uint8_t> online_;  ///< 0 or 1 per box
   std::uint64_t total_capacity_slots_ = 0;
 
   RunReport report_;

@@ -4,11 +4,7 @@ namespace p2pvod::workload {
 
 std::vector<model::BoxId> idle_boxes(const sim::Simulator& sim) {
   std::vector<model::BoxId> out;
-  const std::uint32_t n = sim.profile().size();
-  out.reserve(n);
-  for (model::BoxId b = 0; b < n; ++b) {
-    if (sim.box_idle(b)) out.push_back(b);
-  }
+  sim.idle_boxes(out);
   return out;
 }
 

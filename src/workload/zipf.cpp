@@ -1,6 +1,5 @@
 #include "workload/zipf.hpp"
 
-#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 
@@ -18,15 +17,6 @@ ZipfSampler::ZipfSampler(std::uint32_t size, double alpha) {
   for (double& value : cumulative_) value /= acc;
 }
 
-std::uint32_t ZipfSampler::sample(util::Rng& rng) const {
-  const double x = rng.next_double();
-  const auto it =
-      std::lower_bound(cumulative_.begin(), cumulative_.end(), x);
-  return static_cast<std::uint32_t>(
-      std::min<std::ptrdiff_t>(it - cumulative_.begin(),
-                               static_cast<std::ptrdiff_t>(cumulative_.size()) - 1));
-}
-
 double ZipfSampler::probability(std::uint32_t rank) const {
   if (rank >= cumulative_.size())
     throw std::out_of_range("ZipfSampler::probability");
@@ -35,11 +25,18 @@ double ZipfSampler::probability(std::uint32_t rank) const {
 }
 
 std::vector<sim::Demand> ZipfDemand::demands(const sim::Simulator& sim) {
+  sim.idle_boxes(idle_);
   std::vector<sim::Demand> out;
-  for (const model::BoxId b : idle_boxes(sim)) {
-    if (!rng_.next_bool(demand_prob_)) continue;
-    out.push_back({b, sampler_.sample(rng_)});
+  // Draw on a local copy, written back at the end: nothing in the loop can
+  // alias it, so the engine state stays in registers. One Bernoulli draw per
+  // idle box and one Zipf draw per demand, in box order.
+  util::Rng rng = rng_;
+  const double p = demand_prob_;
+  for (const model::BoxId b : idle_) {
+    if (!rng.next_bool(p)) continue;
+    out.push_back({b, sampler_.sample(rng)});
   }
+  rng_ = rng;
   return out;
 }
 

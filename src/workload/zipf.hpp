@@ -6,6 +6,9 @@
 // the examples and the E2 success-probability experiment's background traffic.
 #pragma once
 
+#include <algorithm>
+#include <cstddef>
+
 #include "util/rng.hpp"
 #include "workload/demand.hpp"
 
@@ -17,7 +20,15 @@ class ZipfSampler {
  public:
   ZipfSampler(std::uint32_t size, double alpha);
 
-  [[nodiscard]] std::uint32_t sample(util::Rng& rng) const;
+  /// One draw: the first rank whose cumulative weight reaches a uniform
+  /// [0, 1) variate. Inline, so a caller's loop keeps `rng` in registers.
+  [[nodiscard]] std::uint32_t sample(util::Rng& rng) const {
+    const double x = rng.next_double();
+    const auto rank = static_cast<std::size_t>(
+        std::lower_bound(cumulative_.begin(), cumulative_.end(), x) -
+        cumulative_.begin());
+    return static_cast<std::uint32_t>(std::min(rank, cumulative_.size() - 1));
+  }
   [[nodiscard]] double probability(std::uint32_t rank) const;
   [[nodiscard]] std::uint32_t size() const noexcept {
     return static_cast<std::uint32_t>(cumulative_.size());
@@ -41,6 +52,7 @@ class ZipfDemand final : public DemandGenerator {
   ZipfSampler sampler_;
   double demand_prob_;
   util::Rng rng_;
+  std::vector<model::BoxId> idle_;  ///< reused across rounds
 };
 
 }  // namespace p2pvod::workload

@@ -492,6 +492,18 @@ TEST(Calibrate, SuiteNames) {
   EXPECT_STREQ(an::suite_name(an::WorkloadSuite::kFull), "full");
 }
 
+TEST(Calibrate, MaxCatalogProbesASingleBoxCatalogOnce) {
+  // ⌊d·n⌋ = 1: the m = 1 probe is also the m_max probe, so the search runs
+  // its trials once and lists it once.
+  an::TrialSpec spec;
+  spec.n = 1;
+  spec.d = 1.5;
+  const auto result = an::Calibrator::max_catalog(spec, 0.0, 2, 7);
+  EXPECT_EQ(result.m, 1u);
+  ASSERT_EQ(result.explored.size(), 1u);
+  EXPECT_EQ(result.explored[0].first, 1u);
+}
+
 TEST(Calibrate, MinKRejectsBadRange) {
   an::TrialSpec spec;
   EXPECT_THROW((void)an::Calibrator::min_feasible_k(spec, 0, 4, 1.0, 1, 1),

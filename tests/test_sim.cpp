@@ -197,6 +197,50 @@ TEST(Cache, RemovedBoxEntriesAreNeverReportedExpired) {
   EXPECT_EQ(cache.entry_count(), 0u);
 }
 
+TEST(Cache, DeadEntryKeepsItsSlotUntilItsExpiry) {
+  // Entries live in a pool whose slots are recycled. The entry that dies
+  // with its box keeps its slot until its own expiry event: if it were freed
+  // at remove_box, a later grant would take it, and the dead entry's event
+  // would then drop (and report) that newer entry.
+  constexpr m::Round kWindow = 4;
+  s::CacheIndex cache(/*box_count=*/4, /*stripe_count=*/2, kWindow);
+  // Put two slots on the free list: grant and expire two entries.
+  cache.grant(0, 0, /*entry=*/0);
+  cache.grant(1, 0, /*entry=*/0);
+  std::vector<s::CacheExpiry> expired;
+  cache.prune(kWindow + 1, &expired);
+  ASSERT_EQ(expired.size(), 2u);
+  ASSERT_EQ(cache.entry_count(), 0u);
+
+  // The doomed entry expires at round 6 + kWindow + 1 = 11.
+  cache.grant(0, /*box=*/1, /*entry=*/6);
+  EXPECT_EQ(cache.remove_box(1), 1u);
+  // Drain the free list and then some: every free slot is taken.
+  for (m::BoxId box : {m::BoxId{2}, m::BoxId{3}, m::BoxId{0}})
+    cache.grant(box % 2, box, /*entry=*/7);
+  const auto servers = [&](m::StripeId stripe) {
+    std::vector<m::BoxId> out;
+    cache.collect_servers(stripe, /*issue=*/8, /*now=*/11, m::kInvalidBox,
+                          out);
+    std::sort(out.begin(), out.end());
+    return out;
+  };
+  ASSERT_EQ(servers(0), (std::vector<m::BoxId>{0, 2}));
+  ASSERT_EQ(servers(1), (std::vector<m::BoxId>{3}));
+
+  // Through the dead entry's expiry round, but before the live ones'.
+  expired.clear();
+  for (m::Round now = kWindow + 2; now <= 11; ++now) cache.prune(now, &expired);
+  EXPECT_TRUE(expired.empty());
+  EXPECT_EQ(cache.entry_count(), 3u);
+  EXPECT_EQ(servers(0), (std::vector<m::BoxId>{0, 2}));
+  EXPECT_EQ(servers(1), (std::vector<m::BoxId>{3}));
+  // The live entries still leave on their own schedule.
+  cache.prune(12, &expired);
+  EXPECT_EQ(expired.size(), 3u);
+  EXPECT_EQ(cache.entry_count(), 0u);
+}
+
 TEST(Cache, RejectsUnknownBox) {
   s::CacheIndex cache(/*box_count=*/3, /*stripe_count=*/2, /*window=*/4);
   EXPECT_THROW(cache.grant(0, 3, 1), std::out_of_range);
@@ -885,6 +929,49 @@ TEST(Simulator, GrantToUnknownBoxThrowsOnBothEngines) {
     EXPECT_EQ(sim.sparse_active(), topology == nullptr);
     EXPECT_THROW(sim.step({{0, 0}}), std::out_of_range);
   }
+}
+
+namespace {
+
+/// Gives every plan a third cache grant: more than a plan can hold.
+class ThreeGrantStrategy final : public s::RequestStrategy {
+ public:
+  void plan(m::BoxId b, m::VideoId, std::uint64_t, m::Round now,
+            s::Simulator&, std::vector<s::PlannedRequest>& out) override {
+    s::PlannedRequest request = s::PlannedRequest::direct(b, 0, now);
+    request.grants.push_back({1, now + 1});
+    request.grants.push_back({2, now + 2});
+    out.push_back(request);
+  }
+  [[nodiscard]] std::string name() const override { return "three-grant"; }
+};
+
+}  // namespace
+
+TEST(PlannedRequest, ThirdGrantThrows) {
+  // A plan fills at most two caches (the requester's and, under the §4
+  // relay, the poor box's); a third grant is refused and changes nothing.
+  s::PlannedRequest request = s::PlannedRequest::direct(0, 3, 5);
+  request.grants.push_back({1, 6});
+  EXPECT_THROW(request.grants.push_back({2, 7}), std::length_error);
+  EXPECT_THROW((request.grants = {{0, 5}, {1, 6}, {2, 7}}), std::length_error);
+  ASSERT_EQ(request.grants.size(), 2u);
+  EXPECT_EQ(request.grants[0].box, 0u);
+  EXPECT_EQ(request.grants[1].box, 1u);
+  EXPECT_EQ(request.grants[1].entry, 6);
+  request.grants = {{2, 7}};
+  ASSERT_EQ(request.grants.size(), 1u);
+  EXPECT_EQ(request.grants[0].box, 2u);
+
+  // Thrown inside the strategy: the simulator admits nothing.
+  World world(3, 1, 8, 2.0, 1);
+  ThreeGrantStrategy strategy;
+  s::Simulator sim(world.catalog, world.profile, world.allocation, strategy);
+  EXPECT_THROW(sim.step({{0, 0}}), std::length_error);
+  EXPECT_EQ(sim.report().demands_admitted, 0u);
+  EXPECT_EQ(sim.report().requests_issued, 0u);
+  EXPECT_EQ(sim.swarms().total_entries(0), 0u);
+  EXPECT_TRUE(sim.box_idle(0));
 }
 
 TEST(Simulator, RunDrivesGeneratorUntilStall) {

@@ -6,6 +6,7 @@
 #include <set>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "alloc/allocation.hpp"
@@ -295,6 +296,73 @@ TEST(Zipf, GeneratorTargetsIdleBoxesOnly) {
   const auto demands = zipf.demands(world.simulator);
   EXPECT_EQ(demands.size(), 5u);  // all idle boxes demand with prob 1
   for (const auto& d : demands) EXPECT_NE(d.box, 0u);
+}
+
+TEST(ZipfDemand, SameDrawsAsAnIdleScan) {
+  // The generator must make exactly the draws of the plain loop: a box_idle
+  // scan in box order, one Bernoulli draw per idle box and one Zipf draw per
+  // demand, on one stream. A churn drizzle takes boxes offline for a few
+  // rounds, so the idle set has holes besides the busy boxes.
+  constexpr std::uint32_t kBoxes = 500;
+  constexpr std::uint32_t kVideos = 100;
+  constexpr double kAlpha = 0.8;
+  constexpr double kProb = 0.05;
+  constexpr std::uint64_t kSeed = 0x5EED;
+  const m::Catalog catalog(kVideos, 4, 12);
+  const auto profile = m::CapacityProfile::homogeneous(kBoxes, 4.0, 8.0);
+  p2pvod::util::Rng alloc_rng(3);
+  const auto allocation =
+      a::PermutationAllocator().allocate(catalog, profile, 2, alloc_rng);
+  s::PreloadingStrategy strategy;
+  s::SimulatorOptions options;
+  options.strict = false;
+  s::Simulator sim(catalog, profile, allocation, strategy, options);
+
+  w::ZipfDemand zipf(kVideos, kAlpha, kProb, kSeed);
+  p2pvod::util::Rng twin(kSeed);
+  const w::ZipfSampler sampler(kVideos, kAlpha);
+  p2pvod::util::Rng churn(17);
+  std::vector<std::pair<m::Round, m::BoxId>> back_online;  // (round, box)
+  std::uint64_t offline_seen = 0;
+  std::uint64_t busy_seen = 0;
+  std::uint64_t demands_seen = 0;
+  for (m::Round round = 0; round < 320; ++round) {
+    for (std::size_t i = 0; i < back_online.size();) {
+      if (back_online[i].first == round) {
+        sim.set_box_online(back_online[i].second, true);
+        back_online.erase(back_online.begin() + static_cast<std::ptrdiff_t>(i));
+      } else {
+        ++i;
+      }
+    }
+    const auto failed = static_cast<m::BoxId>(churn.next_below(kBoxes));
+    if (sim.box_online(failed)) {
+      sim.set_box_online(failed, false);
+      back_online.emplace_back(round + 4, failed);
+    }
+
+    std::vector<s::Demand> want;
+    for (m::BoxId b = 0; b < kBoxes; ++b) {
+      if (!sim.box_online(b)) ++offline_seen;
+      if (!sim.box_idle(b)) {
+        if (sim.box_online(b)) ++busy_seen;
+        continue;
+      }
+      if (!twin.next_bool(kProb)) continue;
+      want.push_back({b, sampler.sample(twin)});
+    }
+    const std::vector<s::Demand> got = zipf.demands(sim);
+    ASSERT_EQ(got.size(), want.size()) << "round " << round;
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      ASSERT_EQ(got[i].box, want[i].box) << "round " << round;
+      ASSERT_EQ(got[i].video, want[i].video) << "round " << round;
+    }
+    demands_seen += got.size();
+    sim.step(got);
+  }
+  EXPECT_GT(offline_seen, 300u);
+  EXPECT_GT(busy_seen, 10000u);
+  EXPECT_GT(demands_seen, 1000u);
 }
 
 // ----------------------------------------------------------------- poisson
