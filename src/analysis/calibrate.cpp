@@ -1,9 +1,12 @@
 #include "analysis/calibrate.hpp"
 
 #include <algorithm>
+#include <memory>
 #include <stdexcept>
 #include <vector>
 
+#include "alloc/allocation.hpp"
+#include "model/capacity.hpp"
 #include "model/catalog.hpp"
 #include "sim/simulator.hpp"
 #include "util/rng.hpp"
@@ -36,15 +39,41 @@ std::uint32_t TrialSpec::catalog() const {
 
 namespace {
 
-bool run_one_workload(const TrialSpec& spec, const model::Catalog& catalog,
-                      const model::CapacityProfile& profile,
-                      const alloc::Allocation& allocation,
-                      WorkloadSuite which, std::uint64_t seed) {
-  const auto strategy = sim::make_strategy(spec.strategy);
-  sim::SimulatorOptions options;
-  options.strict = true;
-  sim::Simulator simulator(catalog, profile, allocation, *strategy, options);
+/// One thread's trial engine (see Calibrator::run_trial): the objects a
+/// trial's simulator references, and the simulator.
+struct TrialEngine {
+  model::Catalog catalog{1, 1, 1};
+  model::CapacityProfile profile;
+  alloc::Allocation allocation{0, 0, {}};
+  sim::StrategyKind strategy_kind = sim::StrategyKind::kPreloading;
+  std::unique_ptr<sim::RequestStrategy> strategy;
+  /// Strict, on the four objects above; built at the thread's first trial
+  /// and again only for a trial with another strategy kind.
+  std::unique_ptr<sim::Simulator> simulator;
+  bool in_use = false;
+};
 
+/// Holds the thread's engine for one trial, and frees it however the trial
+/// ends.
+class EngineLease {
+ public:
+  explicit EngineLease(TrialEngine& engine) : engine_(engine) {
+    if (engine.in_use)
+      throw std::logic_error(
+          "Calibrator::run_trial: nested call on the same thread");
+    engine.in_use = true;
+  }
+  ~EngineLease() { engine_.in_use = false; }
+  EngineLease(const EngineLease&) = delete;
+  EngineLease& operator=(const EngineLease&) = delete;
+
+ private:
+  TrialEngine& engine_;
+};
+
+bool run_one_workload(const TrialSpec& spec, sim::Simulator& simulator,
+                      WorkloadSuite which, std::uint64_t seed) {
+  simulator.reset();
   util::Rng rng(seed);
   switch (which) {
     case WorkloadSuite::kAvoider: {
@@ -53,8 +82,8 @@ bool run_one_workload(const TrialSpec& spec, const model::Catalog& catalog,
       return simulator.run(limited, spec.rounds).success;
     }
     case WorkloadSuite::kFlashCrowd: {
-      const auto video =
-          static_cast<model::VideoId>(rng.next_below(catalog.video_count()));
+      const auto video = static_cast<model::VideoId>(
+          rng.next_below(simulator.catalog().video_count()));
       workload::FlashCrowd inner(video, spec.mu);
       return simulator.run(inner, spec.rounds).success;
     }
@@ -79,25 +108,37 @@ std::uint32_t k_for_catalog(const TrialSpec& spec, std::uint32_t m) {
 }  // namespace
 
 bool Calibrator::run_trial(const TrialSpec& spec, std::uint64_t seed) {
-  const std::uint32_t m = spec.catalog();
-  const model::Catalog catalog(m, spec.c, spec.duration);
-  const model::CapacityProfile profile =
+  thread_local TrialEngine engine;
+  const EngineLease lease(engine);
+  engine.catalog = model::Catalog(spec.catalog(), spec.c, spec.duration);
+  engine.profile =
       model::CapacityProfile::homogeneous(spec.n, spec.u, spec.d);
 
   util::Rng rng(seed);
-  const auto allocator = alloc::make_allocator(spec.scheme);
-  const alloc::Allocation allocation =
-      allocator->allocate(catalog, profile, spec.k, rng);
+  engine.allocation = alloc::make_allocator(spec.scheme)
+                          ->allocate(engine.catalog, engine.profile, spec.k,
+                                     rng);
+  if (engine.simulator == nullptr || engine.strategy_kind != spec.strategy) {
+    engine.simulator.reset();  // it references the strategy replaced here
+    engine.strategy = sim::make_strategy(spec.strategy);
+    engine.strategy_kind = spec.strategy;
+    sim::SimulatorOptions options;
+    options.strict = true;
+    engine.simulator = std::make_unique<sim::Simulator>(
+        engine.catalog, engine.profile, engine.allocation, *engine.strategy,
+        options);
+  }
+  sim::Simulator& simulator = *engine.simulator;
 
   if (spec.suite != WorkloadSuite::kFull) {
-    return run_one_workload(spec, catalog, profile, allocation, spec.suite,
+    return run_one_workload(spec, simulator, spec.suite,
                             rng.child(10).seed());
   }
   // Full suite: the same allocation must survive every adversary.
   for (const WorkloadSuite which :
        {WorkloadSuite::kAvoider, WorkloadSuite::kFlashCrowd,
         WorkloadSuite::kDistinct}) {
-    if (!run_one_workload(spec, catalog, profile, allocation, which,
+    if (!run_one_workload(spec, simulator, which,
                           rng.child(10 + static_cast<std::uint64_t>(which))
                               .seed())) {
       return false;

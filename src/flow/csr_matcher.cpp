@@ -27,10 +27,21 @@ struct AugmentCounters {
 
 }  // namespace
 
-CsrMatcher::CsrMatcher(std::uint32_t box_count)
-    : degree_(box_count, 0),
-      served_by_(box_count),
-      visit_mark_(box_count, 0) {}
+void CsrMatcher::reset(std::uint32_t box_count) {
+  assignment_.clear();
+  row_of_.clear();
+  skip_.clear();
+  degree_.assign(box_count, 0);
+  served_by_.resize(box_count);
+  for (std::vector<std::uint32_t>& servings : served_by_) servings.clear();
+  visit_mark_.assign(box_count, 0);
+  epoch_ = 0;
+  cursor_.clear();
+  cursor_pass_.clear();
+  pass_ = 0;
+  in_pass_ = false;
+  stack_.clear();
+}
 
 void CsrMatcher::ensure_rows(std::uint32_t rows) {
   for (auto slot = static_cast<std::uint32_t>(assignment_.size()); slot < rows;

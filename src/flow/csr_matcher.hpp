@@ -46,7 +46,14 @@ class CsrMatcher {
   /// A skip that matches no box.
   static constexpr std::uint32_t kNoSkip = 0xFFFFFFFFu;
 
-  explicit CsrMatcher(std::uint32_t box_count);
+  CsrMatcher() = default;
+  explicit CsrMatcher(std::uint32_t box_count) { reset(box_count); }
+
+  /// Drop every slot and connection and re-size for `box_count` boxes, as
+  /// constructed. Each box's list of servings is cleared, not freed, so a
+  /// matcher reused for another run serves as many slots per box as before
+  /// without going back to the heap.
+  void reset(std::uint32_t box_count);
 
   /// Grow the slot table so slots [0, rows) are addressable. A new slot
   /// reads the CSR row of its own id and skips no box until bound.

@@ -32,6 +32,14 @@ obs::Counter& compaction_counter() {
 
 }  // namespace
 
+void CsrProblem::clear() noexcept {
+  rows_.clear();
+  boxes_.clear();
+  counts_.clear();
+  edges_ = 0;
+  abandoned_ = 0;
+}
+
 void CsrProblem::ensure_row(std::uint32_t row) {
   if (row >= rows_.size()) rows_.resize(static_cast<std::size_t>(row) + 1);
 }

@@ -23,7 +23,9 @@
 // beyond it relocates the row to the pool tail with slack (amortized O(1)
 // per insert), and the pool compacts itself once more than half of it is
 // abandoned spans. A cleared row keeps its span, so the next class on a
-// recycled row refills it in place instead of relocating.
+// recycled row refills it in place instead of relocating. clear() empties
+// the whole problem but keeps the pool's allocation, so a problem reused
+// for another run grows its rows again without going back to the heap.
 #pragma once
 
 #include <cstdint>
@@ -36,6 +38,10 @@ class CsrProblem {
  public:
   CsrProblem() = default;
 
+  /// Drop every row, as constructed: the pool is empty and the next rows
+  /// start with no span, so they relocate exactly as in a new problem; the
+  /// row table and the pool keep their storage.
+  void clear() noexcept;
   /// Grow the row table so `row` is addressable; new rows are empty.
   void ensure_row(std::uint32_t row);
   /// Empty `row`. Its pool span is kept for the row's next use.

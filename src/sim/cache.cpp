@@ -5,12 +5,16 @@
 
 namespace p2pvod::sim {
 
-CacheIndex::CacheIndex(std::uint32_t box_count, std::uint32_t stripe_count,
-                       model::Round window)
-    : stripe_head_(stripe_count, kNone),
-      box_head_(box_count, kNone),
-      window_(window) {
+void CacheIndex::reset(std::uint32_t box_count, std::uint32_t stripe_count,
+                       model::Round window) {
   if (window <= 0) throw std::invalid_argument("CacheIndex: window <= 0");
+  pool_.clear();
+  free_.clear();
+  stripe_head_.assign(stripe_count, kNone);
+  box_head_.assign(box_count, kNone);
+  calendar_.clear();
+  window_ = window;
+  entries_ = 0;
 }
 
 void CacheIndex::grant(model::StripeId stripe, model::BoxId box,

@@ -54,9 +54,20 @@ struct CacheExpiry {
 
 class CacheIndex {
  public:
+  CacheIndex() = default;
   /// Boxes are ids below `box_count`; grant() and remove_box() throw
   /// std::out_of_range for any other id.
   CacheIndex(std::uint32_t box_count, std::uint32_t stripe_count,
+             model::Round window) {
+    reset(box_count, stripe_count, window);
+  }
+
+  /// Drop every entry and pending expiry and re-size for `box_count` boxes,
+  /// `stripe_count` stripes and `window`, as constructed: the pool and the
+  /// free list are empty, so slot ids restart at 0; the pool, the lists'
+  /// heads and the calendar keep their storage. Throws
+  /// std::invalid_argument for a window <= 0, leaving the index as it was.
+  void reset(std::uint32_t box_count, std::uint32_t stripe_count,
              model::Round window);
 
   /// Record that `box` holds the stream of `stripe` as if started at `entry`.
@@ -117,7 +128,7 @@ class CacheIndex {
   /// Pool ids by expiry round, in grant order: exactly one event per taken
   /// slot, which frees it.
   RoundCalendar<std::uint32_t> calendar_;
-  model::Round window_;
+  model::Round window_ = 0;
   std::uint64_t entries_ = 0;
 };
 

@@ -78,6 +78,16 @@ class RoundCalendar {
                   [&pred](const auto& late) { return pred(late.second); });
   }
 
+  /// Drop every event and start over at round 0, as constructed; the ring
+  /// and its buckets keep their storage. Events still come out by round and
+  /// then in the order added, whatever the ring's size.
+  void clear() noexcept {
+    for (std::vector<T>& bucket : ring_) bucket.clear();
+    late_.clear();
+    next_ = 0;
+    ring_events_ = 0;
+  }
+
  private:
   static constexpr std::size_t kMinBuckets = 16;
 

@@ -144,6 +144,8 @@ struct LiveRequestSoA {
     slot.erase(slot.begin(), slot.begin() + cut);
   }
 
+  void clear() noexcept { resize(0); }
+
   void resize(std::size_t n) {
     stripe.resize(n);
     issue.resize(n);

@@ -28,45 +28,63 @@ Simulator::Simulator(const model::Catalog& catalog,
       profile_(profile),
       allocation_(allocation),
       strategy_(strategy),
-      options_(std::move(options)),
-      swarms_(catalog.video_count()),
-      cache_(profile.size(), catalog.stripe_count(), catalog.duration()),
-      busy_until_(profile.size(), 0),
-      last_session_(profile.size(), kInvalidSession) {
-  if (allocation_.box_count() != profile_.size())
+      options_(std::move(options)) {
+  reset();
+}
+
+void Simulator::reset() {
+  const std::uint32_t boxes = profile_.size();
+  if (allocation_.box_count() != boxes)
     throw std::invalid_argument("Simulator: allocation/profile size mismatch");
   if (allocation_.stripe_count() != catalog_.stripe_count())
     throw std::invalid_argument(
         "Simulator: allocation/catalog stripe mismatch");
-  if (options_.topology != nullptr &&
-      options_.topology->box_count() != profile_.size())
+  if (options_.topology != nullptr && options_.topology->box_count() != boxes)
     throw std::invalid_argument("Simulator: topology/profile size mismatch");
-  const std::uint32_t c = catalog_.stripes_per_video();
-  if (options_.capacity_override.empty()) {
-    capacity_slots_.resize(profile_.size());
-    for (model::BoxId b = 0; b < profile_.size(); ++b)
-      capacity_slots_[b] = profile_.upload_slots(b, c);
-  } else {
-    if (options_.capacity_override.size() != profile_.size())
-      throw std::invalid_argument(
-          "Simulator: capacity_override size mismatch");
-    capacity_slots_ = options_.capacity_override;
-  }
-  for (const std::uint32_t slots : capacity_slots_)
-    total_capacity_slots_ += slots;
-  nominal_capacity_ = capacity_slots_;
-  online_.assign(profile_.size(), 1);
-
   // The CSR engine repairs last round's matching and is blind to costs, so
   // it cannot honor a topology: asking for both is a config error.
   if (options_.sparse && options_.topology != nullptr)
     throw std::invalid_argument(
         "Simulator: sparse engine cannot honor a topology (cost-aware "
         "matching is dense-only)");
-  if (options_.topology == nullptr) {
-    sparse_ = std::make_unique<SparseRoundState>(profile_.size(),
-                                                 catalog_.stripe_count());
+  const std::uint32_t c = catalog_.stripes_per_video();
+  if (options_.capacity_override.empty()) {
+    capacity_slots_.resize(boxes);
+    for (model::BoxId b = 0; b < boxes; ++b)
+      capacity_slots_[b] = profile_.upload_slots(b, c);
+  } else {
+    if (options_.capacity_override.size() != boxes)
+      throw std::invalid_argument(
+          "Simulator: capacity_override size mismatch");
+    capacity_slots_ = options_.capacity_override;
   }
+  total_capacity_slots_ = 0;
+  for (const std::uint32_t slots : capacity_slots_)
+    total_capacity_slots_ += slots;
+  nominal_capacity_ = capacity_slots_;
+  online_.assign(boxes, 1);
+  busy_until_.assign(boxes, 0);
+  last_session_.assign(boxes, kInvalidSession);
+
+  swarms_.reset(catalog_.video_count());
+  cache_.reset(boxes, catalog_.stripe_count(), catalog_.duration());
+  if (options_.topology == nullptr) {
+    if (sparse_ == nullptr) {
+      sparse_ =
+          std::make_unique<SparseRoundState>(boxes, catalog_.stripe_count());
+    } else {
+      sparse_->reset(boxes, catalog_.stripe_count());
+    }
+  }
+  expired_.clear();
+  sessions_.clear();
+  pending_.clear();
+  end_events_.clear();
+  live_.clear();
+  report_ = RunReport{};
+  published_ = Published{};
+  now_ = 0;
+  stalled_ = false;
 }
 
 void Simulator::idle_boxes(std::vector<model::BoxId>& out) const {

@@ -82,10 +82,25 @@ struct SimulatorOptions {
 
 class Simulator {
  public:
+  /// The catalog, profile, allocation and strategy are not owned: they must
+  /// outlive the simulator. Construction is reset() on new buffers.
   Simulator(const model::Catalog& catalog,
             const model::CapacityProfile& profile,
             const alloc::Allocation& allocation, RequestStrategy& strategy,
             SimulatorOptions options = {});
+
+  /// Return to round 0 exactly as constructed. It re-reads the catalog,
+  /// profile and allocation the simulator references, which may have been
+  /// assigned new values since, of other sizes, and its options. Every
+  /// session, request, cache entry, swarm, CSR row and connection is
+  /// dropped, and the report and the baseline publish() adds the obs
+  /// metrics from start over: a run after reset() does, counts and
+  /// publishes exactly what the same run on a new simulator would. Every
+  /// buffer keeps its storage, so a simulator reused for runs of similar
+  /// size makes almost no heap allocations. Throws what the constructor
+  /// throws for inputs that do not fit together; after a throw, use the
+  /// simulator again only once a reset() has succeeded.
+  void reset();
 
   /// Advance one round with the given demands. No-op once stalled in strict
   /// mode.

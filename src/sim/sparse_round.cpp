@@ -9,13 +9,23 @@
 
 namespace p2pvod::sim {
 
-SparseRoundState::SparseRoundState(std::uint32_t box_count,
-                                   std::uint32_t stripe_count)
-    : matcher_(box_count),
-      first_class_of_(stripe_count, kNone),
-      first_request_of_(box_count, kNone),
-      latest_issue_(stripe_count, std::numeric_limits<model::Round>::min()),
-      stripe_bucket_(stripe_count, kNone) {}
+void SparseRoundState::reset(std::uint32_t box_count,
+                             std::uint32_t stripe_count) {
+  csr_.clear();
+  matcher_.reset(box_count);
+  slots_.clear();
+  free_slots_.clear();
+  classes_.clear();
+  free_classes_.clear();
+  first_class_of_.assign(stripe_count, kNone);
+  first_request_of_.assign(box_count, kNone);
+  latest_issue_.assign(stripe_count, std::numeric_limits<model::Round>::min());
+  dirty_classes_.clear();
+  live_count_ = 0;
+  edges_ = 0;
+  stats_ = {};
+  stripe_bucket_.assign(stripe_count, kNone);
+}
 
 template <typename Record>
 void SparseRoundState::link(std::vector<Record>& records, Link Record::*list,

@@ -89,7 +89,15 @@ class SparseRoundState {
   using RowCollector = std::function<void(
       model::StripeId stripe, model::Round issue, std::vector<model::BoxId>&)>;
 
-  SparseRoundState(std::uint32_t box_count, std::uint32_t stripe_count);
+  SparseRoundState(std::uint32_t box_count, std::uint32_t stripe_count) {
+    reset(box_count, stripe_count);
+  }
+
+  /// Drop every request, class, row and connection and re-size for
+  /// `box_count` boxes and `stripe_count` stripes, as constructed: no slot,
+  /// class or free-list entry is left, so slot and row ids restart at 0, and
+  /// the counters read 0. Every table keeps its storage.
+  void reset(std::uint32_t box_count, std::uint32_t stripe_count);
 
   /// Register a new live request; returns its slot id (slots are recycled).
   std::uint32_t add_request(model::StripeId stripe, model::Round issue,

@@ -6,10 +6,12 @@
 
 namespace p2pvod::sim {
 
-SwarmRegistry::SwarmRegistry(std::uint32_t video_count)
-    : current_(video_count, 0),
-      round_start_(video_count, 0),
-      entries_(video_count, 0) {}
+void SwarmRegistry::reset(std::uint32_t video_count) {
+  current_.assign(video_count, 0);
+  round_start_.assign(video_count, 0);
+  entries_.assign(video_count, 0);
+  peak_ = 0;
+}
 
 std::uint64_t SwarmRegistry::enter(model::VideoId v, model::Round /*now*/) {
   if (v >= current_.size()) throw std::out_of_range("SwarmRegistry::enter");

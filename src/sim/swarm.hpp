@@ -15,7 +15,12 @@ namespace p2pvod::sim {
 
 class SwarmRegistry {
  public:
-  explicit SwarmRegistry(std::uint32_t video_count);
+  SwarmRegistry() = default;
+  explicit SwarmRegistry(std::uint32_t video_count) { reset(video_count); }
+
+  /// Empty every swarm of a `video_count`-video catalog: sizes, preload
+  /// ticket counters and the peak start over, storage is kept.
+  void reset(std::uint32_t video_count);
 
   /// A box enters the swarm of `v` (demand admitted at round `now`); returns
   /// the box's entry number p (0-based) for preload-stripe selection.

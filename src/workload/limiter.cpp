@@ -27,14 +27,19 @@ std::vector<sim::Demand> GrowthLimiter::demands(const sim::Simulator& sim) {
   const std::uint32_t n = sim.profile().size();
   if (anchor_.size() < m)
     anchor_.resize(m, std::numeric_limits<double>::infinity());
+  if (log_size_.size() != std::size_t{n} + 1) {
+    log_size_.resize(std::size_t{n} + 1);
+    for (std::size_t f = 0; f <= n; ++f)
+      log_size_[f] = std::log(std::max(1.0, static_cast<double>(f)));
+  }
 
   // Update anchors with the current sizes f(t): every round is a potential
   // new anchor t' for the min above.
   const model::Round now = sim.now();
   for (model::VideoId v = 0; v < m; ++v) {
-    const double f = std::max<double>(1.0, sim.swarms().size(v));
-    anchor_[v] = std::min(anchor_[v],
-                          std::log(f) - static_cast<double>(now) * log_mu_);
+    const double log_f = log_size_[sim.swarms().size(v)];
+    anchor_[v] =
+        std::min(anchor_[v], log_f - static_cast<double>(now) * log_mu_);
   }
 
   std::vector<sim::Demand> raw = inner_.demands(sim);
@@ -43,13 +48,13 @@ std::vector<sim::Demand> GrowthLimiter::demands(const sim::Simulator& sim) {
   // Joins this round count against the cap at t+1 (they enter the swarm now
   // and are visible as f at the next anchor check): admit while
   // f_current + joins(v) <= cap(v, now+1).
-  std::vector<std::uint64_t> joins(m, 0);
+  joins_.assign(m, 0);
   for (const sim::Demand& d : raw) {
     const std::uint64_t limit = cap(d.video, now + 1, n);
-    const std::uint64_t current = sim.swarms().size(d.video) + joins[d.video];
+    const std::uint64_t current = sim.swarms().size(d.video) + joins_[d.video];
     if (current < limit) {
       admitted.push_back(d);
-      ++joins[d.video];
+      ++joins_[d.video];
     } else {
       ++dropped_;
     }

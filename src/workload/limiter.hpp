@@ -7,7 +7,15 @@
 //     L = min over past rounds t' of ( log max(f(t'),1) − t′·log µ )
 // and admits joins only while f(t) <= ceil(exp(L + t·log µ)). Demands above
 // the cap are dropped (the adversary loses that move, as the model demands).
+//
+// Every round updates all m anchors, so the logs of the swarm sizes come
+// from a table of log max(f, 1) for f = 0..n, the same values std::log
+// gives. A swarm holds at most the n boxes: the simulator admits a demand
+// only from an idle box, so a box is in one swarm at a time.
 #pragma once
+
+#include <cstdint>
+#include <vector>
 
 #include "workload/demand.hpp"
 
@@ -34,6 +42,9 @@ class GrowthLimiter final : public DemandGenerator {
   double mu_;
   double log_mu_;
   std::vector<double> anchor_;  ///< per-video L; +inf until first observation
+  /// log max(f, 1) for f = 0..n, rebuilt when the box count n changes.
+  std::vector<double> log_size_;
+  std::vector<std::uint64_t> joins_;  ///< per video, this round's admissions
   std::uint64_t dropped_ = 0;
 };
 

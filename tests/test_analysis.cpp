@@ -4,7 +4,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <stdexcept>
+#include <vector>
 
 #include "alloc/permutation.hpp"
 #include "analysis/bounds.hpp"
@@ -12,7 +15,14 @@
 #include "analysis/first_moment.hpp"
 #include "analysis/impossibility.hpp"
 #include "analysis/obstruction.hpp"
+#include "sim/simulator.hpp"
 #include "util/logmath.hpp"
+#include "util/rng.hpp"
+#include "util/thread_pool.hpp"
+#include "workload/adversarial.hpp"
+#include "workload/distinct.hpp"
+#include "workload/flash_crowd.hpp"
+#include "workload/limiter.hpp"
 
 namespace an = p2pvod::analysis;
 namespace m = p2pvod::model;
@@ -606,5 +616,178 @@ TEST(CalibrateThreads, DegenerateCatalogAndZeroTrials) {
     EXPECT_EQ(no_trials.k, reference.k) << threads;
     EXPECT_EQ(no_trials.catalog, reference.catalog) << threads;
     EXPECT_EQ(no_trials.explored, reference.explored) << threads;
+  }
+}
+
+namespace {
+
+/// A trial on new objects only: catalog, profile, allocation, and a new
+/// strategy and strict simulator for each adversary. This is how
+/// Calibrator::run_trial ran before trials shared a per-thread engine, kept
+/// here as the oracle for the engine.
+bool fresh_trial(const an::TrialSpec& spec, std::uint64_t seed) {
+  const m::Catalog catalog(spec.catalog(), spec.c, spec.duration);
+  const auto profile =
+      m::CapacityProfile::homogeneous(spec.n, spec.u, spec.d);
+  p2pvod::util::Rng rng(seed);
+  const a::Allocation allocation =
+      a::make_allocator(spec.scheme)->allocate(catalog, profile, spec.k, rng);
+
+  const auto run = [&](an::WorkloadSuite which, std::uint64_t run_seed) {
+    const auto strategy = p2pvod::sim::make_strategy(spec.strategy);
+    p2pvod::sim::SimulatorOptions options;
+    options.strict = true;
+    p2pvod::sim::Simulator simulator(catalog, profile, allocation, *strategy,
+                                     options);
+    p2pvod::util::Rng run_rng(run_seed);
+    switch (which) {
+      case an::WorkloadSuite::kAvoider: {
+        p2pvod::workload::AvoiderAdversary inner(run_rng.child(1).seed());
+        p2pvod::workload::GrowthLimiter limited(inner, spec.mu);
+        return simulator.run(limited, spec.rounds).success;
+      }
+      case an::WorkloadSuite::kFlashCrowd: {
+        const auto video = static_cast<m::VideoId>(
+            run_rng.next_below(catalog.video_count()));
+        p2pvod::workload::FlashCrowd inner(video, spec.mu);
+        return simulator.run(inner, spec.rounds).success;
+      }
+      case an::WorkloadSuite::kDistinct: {
+        p2pvod::workload::DistinctVideosSweep inner(run_rng.child(2).seed(),
+                                                    /*repeat=*/true);
+        p2pvod::workload::GrowthLimiter limited(inner, spec.mu);
+        return simulator.run(limited, spec.rounds).success;
+      }
+      case an::WorkloadSuite::kFull:
+        break;
+    }
+    throw std::logic_error("fresh_trial: bad suite");
+  };
+
+  if (spec.suite != an::WorkloadSuite::kFull)
+    return run(spec.suite, rng.child(10).seed());
+  for (const an::WorkloadSuite which :
+       {an::WorkloadSuite::kAvoider, an::WorkloadSuite::kFlashCrowd,
+        an::WorkloadSuite::kDistinct}) {
+    if (!run(which, rng.child(10 + static_cast<std::uint64_t>(which))
+                        .seed()))
+      return false;
+  }
+  return true;
+}
+
+/// A trial's outcome: 0 failed, 1 succeeded, 2 threw.
+template <typename Trial>
+char outcome_of(const Trial& trial, const an::TrialSpec& spec,
+                std::uint64_t seed) {
+  try {
+    return trial(spec, seed) ? 1 : 0;
+  } catch (const std::exception&) {
+    return 2;
+  }
+}
+
+}  // namespace
+
+// Each thread runs its trials on one reused engine, reset between
+// adversaries and trials, so which trials share an engine depends on the
+// schedule. Every outcome must still equal a trial on new objects. The specs
+// interleave n, u, k, m_override, c, both strategy kinds and every suite,
+// and two of them throw inside run_trial: u = NaN when the profile is built,
+// and u = 1e30 when the simulator sizes its upload slots; the trials after
+// them on the same thread run on the engine they left behind.
+TEST(CalibrateThreads, ReusedEnginesMatchFreshTrials) {
+  an::TrialSpec base;
+  base.n = 24;
+  base.u = 1.0;
+  base.d = 4.0;
+  base.mu = 1.3;
+  base.c = 4;
+  base.k = 4;
+  base.duration = 12;
+  base.rounds = 30;
+  std::vector<an::TrialSpec> specs;
+  specs.push_back(base);
+  {
+    an::TrialSpec spec = base;
+    spec.n = 40;
+    spec.u = 1.25;
+    spec.suite = an::WorkloadSuite::kFlashCrowd;
+    specs.push_back(spec);
+  }
+  {
+    an::TrialSpec spec = base;
+    spec.n = 16;
+    spec.u = 0.75;
+    spec.k = 2;
+    spec.suite = an::WorkloadSuite::kAvoider;
+    specs.push_back(spec);
+  }
+  {
+    an::TrialSpec spec = base;
+    spec.u = std::numeric_limits<double>::quiet_NaN();
+    specs.push_back(spec);
+  }
+  {
+    an::TrialSpec spec = base;
+    spec.c = 2;
+    spec.m_override = 5;
+    spec.strategy = p2pvod::sim::StrategyKind::kNaive;
+    spec.suite = an::WorkloadSuite::kDistinct;
+    specs.push_back(spec);
+  }
+  {
+    an::TrialSpec spec = base;
+    spec.n = 32;
+    spec.c = 3;
+    spec.k = 6;
+    spec.u = 1.5;
+    spec.strategy = p2pvod::sim::StrategyKind::kNaive;
+    specs.push_back(spec);
+  }
+  {
+    an::TrialSpec spec = base;
+    spec.u = 1e30;
+    spec.suite = an::WorkloadSuite::kFlashCrowd;
+    specs.push_back(spec);
+  }
+  {
+    an::TrialSpec spec = base;
+    spec.n = 20;
+    spec.m_override = 30;
+    spec.k = 2;
+    specs.push_back(spec);
+  }
+
+  constexpr std::size_t kTrials = 96;
+  const auto spec_of = [&](std::size_t trial) -> const an::TrialSpec& {
+    return specs[trial % specs.size()];
+  };
+  const auto seed_of = [](std::size_t trial) {
+    return p2pvod::util::child_seed(0xE16, trial);
+  };
+  std::vector<char> expected(kTrials);
+  for (std::size_t trial = 0; trial < kTrials; ++trial)
+    expected[trial] = outcome_of(fresh_trial, spec_of(trial), seed_of(trial));
+  std::vector<std::size_t> seen(3, 0);
+  for (const char outcome : expected) ++seen[static_cast<std::size_t>(outcome)];
+  EXPECT_GT(seen[0], 0u);  // failures,
+  EXPECT_GT(seen[1], 0u);  // successes
+  EXPECT_EQ(seen[2], 2 * kTrials / specs.size());  // and the two throwing specs
+
+  for (const std::size_t threads :
+       {std::size_t{1}, std::size_t{4}, std::size_t{8}}) {
+    p2pvod::util::ThreadPool pool(threads);
+    const std::vector<char> outcomes = p2pvod::util::parallel_map<char>(
+        kTrials,
+        [&](std::size_t trial) {
+          return outcome_of(an::Calibrator::run_trial, spec_of(trial),
+                            seed_of(trial));
+        },
+        &pool, /*grain=*/1);
+    for (std::size_t trial = 0; trial < kTrials; ++trial) {
+      EXPECT_EQ(outcomes[trial], expected[trial])
+          << "trial " << trial << " on " << threads << " threads";
+    }
   }
 }

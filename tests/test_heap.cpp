@@ -1,8 +1,9 @@
-// Heap-traffic guard for the round loop. This executable replaces the
-// global operator new and delete with counting versions, so it runs apart
-// from the other suites. A sparse round's bookkeeping (plans, cache
-// entries, the idle scan) is meant to reuse its storage; these checks fail
-// when a change brings per-demand heap allocations back.
+// Heap-traffic guard for the round loop and the calibration trials. This
+// executable replaces the global operator new and delete with counting
+// versions, so it runs apart from the other suites. A sparse round's
+// bookkeeping (plans, cache entries, the idle scan) and a thread's trial
+// engine are meant to reuse their storage; these checks fail when a change
+// brings per-demand or per-trial heap allocations back.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -13,6 +14,7 @@
 #include <vector>
 
 #include "alloc/permutation.hpp"
+#include "analysis/calibrate.hpp"
 #include "model/capacity.hpp"
 #include "model/catalog.hpp"
 #include "sim/request.hpp"
@@ -24,19 +26,26 @@
 namespace {
 
 std::atomic<std::uint64_t> g_allocations{0};
+std::atomic<std::uint64_t> g_bytes{0};
 
 std::uint64_t allocations() {
   return g_allocations.load(std::memory_order_relaxed);
 }
 
+std::uint64_t bytes_allocated() {
+  return g_bytes.load(std::memory_order_relaxed);
+}
+
 void* counted_malloc(std::size_t size) {
   g_allocations.fetch_add(1, std::memory_order_relaxed);
+  g_bytes.fetch_add(size, std::memory_order_relaxed);
   if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
   throw std::bad_alloc();
 }
 
 void* counted_aligned(std::size_t size, std::align_val_t align) {
   g_allocations.fetch_add(1, std::memory_order_relaxed);
+  g_bytes.fetch_add(size, std::memory_order_relaxed);
   const auto alignment = static_cast<std::size_t>(align);
   // aligned_alloc wants a size that is a multiple of the alignment.
   const std::size_t rounded = (size + alignment - 1) / alignment * alignment;
@@ -70,6 +79,7 @@ void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
   std::free(p);
 }
 
+namespace an = p2pvod::analysis;
 namespace m = p2pvod::model;
 namespace s = p2pvod::sim;
 namespace w = p2pvod::workload;
@@ -134,4 +144,50 @@ TEST(HeapTraffic, SparseRoundsAllocateLittlePerDemand) {
       static_cast<double>(counted) / static_cast<double>(admitted);
   EXPECT_LT(per_demand, 0.25) << counted << " allocations for " << admitted
                               << " admitted demands";
+}
+
+TEST(HeapTraffic, WarmTrialsAllocateLittle) {
+  // The threshold_trials benchmark's trial: n = 100 at u = 1, the full
+  // suite (avoider, flash crowd, distinct sweep on one allocation). The
+  // first trial on this thread builds its engine; the later ones reuse it,
+  // so what they allocate is the trial's allocation and the generators'
+  // demand vectors, not the simulator's tables.
+  an::TrialSpec spec;
+  spec.n = 100;
+  spec.u = 1.0;
+  spec.d = 4.0;
+  spec.mu = 1.3;
+  spec.c = 4;
+  spec.k = 4;
+  spec.duration = 24;
+  spec.rounds = 72;
+  spec.scheme = p2pvod::alloc::Scheme::kPermutation;
+  spec.strategy = s::StrategyKind::kPreloading;
+  spec.suite = an::WorkloadSuite::kFull;
+
+  const std::uint64_t warmup_before = allocations();
+  (void)an::Calibrator::run_trial(spec, p2pvod::util::child_seed(1, 0));
+  // The counter works: the warm-up builds the engine.
+  ASSERT_GT(allocations() - warmup_before, 0u);
+
+  constexpr std::uint64_t kTrials = 20;
+  std::uint64_t successes = 0;
+  const std::uint64_t count_before = allocations();
+  const std::uint64_t bytes_before = bytes_allocated();
+  for (std::uint64_t trial = 1; trial <= kTrials; ++trial) {
+    successes += an::Calibrator::run_trial(
+                     spec, p2pvod::util::child_seed(1, trial))
+                     ? 1
+                     : 0;
+  }
+  const double per_trial =
+      static_cast<double>(allocations() - count_before) / kTrials;
+  const double bytes_per_trial =
+      static_cast<double>(bytes_allocated() - bytes_before) / kTrials;
+  // Both outcomes occur at u = 1, so the trials run to a stall as well as
+  // to the end.
+  EXPECT_GT(successes, 0u);
+  EXPECT_LT(successes, kTrials);
+  EXPECT_LT(per_trial, 1000.0) << "heap allocations per warm trial";
+  EXPECT_LT(bytes_per_trial, 0.5e6) << "bytes allocated per warm trial";
 }

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
+#include <memory>
 #include <optional>
 #include <stdexcept>
 #include <string>
@@ -11,14 +13,20 @@
 #include <vector>
 
 #include "alloc/allocation.hpp"
+#include "alloc/permutation.hpp"
+#include "hetero/compensation.hpp"
+#include "hetero/relay.hpp"
 #include "net/topology.hpp"
+#include "obs/metrics.hpp"
 #include "sim/cache.hpp"
 #include "sim/calendar.hpp"
 #include "sim/simulator.hpp"
 #include "sim/strategy.hpp"
 #include "sim/swarm.hpp"
 #include "util/rng.hpp"
+#include "workload/flash_crowd.hpp"
 #include "workload/trace.hpp"
+#include "workload/zipf.hpp"
 
 namespace s = p2pvod::sim;
 namespace m = p2pvod::model;
@@ -1004,4 +1012,272 @@ TEST(Simulator, ActiveRequestsTracked) {
   EXPECT_EQ(sim.active_request_count(), 1u);
   sim.step({});                 // postponed joins
   EXPECT_EQ(sim.active_request_count(), 2u);
+}
+
+// ----------------------------------------------------------------- reset
+
+namespace {
+
+/// What a simulator references, reassignable in place: a reset() after an
+/// assignment re-reads it.
+struct ResetWorld {
+  m::Catalog catalog;
+  m::CapacityProfile profile;
+  a::Allocation allocation;
+};
+
+ResetWorld make_reset_world(std::uint32_t n, std::uint32_t videos,
+                            std::uint32_t c, m::Round duration, double u,
+                            std::uint32_t k, std::uint64_t seed) {
+  m::Catalog catalog(videos, c, duration);
+  auto profile = m::CapacityProfile::homogeneous(n, u, 4.0);
+  p2pvod::util::Rng rng(seed);
+  auto allocation =
+      a::PermutationAllocator().allocate(catalog, profile, k, rng);
+  return {catalog, std::move(profile), std::move(allocation)};
+}
+
+/// Run `rounds` rounds of `feed` on `sim`, stopping at a strict stall. With
+/// `churn`, box (7·round + 3) mod n fails in every round ≡ 2 (mod 5) and
+/// every box is back online in every round ≡ 0. Returns the kStable obs
+/// metrics the run added.
+p2pvod::obs::MetricsSnapshot drive(s::Simulator& sim,
+                                   w::DemandGenerator& feed, m::Round rounds,
+                                   bool churn) {
+  auto& registry = p2pvod::obs::MetricsRegistry::global();
+  const p2pvod::obs::MetricsSnapshot before = registry.snapshot();
+  const std::uint32_t n = sim.profile().size();
+  for (m::Round round = 0; round < rounds && !sim.stalled(); ++round) {
+    if (churn && round % 5 == 2)
+      sim.set_box_online(static_cast<m::BoxId>((7 * round + 3) % n), false);
+    if (churn && round % 5 == 0) {
+      for (m::BoxId b = 0; b < n; ++b) sim.set_box_online(b, true);
+    }
+    sim.step(feed.demands(sim));
+  }
+  return registry.snapshot().delta_since(before).with_stability(
+      p2pvod::obs::Stability::kStable);
+}
+
+void expect_same_stats(const p2pvod::util::OnlineStats& got,
+                       const p2pvod::util::OnlineStats& want,
+                       const char* what) {
+  SCOPED_TRACE(what);
+  EXPECT_EQ(got.count(), want.count());
+  EXPECT_EQ(got.mean(), want.mean());
+  EXPECT_EQ(got.variance(), want.variance());
+  EXPECT_EQ(got.min(), want.min());
+  EXPECT_EQ(got.max(), want.max());
+  EXPECT_EQ(got.sum(), want.sum());
+}
+
+/// Every field of two reports is equal: outcome, counts, the start-up delay
+/// histogram's buckets and every OnlineStats.
+void expect_same_report(const s::RunReport& got, const s::RunReport& want) {
+  EXPECT_EQ(got.success, want.success);
+  EXPECT_EQ(got.first_stall, want.first_stall);
+  EXPECT_EQ(got.stall_witness_size, want.stall_witness_size);
+  EXPECT_EQ(got.rounds, want.rounds);
+  EXPECT_EQ(got.demands_admitted, want.demands_admitted);
+  EXPECT_EQ(got.demands_rejected, want.demands_rejected);
+  EXPECT_EQ(got.requests_issued, want.requests_issued);
+  EXPECT_EQ(got.chunks_served, want.chunks_served);
+  EXPECT_EQ(got.chunks_stalled, want.chunks_stalled);
+  EXPECT_EQ(got.sessions_completed, want.sessions_completed);
+  EXPECT_EQ(got.box_failures, want.box_failures);
+  EXPECT_EQ(got.sessions_aborted, want.sessions_aborted);
+  EXPECT_EQ(got.startup_delay.buckets(), want.startup_delay.buckets());
+  EXPECT_EQ(got.startup_delay.total(), want.startup_delay.total());
+  expect_same_stats(got.upload_utilization, want.upload_utilization,
+                    "upload_utilization");
+  expect_same_stats(got.active_requests, want.active_requests,
+                    "active_requests");
+  EXPECT_EQ(got.peak_swarm, want.peak_swarm);
+  EXPECT_EQ(got.kept_connections, want.kept_connections);
+  EXPECT_EQ(got.new_connections, want.new_connections);
+  EXPECT_EQ(got.matcher_edges, want.matcher_edges);
+  EXPECT_EQ(got.rows_built, want.rows_built);
+  EXPECT_EQ(got.row_patches, want.row_patches);
+  EXPECT_EQ(got.sparse_full_rebuilds, want.sparse_full_rebuilds);
+  EXPECT_EQ(got.expiry_events, want.expiry_events);
+  EXPECT_EQ(got.intra_zone_chunks, want.intra_zone_chunks);
+  EXPECT_EQ(got.cross_zone_chunks, want.cross_zone_chunks);
+  EXPECT_EQ(got.link_cap_rejections, want.link_cap_rejections);
+  EXPECT_EQ(got.link_cap_rescues, want.link_cap_rescues);
+  EXPECT_EQ(got.zone_cost_total, want.zone_cost_total);
+  expect_same_stats(got.cross_zone_fraction, want.cross_zone_fraction,
+                    "cross_zone_fraction");
+}
+
+/// One reset check: run A on a simulator, optionally reassign what it
+/// references, reset() it and run B; then run B on a new simulator.
+struct ResetCheck {
+  std::function<std::unique_ptr<s::Simulator>()> make_simulator;
+  std::function<std::unique_ptr<w::DemandGenerator>()> feed_a;
+  std::function<std::unique_ptr<w::DemandGenerator>()> feed_b;
+  m::Round rounds = 40;
+  bool churn = false;
+  std::function<void()> between;  ///< runs after A, before the reset
+};
+
+struct ResetOutcome {
+  s::RunReport a;      ///< the reused simulator's report before its reset
+  s::RunReport fresh;  ///< B's report on the new simulator
+};
+
+ResetOutcome expect_reset_matches_fresh(const ResetCheck& check) {
+  ResetOutcome outcome;
+  const auto reused = check.make_simulator();
+  (void)drive(*reused, *check.feed_a(), check.rounds, check.churn);
+  outcome.a = reused->report();
+  if (check.between) check.between();
+  reused->reset();
+  EXPECT_EQ(reused->now(), 0);
+  EXPECT_FALSE(reused->stalled());
+  const auto reused_metrics =
+      drive(*reused, *check.feed_b(), check.rounds, check.churn);
+
+  const auto fresh = check.make_simulator();
+  const auto fresh_metrics =
+      drive(*fresh, *check.feed_b(), check.rounds, check.churn);
+  outcome.fresh = fresh->report();
+  expect_same_report(reused->report(), outcome.fresh);
+  EXPECT_EQ(reused->now(), fresh->now());
+  EXPECT_EQ(reused->stalled(), fresh->stalled());
+  EXPECT_EQ(reused->total_capacity_slots(), fresh->total_capacity_slots());
+
+  // The obs metrics published from the report count B alone, as on a new
+  // simulator.
+  EXPECT_EQ(reused_metrics.values.size(), fresh_metrics.values.size());
+  for (const auto& [name, value] : fresh_metrics.values) {
+    const auto it = reused_metrics.values.find(name);
+    if (it == reused_metrics.values.end()) {
+      ADD_FAILURE() << name << " missing after the reset";
+      continue;
+    }
+    EXPECT_TRUE(it->second == value)
+        << name << ": " << it->second.count << " vs " << value.count;
+  }
+  return outcome;
+}
+
+std::function<std::unique_ptr<w::DemandGenerator>()> zipf_feed(
+    const ResetWorld& world, double demand_prob, std::uint64_t seed) {
+  return [&world, demand_prob, seed] {
+    return std::make_unique<w::ZipfDemand>(world.catalog.video_count(), 0.8,
+                                           demand_prob, seed);
+  };
+}
+
+}  // namespace
+
+TEST(Simulator, ResetMatchesAFreshSimulator) {
+  s::PreloadingStrategy preloading;
+  {
+    SCOPED_TRACE("CSR engine, Zipf demand, a churn drizzle, verified");
+    const ResetWorld world = make_reset_world(60, 20, 4, 10, 1.5, 3, 0x5E7);
+    s::SimulatorOptions options;
+    options.strict = false;
+    options.verify_incremental = true;
+    ResetCheck check;
+    check.make_simulator = [&] {
+      return std::make_unique<s::Simulator>(world.catalog, world.profile,
+                                            world.allocation, preloading,
+                                            options);
+    };
+    check.feed_a = zipf_feed(world, 0.3, 11);
+    check.feed_b = zipf_feed(world, 0.3, 22);
+    check.churn = true;
+    const ResetOutcome outcome = expect_reset_matches_fresh(check);
+    EXPECT_GT(outcome.fresh.sessions_aborted, 0u);
+    EXPECT_GT(outcome.fresh.kept_connections, 0u);
+  }
+  {
+    SCOPED_TRACE("strict flash crowds that stall");
+    // u = 0.75 at c = 4: three upload slots a box, below the threshold.
+    const ResetWorld world = make_reset_world(48, 32, 4, 12, 0.75, 6, 0xE2);
+    s::SimulatorOptions options;
+    options.strict = true;
+    ResetCheck check;
+    check.make_simulator = [&] {
+      return std::make_unique<s::Simulator>(world.catalog, world.profile,
+                                            world.allocation, preloading,
+                                            options);
+    };
+    check.feed_a = [] { return std::make_unique<w::FlashCrowd>(3, 1.3); };
+    check.feed_b = [] { return std::make_unique<w::FlashCrowd>(17, 1.3); };
+    check.rounds = 36;
+    const ResetOutcome outcome = expect_reset_matches_fresh(check);
+    EXPECT_FALSE(outcome.a.success);
+    EXPECT_FALSE(outcome.fresh.success);
+    EXPECT_GT(outcome.fresh.stall_witness_size, 0u);
+  }
+  {
+    SCOPED_TRACE("§4 relays with a capacity override");
+    ResetWorld world{m::Catalog(2, 8, 20),
+                     m::CapacityProfile::two_class(12, 4, 0.5, 2.0, 4.0, 8.0),
+                     a::Allocation(0, 0, {})};
+    const auto plan = *p2pvod::hetero::Compensator::plan(world.profile, 1.5,
+                                                         8, 1.0);
+    p2pvod::util::Rng rng(0x5E1F);
+    world.allocation = a::PermutationAllocator().allocate(
+        world.catalog, world.profile, 3, rng);
+    p2pvod::hetero::RelayStrategy relay(plan);
+    s::SimulatorOptions options;
+    options.capacity_override = plan.capacity_slots();
+    options.strict = false;
+    options.verify_incremental = true;
+    ResetCheck check;
+    check.make_simulator = [&] {
+      return std::make_unique<s::Simulator>(world.catalog, world.profile,
+                                            world.allocation, relay, options);
+    };
+    check.feed_a = zipf_feed(world, 0.4, 33);
+    check.feed_b = zipf_feed(world, 0.4, 44);
+    const ResetOutcome outcome = expect_reset_matches_fresh(check);
+    EXPECT_GT(outcome.fresh.sessions_completed, 0u);
+  }
+  {
+    SCOPED_TRACE("zone engine with capped links and churn");
+    const ResetWorld world = make_reset_world(24, 8, 4, 8, 1.5, 3, 0x20E);
+    auto topology = p2pvod::net::Topology::uniform(24, 4);
+    topology.set_uniform_cost(0, 1).set_uniform_link_cap(2);
+    s::SimulatorOptions options;
+    options.strict = false;
+    options.topology = &topology;
+    ResetCheck check;
+    check.make_simulator = [&] {
+      return std::make_unique<s::Simulator>(world.catalog, world.profile,
+                                            world.allocation, preloading,
+                                            options);
+    };
+    check.feed_a = zipf_feed(world, 0.5, 55);
+    check.feed_b = zipf_feed(world, 0.5, 66);
+    check.churn = true;
+    const ResetOutcome outcome = expect_reset_matches_fresh(check);
+    EXPECT_GT(outcome.fresh.link_cap_rejections, 0u);
+    EXPECT_GT(outcome.fresh.cross_zone_chunks, 0u);
+  }
+  {
+    SCOPED_TRACE("catalog, profile and allocation reassigned, n and m new");
+    ResetWorld world = make_reset_world(40, 16, 4, 10, 1.5, 3, 0xA);
+    s::SimulatorOptions options;
+    options.strict = false;
+    options.verify_incremental = true;
+    ResetCheck check;
+    check.make_simulator = [&] {
+      return std::make_unique<s::Simulator>(world.catalog, world.profile,
+                                            world.allocation, preloading,
+                                            options);
+    };
+    check.feed_a = zipf_feed(world, 0.3, 77);
+    check.feed_b = zipf_feed(world, 0.3, 88);
+    check.churn = true;
+    check.between = [&] {
+      world = make_reset_world(56, 24, 4, 8, 1.25, 3, 0xB);
+    };
+    const ResetOutcome outcome = expect_reset_matches_fresh(check);
+    EXPECT_EQ(world.profile.size(), 56u);
+    EXPECT_GT(outcome.fresh.demands_admitted, 0u);
+  }
 }

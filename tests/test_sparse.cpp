@@ -276,6 +276,71 @@ TEST(CsrProblem, RelocationAndCompactionStress) {
   EXPECT_LT(csr.pool_size(), 8192u);
 }
 
+namespace {
+
+/// What a CsrProblem does under a seeded edit sequence: the pool size and
+/// edge total after every edit, the relocations and compactions it counted,
+/// and its rows at the end.
+struct CsrTrace {
+  std::vector<std::pair<std::size_t, std::uint64_t>> sizes;
+  std::uint64_t relocations = 0;
+  std::uint64_t compactions = 0;
+  std::vector<std::vector<std::uint32_t>> rows;
+};
+
+CsrTrace trace_edits(f::CsrProblem& csr, std::uint64_t seed) {
+  constexpr std::uint32_t kRows = 48;
+  CsrTrace trace;
+  const std::uint64_t relocations_before = relocations().value();
+  const std::uint64_t compactions_before = compactions().value();
+  for (std::uint32_t r = 0; r < kRows; ++r) csr.ensure_row(r);
+  p2pvod::util::Rng rng(seed);
+  for (std::uint32_t step = 0; step < 12000; ++step) {
+    const auto r = static_cast<std::uint32_t>(rng.next_below(kRows));
+    const auto box = static_cast<std::uint32_t>(rng.next_below(256));
+    const double roll = rng.next_double();
+    if (roll < 0.60) {
+      csr.add_source(r, box);
+    } else if (roll < 0.98) {
+      const std::vector<std::uint32_t> one = {box};
+      csr.remove_sources(r, one);
+    } else {
+      csr.clear_row(r);
+    }
+    trace.sizes.emplace_back(csr.pool_size(), csr.edge_count());
+  }
+  trace.relocations = relocations().value() - relocations_before;
+  trace.compactions = compactions().value() - compactions_before;
+  for (std::uint32_t r = 0; r < kRows; ++r) {
+    const auto row = csr.row(r);
+    trace.rows.emplace_back(row.begin(), row.end());
+  }
+  return trace;
+}
+
+}  // namespace
+
+TEST(CsrProblem, ClearedProblemEditsAsANewOne) {
+  // clear() keeps the pool's storage but no span, count or abandoned total:
+  // the same edits then relocate, compact and size the pool exactly as on
+  // a new problem, whatever the problem held before.
+  f::CsrProblem reused;
+  const CsrTrace before = trace_edits(reused, 0xC1EA);
+  EXPECT_GT(before.compactions, 0u);
+  reused.clear();
+  EXPECT_EQ(reused.row_count(), 0u);
+  EXPECT_EQ(reused.edge_count(), 0u);
+  EXPECT_EQ(reused.pool_size(), 0u);
+  const CsrTrace after_clear = trace_edits(reused, 0xC1EB);
+  f::CsrProblem fresh;
+  const CsrTrace expected = trace_edits(fresh, 0xC1EB);
+  EXPECT_GT(expected.compactions, 0u);
+  EXPECT_EQ(after_clear.relocations, expected.relocations);
+  EXPECT_EQ(after_clear.compactions, expected.compactions);
+  EXPECT_TRUE(after_clear.sizes == expected.sizes);
+  EXPECT_EQ(after_clear.rows, expected.rows);
+}
+
 TEST(CsrProblem, ClearedRowRefillsItsSpan) {
   // A retired request's slot is recycled by the next one: the cleared row
   // keeps its span, so a smaller refill lands in place.

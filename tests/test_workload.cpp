@@ -2,7 +2,10 @@
 // limiter's compounding-ceiling semantics.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <limits>
+#include <memory>
 #include <set>
 #include <sstream>
 #include <string>
@@ -605,6 +608,103 @@ TEST(Limiter, CompoundingCeilingsDoNotLeak) {
   // The anchored bound from round 0 (f<=1): f(2) <= ceil(1 * 1.4^2) = 2.
   EXPECT_LE(f2, 2u);
   EXPECT_LE(f1, 2u);
+}
+
+namespace {
+
+/// GrowthLimiter's rule with std::log taken per video every round, as the
+/// limiter computed it before its table of logs: the oracle for the table.
+class LogScanLimiter {
+ public:
+  LogScanLimiter(w::DemandGenerator& inner, double mu)
+      : inner_(inner), log_mu_(std::log(mu)) {}
+
+  std::uint64_t cap(m::VideoId v, m::Round now,
+                    std::uint32_t box_count) const {
+    if (v >= anchor_.size() ||
+        anchor_[v] == std::numeric_limits<double>::infinity())
+      return box_count;
+    const double log_cap = anchor_[v] + static_cast<double>(now) * log_mu_;
+    const double log_n = std::log(static_cast<double>(box_count) + 1.0);
+    if (log_cap >= log_n) return box_count;
+    return static_cast<std::uint64_t>(std::ceil(std::exp(log_cap) - 1e-9));
+  }
+
+  std::vector<s::Demand> demands(const s::Simulator& sim) {
+    const std::uint32_t m = sim.catalog().video_count();
+    const std::uint32_t n = sim.profile().size();
+    if (anchor_.size() < m)
+      anchor_.resize(m, std::numeric_limits<double>::infinity());
+    const m::Round now = sim.now();
+    for (m::VideoId v = 0; v < m; ++v) {
+      const double f = std::max<double>(1.0, sim.swarms().size(v));
+      anchor_[v] = std::min(anchor_[v],
+                            std::log(f) - static_cast<double>(now) * log_mu_);
+    }
+    std::vector<s::Demand> admitted;
+    std::vector<std::uint64_t> joins(m, 0);
+    for (const s::Demand& d : inner_.demands(sim)) {
+      const std::uint64_t limit = cap(d.video, now + 1, n);
+      if (sim.swarms().size(d.video) + joins[d.video] < limit) {
+        admitted.push_back(d);
+        ++joins[d.video];
+      }
+    }
+    return admitted;
+  }
+
+ private:
+  w::DemandGenerator& inner_;
+  double log_mu_;
+  std::vector<double> anchor_;
+};
+
+}  // namespace
+
+// The limiter reads log max(f, 1) from a table; over 64 rounds of a limited
+// avoider and a limited flash crowd (swarm sizes 0 for most videos, and a
+// crowd that grows, fills the boxes and drains), every cap it would apply
+// next round and every demand it admits equal a std::log-per-video scan's.
+TEST(Limiter, AnchorsMatchThePerVideoLogScan) {
+  for (const bool avoider : {true, false}) {
+    SCOPED_TRACE(avoider ? "avoider" : "flash crowd");
+    SimWorld world(40, 30, 2, 10);
+    std::unique_ptr<w::DemandGenerator> inner;
+    std::unique_ptr<w::DemandGenerator> twin;
+    if (avoider) {
+      inner = std::make_unique<w::AvoiderAdversary>(0xA7);
+      twin = std::make_unique<w::AvoiderAdversary>(0xA7);
+    } else {
+      inner = std::make_unique<w::FlashCrowd>(4, 1.3);
+      twin = std::make_unique<w::FlashCrowd>(4, 1.3);
+    }
+    w::GrowthLimiter limited(*inner, 1.3);
+    LogScanLimiter reference(*twin, 1.3);
+    const std::uint32_t n = world.profile.size();
+    bool saw_empty = false;
+    bool saw_crowd = false;
+    for (m::Round round = 0; round < 64; ++round) {
+      const std::vector<s::Demand> got = limited.demands(world.simulator);
+      const std::vector<s::Demand> want = reference.demands(world.simulator);
+      ASSERT_EQ(got.size(), want.size()) << "round " << round;
+      for (std::size_t i = 0; i < got.size(); ++i) {
+        EXPECT_EQ(got[i].box, want[i].box) << "round " << round;
+        EXPECT_EQ(got[i].video, want[i].video) << "round " << round;
+      }
+      for (m::VideoId v = 0; v < world.catalog.video_count(); ++v) {
+        EXPECT_EQ(limited.cap(v, round + 1, n), reference.cap(v, round + 1, n))
+            << "video " << v << " round " << round;
+        const std::uint32_t f = world.simulator.swarms().size(v);
+        saw_empty = saw_empty || f == 0;
+        saw_crowd = saw_crowd || f > 1;
+      }
+      world.simulator.step(got);
+    }
+    EXPECT_FALSE(world.simulator.stalled());
+    EXPECT_TRUE(saw_empty);
+    EXPECT_TRUE(saw_crowd);
+    EXPECT_GT(limited.dropped(), 0u);
+  }
 }
 
 TEST(Limiter, NameWrapsInner) {
