@@ -12,7 +12,8 @@ namespace {
 
 /// Augment-call accounting. The multiset of augment() calls and their
 /// outcomes is fixed by the round schedule (calls happen sequentially within
-/// one trial), so both metrics are thread-count-invariant.
+/// one trial), so both metrics are thread-count-invariant; a matcher
+/// publishes its tallies of them in bulk (see the header).
 struct AugmentCounters {
   obs::Counter& calls;
   obs::Histogram& depth;
@@ -28,18 +29,20 @@ struct AugmentCounters {
 }  // namespace
 
 void CsrMatcher::reset(std::uint32_t box_count) {
+  close_pass();
   assignment_.clear();
   row_of_.clear();
   skip_.clear();
+  links_.clear();
   degree_.assign(box_count, 0);
-  served_by_.resize(box_count);
-  for (std::vector<std::uint32_t>& servings : served_by_) servings.clear();
+  head_.assign(box_count, kNoSlot);
+  tail_.assign(box_count, kNoSlot);
+  assigned_ = 0;
   visit_mark_.assign(box_count, 0);
   epoch_ = 0;
   cursor_.clear();
   cursor_pass_.clear();
   pass_ = 0;
-  in_pass_ = false;
   stack_.clear();
 }
 
@@ -49,6 +52,7 @@ void CsrMatcher::ensure_rows(std::uint32_t rows) {
     assignment_.push_back(-1);
     row_of_.push_back(slot);
     skip_.push_back(kNoSkip);
+    links_.emplace_back();
     ensure_cursor(slot);
   }
 }
@@ -75,26 +79,68 @@ void CsrMatcher::begin_pass() {
   in_pass_ = true;
 }
 
+void CsrMatcher::close_pass() {
+  in_pass_ = false;
+  if (pending_calls_ != 0) publish_tallies();
+}
+
+void CsrMatcher::publish_tallies() {
+  AugmentCounters& counters = AugmentCounters::get();
+  counters.calls.add(pending_calls_);
+  pending_calls_ = 0;
+  for (std::size_t depth = 0; depth < kTalliedDepths; ++depth) {
+    if (pending_depths_[depth] == 0) continue;
+    counters.depth.observe(depth, pending_depths_[depth]);
+    pending_depths_[depth] = 0;
+  }
+}
+
+void CsrMatcher::link_tail(std::uint32_t box, std::uint32_t slot) {
+  links_[slot] = {tail_[box], kNoSlot};
+  if (tail_[box] != kNoSlot) {
+    links_[tail_[box]].next = slot;
+  } else {
+    head_[box] = slot;
+  }
+  tail_[box] = slot;
+}
+
+void CsrMatcher::replace(std::uint32_t box, std::uint32_t old,
+                         std::uint32_t slot) {
+  const Link at = links_[old];
+  links_[slot] = at;
+  (at.prev != kNoSlot ? links_[at.prev].next : head_[box]) = slot;
+  (at.next != kNoSlot ? links_[at.next].prev : tail_[box]) = slot;
+}
+
+void CsrMatcher::unlink(std::uint32_t box, std::uint32_t slot) {
+  const Link at = links_[slot];
+  (at.prev != kNoSlot ? links_[at.prev].next : head_[box]) = at.next;
+  (at.next != kNoSlot ? links_[at.next].prev : tail_[box]) = at.prev;
+}
+
 void CsrMatcher::unassign(std::uint32_t row) {
   const std::int32_t assigned = assignment_.at(row);
   if (assigned < 0) return;
-  in_pass_ = false;
+  if (in_pass_) close_pass();
   assignment_[row] = -1;
   const auto box = static_cast<std::uint32_t>(assigned);
-  auto& servings = served_by_[box];
-  servings.erase(std::find(servings.begin(), servings.end(), row));
+  unlink(box, row);
   --degree_[box];
+  --assigned_;
 }
 
 void CsrMatcher::unassign_box(std::uint32_t box,
                               std::vector<std::uint32_t>& out) {
-  auto& servings = served_by_.at(box);
-  in_pass_ = false;
-  for (const std::uint32_t row : servings) {
+  if (in_pass_) close_pass();
+  for (std::uint32_t row = head_.at(box); row != kNoSlot;
+       row = links_[row].next) {
     assignment_[row] = -1;
     out.push_back(row);
   }
-  servings.clear();
+  head_[box] = kNoSlot;
+  tail_[box] = kNoSlot;
+  assigned_ -= degree_[box];
   degree_[box] = 0;
 }
 
@@ -110,18 +156,29 @@ bool CsrMatcher::augment(const CsrProblem& csr,
                          std::span<const std::uint32_t> capacity,
                          std::uint32_t row) {
   OBS_SPAN("flow/csr_augment");
-  AugmentCounters& counters = AugmentCounters::get();
-  counters.calls.add();
   std::size_t max_depth = 0;
+  // Tally the call; outside a pass, publish it at once.
+  const auto finish = [&](bool served) {
+    ++pending_calls_;
+    if (max_depth < kTalliedDepths) {
+      ++pending_depths_[max_depth];
+    } else {
+      AugmentCounters::get().depth.observe(max_depth);
+    }
+    if (!in_pass_) publish_tallies();
+    return served;
+  };
   next_epoch();
   stack_.clear();
   std::uint32_t entering = row;  // the root, then each slot being displaced
   for (;;) {
     max_depth = std::max(max_depth, stack_.size() + 1);
     // Look-ahead: a free candidate ends the search here. Commit the whole
-    // alternating path: `entering` takes the free slot; every ancestor
-    // overwrites the serving its child vacated (served_by_ positions stay
-    // put, so no vector churn along the path).
+    // alternating path: every ancestor, root first, takes its child's place
+    // in the list of the box it displaced the child from (each reads its
+    // child's links before the child's own replacement overwrites them);
+    // then `entering` joins the free box's tail. That box has a spare slot,
+    // so it is on no list the replacements touch.
     const std::uint32_t entering_row = row_of_[entering];
     const auto candidates = csr.row(entering_row);
     const auto unsaturated = [&](std::uint32_t box) {
@@ -139,32 +196,28 @@ bool CsrMatcher::augment(const CsrProblem& csr,
     if (spare != candidates.end() && *spare == skip_[entering])
       spare = std::find_if(spare + 1, candidates.end(), unsaturated);
     if (spare != candidates.end()) {
-      assignment_[entering] = static_cast<std::int32_t>(*spare);
-      served_by_[*spare].push_back(entering);
-      ++degree_[*spare];
       for (const Frame& parent : stack_) {
         const std::uint32_t parent_box = csr.row(parent.row)[parent.ci];
-        served_by_[parent_box][parent.si] = parent.slot;
+        replace(parent_box, parent.cur, parent.slot);
         assignment_[parent.slot] = static_cast<std::int32_t>(parent_box);
       }
-      counters.depth.observe(max_depth);
-      return true;
+      assignment_[entering] = static_cast<std::int32_t>(*spare);
+      link_tail(*spare, entering);
+      ++degree_[*spare];
+      ++assigned_;
+      return finish(true);
     }
     // No degree moves before the commit, so every candidate of every slot
     // on the stack is saturated: walk the depth-first search to the next
     // slot it could displace, each box visited once.
-    stack_.push_back({entering, entering_row, 0, 0, false});
+    stack_.push_back({entering, entering_row, 0, kNoSlot, false});
     for (;;) {
-      if (stack_.empty()) {
-        counters.depth.observe(max_depth);
-        return false;
-      }
+      if (stack_.empty()) return finish(false);
       Frame& f = stack_.back();
       const auto boxes = csr.row(f.row);
       if (f.in_box) {
-        const auto& servings = served_by_[boxes[f.ci]];
-        if (f.si < servings.size()) {
-          entering = servings[f.si];
+        if (f.cur != kNoSlot) {
+          entering = f.cur;
           break;
         }
         f.in_box = false;
@@ -177,11 +230,11 @@ bool CsrMatcher::augment(const CsrProblem& csr,
       if (f.ci < boxes.size()) {
         visit_mark_[boxes[f.ci]] = epoch_;
         f.in_box = true;
-        f.si = 0;
+        f.cur = head_[boxes[f.ci]];
         continue;
       }
       stack_.pop_back();
-      if (!stack_.empty()) ++stack_.back().si;
+      if (!stack_.empty()) stack_.back().cur = links_[stack_.back().cur].next;
     }
   }
 }

@@ -147,11 +147,6 @@ bool CsrProblem::contains(std::uint32_t row, std::uint32_t box) const {
   return pos < ref.size && boxes_[ref.offset + pos] == box;
 }
 
-std::span<const std::uint32_t> CsrProblem::row(std::uint32_t r) const {
-  const RowRef& ref = rows_.at(r);
-  return {boxes_.data() + ref.offset, ref.size};
-}
-
 // Does NOT compact: callers finish their edit (the row's size field may be
 // mid-update) and trigger maybe_compact() themselves once consistent.
 void CsrProblem::relocate(std::uint32_t row, std::uint32_t capacity) {

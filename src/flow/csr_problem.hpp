@@ -74,8 +74,13 @@ class CsrProblem {
   bool remove_box(std::uint32_t row, std::uint32_t box);
 
   [[nodiscard]] bool contains(std::uint32_t row, std::uint32_t box) const;
-  /// Sorted unique candidate boxes of row `r`.
-  [[nodiscard]] std::span<const std::uint32_t> row(std::uint32_t r) const;
+  /// Sorted unique candidate boxes of row `r`, which must exist: the
+  /// matcher reads a row per search step, so the read is inline and
+  /// unchecked (a sanitizer build checks it through _GLIBCXX_ASSERTIONS).
+  [[nodiscard]] std::span<const std::uint32_t> row(std::uint32_t r) const {
+    const RowRef& ref = rows_[r];
+    return {boxes_.data() + ref.offset, ref.size};
+  }
   [[nodiscard]] std::uint32_t row_count() const noexcept {
     return static_cast<std::uint32_t>(rows_.size());
   }

@@ -134,10 +134,14 @@ class Gauge {
 /// observations <= bounds[i]; one implicit overflow bucket catches the rest.
 class Histogram {
  public:
-  void observe(std::uint64_t value) noexcept {
+  void observe(std::uint64_t value) noexcept { observe(value, 1); }
+  /// `count` observations of `value` at once: the same buckets and sum as
+  /// `count` calls of observe(value), for a caller that tallies locally.
+  void observe(std::uint64_t value, std::uint64_t count) noexcept {
     Shard& shard = shards_[metric_shard_index()];
-    shard.buckets[bucket_of(value)].fetch_add(1, std::memory_order_relaxed);
-    shard.sum.fetch_add(value, std::memory_order_relaxed);
+    shard.buckets[bucket_of(value)].fetch_add(count,
+                                              std::memory_order_relaxed);
+    shard.sum.fetch_add(value * count, std::memory_order_relaxed);
   }
 
   /// Merged per-bucket counts (bounds().size() + 1 entries, overflow last).

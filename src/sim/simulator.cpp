@@ -65,6 +65,7 @@ void Simulator::reset() {
   online_.assign(boxes, 1);
   busy_until_.assign(boxes, 0);
   last_session_.assign(boxes, kInvalidSession);
+  relayed_requests_.assign(boxes, 0);
 
   swarms_.reset(catalog_.video_count());
   cache_.reset(boxes, catalog_.stripe_count(), catalog_.duration());
@@ -169,6 +170,7 @@ void Simulator::admit(const Demand& demand) {
     ++report_.requests_issued;
     pending_.add(plan.issue,
                  {plan.stripe, plan.issue, plan.requester, session_id});
+    if (plan.requester != demand.box) ++relayed_requests_[plan.requester];
   }
 }
 
@@ -405,6 +407,8 @@ void Simulator::retire_completed() {
     if (session.pending_requests == 0)
       throw std::logic_error("Simulator: session underflow");
     --session.pending_requests;
+    if (live_.requester[done] != session.box)
+      --relayed_requests_[live_.requester[done]];
     if (sparse_ != nullptr) sparse_->remove_request(live_.slot[done]);
   }
   live_.erase_front(done);
@@ -424,6 +428,8 @@ void Simulator::abort_session(SessionId id) {
   std::size_t write = 0;
   for (std::size_t i = 0; i < live_.size(); ++i) {
     if (live_.session[i] == id) {
+      if (live_.requester[i] != session.box)
+        --relayed_requests_[live_.requester[i]];
       if (sparse_ != nullptr) sparse_->remove_request(live_.slot[i]);
       continue;
     }
@@ -431,7 +437,11 @@ void Simulator::abort_session(SessionId id) {
     ++write;
   }
   live_.resize(write);
-  pending_.erase_if([id](const PendingRequest& p) { return p.session == id; });
+  pending_.erase_if([&](const PendingRequest& p) {
+    if (p.session != id) return false;
+    if (p.requester != session.box) --relayed_requests_[p.requester];
+    return true;
+  });
 }
 
 void Simulator::debug_check_capacity_total() const {
@@ -440,6 +450,28 @@ void Simulator::debug_check_capacity_total() const {
   for (const std::uint32_t slots : capacity_slots_) rescan += slots;
   assert(rescan == total_capacity_slots_ &&
          "Simulator: capacity ±delta diverged from a full rescan");
+#endif
+}
+
+void Simulator::debug_check_relayed_requests(model::BoxId box) const {
+#ifndef NDEBUG
+  std::uint64_t total = 0;
+  std::uint32_t of_box = 0;
+  const auto count = [&](model::BoxId requester, SessionId session) {
+    if (requester == sessions_[session].box) return;
+    ++total;
+    of_box += requester == box ? 1 : 0;
+  };
+  for (std::size_t i = 0; i < live_.size(); ++i)
+    count(live_.requester[i], live_.session[i]);
+  pending_.for_each(
+      [&](const PendingRequest& p) { count(p.requester, p.session); });
+  std::uint64_t counted = 0;
+  for (const std::uint32_t requests : relayed_requests_) counted += requests;
+  assert(of_box == relayed_requests_[box] && total == counted &&
+         "Simulator: relayed request counts diverged from a rescan");
+#else
+  (void)box;
 #endif
 }
 
@@ -475,20 +507,26 @@ void Simulator::set_box_online(model::BoxId box, bool online) {
                             scratch_cache_stripes_);
 
   // Abort the playback the box was watching (only its last session can
-  // still be running) and every session that relied on it as the
-  // downloading requester (the §4 relay channel). Ascending id order keeps
-  // the CSR slot recycling order independent of how the set was gathered.
-  std::vector<SessionId> doomed;
+  // still be running: the box's own requests belong to it or to sessions
+  // already over) and every session of another box that relied on it as
+  // the downloading requester (the §4 relay channel), which only a box with
+  // relayed requests has. Ascending id order keeps the CSR slot recycling
+  // order independent of how the set was gathered.
+  debug_check_relayed_requests(box);
+  std::vector<SessionId>& doomed = scratch_doomed_;
+  doomed.clear();
   if (last_session_[box] != kInvalidSession)
     doomed.push_back(last_session_[box]);
-  for (std::size_t i = 0; i < live_.size(); ++i) {
-    if (live_.requester[i] == box) doomed.push_back(live_.session[i]);
+  if (relayed_requests_[box] != 0) {
+    for (std::size_t i = 0; i < live_.size(); ++i) {
+      if (live_.requester[i] == box) doomed.push_back(live_.session[i]);
+    }
+    pending_.for_each([&](const PendingRequest& p) {
+      if (p.requester == box) doomed.push_back(p.session);
+    });
+    std::sort(doomed.begin(), doomed.end());
+    doomed.erase(std::unique(doomed.begin(), doomed.end()), doomed.end());
   }
-  pending_.for_each([&](const PendingRequest& p) {
-    if (p.requester == box) doomed.push_back(p.session);
-  });
-  std::sort(doomed.begin(), doomed.end());
-  doomed.erase(std::unique(doomed.begin(), doomed.end()), doomed.end());
   for (const SessionId id : doomed) abort_session(id);
   publish();
 }

@@ -215,6 +215,10 @@ class Simulator {
   /// Debug builds: assert total_capacity_slots_ matches a full rescan after
   /// a ±delta update.
   void debug_check_capacity_total() const;
+  /// Debug builds: assert `box`'s relayed_requests_ entry, and their total,
+  /// match a rescan of the live and pending requests (no allocation, so the
+  /// heap-traffic bounds hold in Debug builds too).
+  void debug_check_relayed_requests(model::BoxId box) const;
 
   const model::Catalog& catalog_;
   const model::CapacityProfile& profile_;
@@ -237,6 +241,10 @@ class Simulator {
   /// been aborted: this is the only playback of the box that a failure can
   /// still cut short.
   std::vector<SessionId> last_session_;
+  /// Per box: live and pending requests it downloads for a session of
+  /// another box (the §4 relay). A failure of the box aborts those sessions
+  /// besides its own; when the count is 0 there is nothing to look for.
+  std::vector<std::uint32_t> relayed_requests_;
   RoundCalendar<PendingRequest> pending_;  ///< by issue round
   RoundCalendar<SessionId> end_events_;    ///< by Session::ends
   /// Live requests, struct-of-arrays, in issue order: activation appends
@@ -263,6 +271,7 @@ class Simulator {
   std::vector<model::BoxId> scratch_candidates_;
   std::vector<PlannedRequest> scratch_plans_;
   std::vector<model::StripeId> scratch_cache_stripes_;
+  std::vector<SessionId> scratch_doomed_;
 };
 
 }  // namespace p2pvod::sim

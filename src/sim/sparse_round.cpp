@@ -1,6 +1,7 @@
 #include "sim/sparse_round.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <limits>
 #include <numeric>
 #include <stdexcept>
@@ -15,6 +16,7 @@ void SparseRoundState::reset(std::uint32_t box_count,
   matcher_.reset(box_count);
   slots_.clear();
   free_slots_.clear();
+  maybe_unmatched_.clear();
   classes_.clear();
   free_classes_.clear();
   first_class_of_.assign(stripe_count, kNone);
@@ -91,7 +93,9 @@ std::uint32_t SparseRoundState::add_request(model::StripeId stripe,
     slot = static_cast<std::uint32_t>(slots_.size());
     slots_.emplace_back();
     matcher_.ensure_rows(slot + 1);
+    if (slot % 64 == 0) maybe_unmatched_.push_back(0);
   }
+  mark_unmatched(slot);
   const std::uint32_t cls = class_of(stripe, issue);
   SwarmClass& c = classes_[cls];
   slots_[slot].cls = cls;
@@ -155,11 +159,15 @@ void SparseRoundState::box_entered(std::uint32_t cls, model::BoxId box) {
 
 void SparseRoundState::box_left(std::uint32_t cls, model::BoxId box) {
   edges_ -= classes_[cls].members - own_requests(cls, box, false);
-  scratch_unassigned_.clear();
-  for (const std::uint32_t slot : matcher_.servings(box)) {
-    if (slots_[slot].cls == cls) scratch_unassigned_.push_back(slot);
+  for (std::uint32_t slot = matcher_.first_serving(box);
+       slot != flow::CsrMatcher::kNoSlot;) {
+    const std::uint32_t next = matcher_.next_serving(slot);
+    if (slots_[slot].cls == cls) {
+      matcher_.unassign(slot);
+      mark_unmatched(slot);
+    }
+    slot = next;
   }
-  for (const std::uint32_t slot : scratch_unassigned_) matcher_.unassign(slot);
 }
 
 void SparseRoundState::on_grant(model::StripeId stripe, model::BoxId box,
@@ -185,6 +193,7 @@ void SparseRoundState::on_box_offline(model::BoxId box,
   OBS_SPAN("sim/sparse_churn_patch");
   scratch_unassigned_.clear();
   matcher_.unassign_box(box, scratch_unassigned_);
+  for (const std::uint32_t slot : scratch_unassigned_) mark_unmatched(slot);
   const auto strip = [&](std::span<const model::StripeId> stripes) {
     for (const model::StripeId stripe : stripes) {
       for (std::uint32_t cls = first_class_of_.at(stripe); cls != kNone;
@@ -309,21 +318,27 @@ std::uint32_t SparseRoundState::solve(
 
   // Matching repair: everything still assigned is kept; only unmatched
   // slots seed augmenting paths. One exhaustive pass from a valid partial
-  // matching yields a maximum matching.
+  // matching yields a maximum matching. A failed augment changes nothing
+  // and a successful one newly assigns only its root, so the live
+  // unassigned slots past any point of the walk are those of the pass's
+  // start, all marked: the marks, in ascending order, are the augments a
+  // walk over every slot makes.
   OBS_SPAN("sim/sparse_augment");
-  std::uint32_t served = 0;
   matcher_.begin_pass();
-  for (std::uint32_t slot = 0;
-       slot < static_cast<std::uint32_t>(slots_.size()); ++slot) {
-    if (matcher_.assignment(slot) >= 0) {  // a retired slot is unassigned
-      ++served;
-      ++stats_.kept_connections;
-      continue;
-    }
-    if (!slots_[slot].live) continue;
-    if (matcher_.augment(csr_, capacity, slot)) {
-      ++served;
-      ++stats_.new_connections;
+  const std::uint64_t kept = matcher_.assigned();  // retired slots are not
+  stats_.kept_connections += kept;
+  auto served = static_cast<std::uint32_t>(kept);
+  for (std::size_t word = 0; word < maybe_unmatched_.size(); ++word) {
+    for (std::uint64_t bits = maybe_unmatched_[word]; bits != 0;
+         bits &= bits - 1) {
+      const int bit = std::countr_zero(bits);
+      const auto slot = static_cast<std::uint32_t>(word * 64 + bit);
+      if (slots_[slot].live && matcher_.assignment(slot) < 0) {
+        if (!matcher_.augment(csr_, capacity, slot)) continue;  // stays marked
+        ++served;
+        ++stats_.new_connections;
+      }
+      maybe_unmatched_[word] &= ~(std::uint64_t{1} << bit);  // served, or dead
     }
   }
   matcher_.end_pass();

@@ -35,6 +35,12 @@
 // edge_count() counts those per-request candidates, Σ members × row length
 // minus the members whose requester is in their own row.
 //
+// A solve's matching work is in proportion to what changed, not to the
+// live requests: it visits only the slots marked as possibly unmatched (new
+// requests, the servings a leaving box dropped, and last round's failed
+// augments), in ascending slot order, and reads the kept connections off
+// the matcher's count of assigned slots.
+//
 // Invariant tying it together: a class row's per-box source count always
 // equals the number of ground-truth reasons the box can serve the class
 // (static replica while online, plus each in-window cache entry with
@@ -122,9 +128,11 @@ class SparseRoundState {
 
   /// Run one round: consume `expired` (the cache expiries reported since
   /// the last solve, in report order; cleared on return), build the rows of
-  /// new classes via `collect`, then augment every unmatched live slot.
-  /// Returns the number of served requests (a maximum matching, equal to a
-  /// from-scratch solve).
+  /// new classes via `collect`, then augment every unmatched live slot, in
+  /// ascending slot order. It visits only the slots marked as possibly
+  /// unmatched (see maybe_unmatched_), not every live one. Returns the
+  /// number of served requests (a maximum matching, equal to a from-scratch
+  /// solve).
   std::uint32_t solve(std::vector<CacheExpiry>& expired,
                       const std::vector<std::uint32_t>& capacity,
                       const RowCollector& collect);
@@ -190,7 +198,7 @@ class SparseRoundState {
   void drop_class(std::uint32_t cls);
   /// `box` entered or left class `cls`'s row: every member but those it
   /// requests for gains or loses a candidate, and a member it served loses
-  /// its server.
+  /// its server (and is marked).
   void box_entered(std::uint32_t cls, model::BoxId box);
   void box_left(std::uint32_t cls, model::BoxId box);
   /// Members of `cls` requested by `box`, their `self` flags set to `self`.
@@ -198,10 +206,19 @@ class SparseRoundState {
   void process_expiries(const std::vector<CacheExpiry>& expired);
   void build_classes(const RowCollector& collect);
 
+  void mark_unmatched(std::uint32_t slot) {
+    maybe_unmatched_[slot / 64] |= std::uint64_t{1} << (slot % 64);
+  }
+
   flow::CsrProblem csr_;
   flow::CsrMatcher matcher_;
   std::vector<Slot> slots_;
   std::vector<std::uint32_t> free_slots_;
+  /// One bit per slot, set for every live slot that is unassigned: by
+  /// add_request, by each unassignment a box leaving causes, and kept by a
+  /// failed augment. solve() clears the bits of the slots it serves and of
+  /// dead ones; a retired slot's bit may linger until solve() or reuse.
+  std::vector<std::uint64_t> maybe_unmatched_;
   std::vector<SwarmClass> classes_;
   std::vector<std::uint32_t> free_classes_;
   /// Per stripe, the first of its live classes (the newest), or kNone.

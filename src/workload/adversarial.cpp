@@ -12,7 +12,8 @@ std::vector<sim::Demand> AvoiderAdversary::demands(const sim::Simulator& sim) {
   const std::uint32_t c = catalog.stripes_per_video();
 
   std::uint32_t emitted = 0;
-  for (const model::BoxId b : idle_boxes(sim)) {
+  sim.idle_boxes(idle_);
+  for (const model::BoxId b : idle_) {
     if (max_per_round_ != 0 && emitted >= max_per_round_) break;
 
     // The videos b has data of: stored(b) is sorted and video v owns the

@@ -40,6 +40,7 @@ class AvoiderAdversary final : public DemandGenerator {
   util::Rng rng_;
   Fallback fallback_;
   std::uint32_t max_per_round_;  ///< 0 = unlimited
+  std::vector<model::BoxId> idle_;  ///< reused across rounds
   // Scratch reused across boxes: the videos a box holds data of (ascending)
   // and how many of their stripes it stores.
   std::vector<model::VideoId> held_;

@@ -27,9 +27,4 @@ class DemandGenerator {
   [[nodiscard]] virtual std::string name() const = 0;
 };
 
-/// Helper shared by generators: ids of currently idle boxes, ascending
-/// (Simulator::idle_boxes into a new vector; a generator called every round
-/// keeps its own buffer instead).
-[[nodiscard]] std::vector<model::BoxId> idle_boxes(const sim::Simulator& sim);
-
 }  // namespace p2pvod::workload

@@ -27,7 +27,8 @@ std::vector<sim::Demand> DistinctVideosSweep::demands(
   }
 
   if (!repeat_) return out;
-  for (const model::BoxId b : idle_boxes(sim)) {
+  sim.idle_boxes(idle_);
+  for (const model::BoxId b : idle_) {
     out.push_back({b, next_video_[b]});
     next_video_[b] = (next_video_[b] + 1) % m;
   }

@@ -29,6 +29,7 @@ class DistinctVideosSweep final : public DemandGenerator {
   model::Round start_;
   bool initialized_ = false;
   std::vector<model::VideoId> next_video_;  ///< per-box rotation cursor
+  std::vector<model::BoxId> idle_;         ///< reused across rounds
 };
 
 }  // namespace p2pvod::workload

@@ -22,7 +22,8 @@ std::vector<sim::Demand> FlashCrowd::demands(const sim::Simulator& sim) {
   if (sim.now() == start_ && f == 0 && joins == 0) joins = 1;  // seed viewer
   if (max_joiners_ != 0) joins = std::min(joins, max_joiners_ - joined_);
 
-  for (const model::BoxId b : idle_boxes(sim)) {
+  sim.idle_boxes(idle_);
+  for (const model::BoxId b : idle_) {
     if (joins == 0) break;
     out.push_back({b, video_});
     --joins;

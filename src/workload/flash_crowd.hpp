@@ -32,6 +32,7 @@ class FlashCrowd final : public DemandGenerator {
   model::Round start_;
   std::uint32_t max_joiners_;  ///< 0 = every box eventually joins
   std::uint32_t joined_ = 0;
+  std::vector<model::BoxId> idle_;  ///< reused across rounds
 };
 
 }  // namespace p2pvod::workload

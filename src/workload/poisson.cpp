@@ -19,13 +19,13 @@ std::vector<sim::Demand> PoissonArrivals::demands(const sim::Simulator& sim) {
   std::vector<sim::Demand> out;
   std::uint32_t arrivals = sample_poisson();
   if (arrivals == 0) return out;
-  std::vector<model::BoxId> idle = idle_boxes(sim);
+  sim.idle_boxes(idle_);
   const std::uint32_t m = sim.catalog().video_count();
-  while (arrivals-- > 0 && !idle.empty()) {
-    const auto pick = static_cast<std::size_t>(rng_.next_below(idle.size()));
-    const model::BoxId box = idle[pick];
-    idle[pick] = idle.back();
-    idle.pop_back();
+  while (arrivals-- > 0 && !idle_.empty()) {
+    const auto pick = static_cast<std::size_t>(rng_.next_below(idle_.size()));
+    const model::BoxId box = idle_[pick];
+    idle_[pick] = idle_.back();
+    idle_.pop_back();
     out.push_back({box, static_cast<model::VideoId>(rng_.next_below(m))});
   }
   return out;

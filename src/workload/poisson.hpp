@@ -23,6 +23,7 @@ class PoissonArrivals final : public DemandGenerator {
 
   double rate_;
   util::Rng rng_;
+  std::vector<model::BoxId> idle_;  ///< reused across rounds
 };
 
 }  // namespace p2pvod::workload

@@ -13,7 +13,8 @@ std::vector<sim::Demand> SequentialViewer::demands(const sim::Simulator& sim) {
   }
 
   std::vector<sim::Demand> out;
-  for (const model::BoxId b : idle_boxes(sim)) {
+  sim.idle_boxes(idle_);
+  for (const model::BoxId b : idle_) {
     if (!rng_.next_bool(join_prob_)) continue;
     out.push_back({b, next_video_[b]});
     next_video_[b] = (next_video_[b] + 1) % m;

@@ -26,6 +26,7 @@ class SequentialViewer final : public DemandGenerator {
   double join_prob_;  ///< chance an idle box (re)joins each round
   bool initialized_ = false;
   std::vector<model::VideoId> next_video_;
+  std::vector<model::BoxId> idle_;  ///< reused across rounds
 };
 
 }  // namespace p2pvod::workload

@@ -220,6 +220,48 @@ TEST(Churn, RelayFailureAbortsForwardedSession) {
   EXPECT_EQ(sim.swarms().size(0), 0u);
 }
 
+TEST(Churn, RelayedRequestsLeaveTheRelayWhenTheyEnd) {
+  // A forwarded session that ran to its end leaves nothing for a failure of
+  // its relay to abort; one that the relay's failure cut short is gone when
+  // the relay fails again. Debug builds check each box's count of relayed
+  // requests against a rescan at every failure, so a count that missed a
+  // retirement or an abort trips there.
+  const auto profile = m::CapacityProfile::two_class(4, 1, 0.5, 2.0, 4.0, 8.0);
+  const m::Catalog catalog(2, 8, 16);
+  std::vector<a::Allocation::Placement> placements;
+  for (m::StripeId stripe = 0; stripe < catalog.stripe_count(); ++stripe)
+    placements.push_back({3, stripe});
+  const a::Allocation allocation(4, catalog.stripe_count(),
+                                 std::move(placements));
+  const auto plan = h::Compensator::plan(profile, 1.5, 8, 1.0);
+  ASSERT_TRUE(plan.has_value());
+  const m::BoxId relay = plan->relay[0];
+  ASSERT_NE(relay, m::kInvalidBox);
+
+  h::RelayStrategy strategy(*plan);
+  s::SimulatorOptions options;
+  options.capacity_override = plan->capacity_slots();
+  s::Simulator sim(catalog, profile, allocation, strategy, options);
+  sim.step({{0, 0}});
+  for (int t = 1; t < 40; ++t) sim.step({});
+  ASSERT_EQ(sim.report().sessions_completed, 1u);
+  ASSERT_EQ(sim.active_request_count(), 0u);
+  sim.set_box_online(relay, false);
+  EXPECT_EQ(sim.report().sessions_aborted, 0u);
+  sim.set_box_online(relay, true);
+
+  sim.step({{0, 1}});
+  sim.step({});
+  ASSERT_GT(sim.active_request_count(), 0u);
+  sim.set_box_online(relay, false);
+  EXPECT_EQ(sim.report().sessions_aborted, 1u);
+  EXPECT_EQ(sim.active_request_count(), 0u);
+  sim.set_box_online(relay, true);
+  sim.set_box_online(relay, false);
+  EXPECT_EQ(sim.report().sessions_aborted, 1u);
+  EXPECT_TRUE(sim.report().success);
+}
+
 TEST(Churn, RelayFallbackWhenRelayAlreadyDown) {
   // If the relay is down when the demand arrives, the poor box degrades to
   // direct preloading (and here succeeds: the holder has capacity).

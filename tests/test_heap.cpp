@@ -10,7 +10,9 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstdlib>
+#include <deque>
 #include <new>
+#include <utility>
 #include <vector>
 
 #include "alloc/permutation.hpp"
@@ -142,8 +144,61 @@ TEST(HeapTraffic, SparseRoundsAllocateLittlePerDemand) {
   ASSERT_GT(admitted, 2000u);
   const double per_demand =
       static_cast<double>(counted) / static_cast<double>(admitted);
-  EXPECT_LT(per_demand, 0.25) << counted << " allocations for " << admitted
+  EXPECT_LT(per_demand, 0.02) << counted << " allocations for " << admitted
                               << " admitted demands";
+}
+
+TEST(HeapTraffic, ChurnRoundsAllocateLittle) {
+  // churn_5k's protocol at 1,000 boxes: sparse_5k's world with a drizzle
+  // of failures, a round-robin cursor taking 5 boxes offline each round and
+  // each back 4 rounds later. A failure aborts the box's playback and
+  // strips the box from its rows and servings, which all reuse storage.
+  constexpr std::uint32_t kBoxes = 1000;
+  constexpr std::uint32_t kVideos = 4 * kBoxes / 6;
+  constexpr std::uint32_t kChurnPerRound = 5;
+  constexpr m::Round kOutage = 4;
+  const m::Catalog catalog(kVideos, 4, 12);
+  const auto profile = m::CapacityProfile::homogeneous(kBoxes, 2.0, 4.0);
+  p2pvod::util::Rng rng(1);
+  const auto allocation =
+      p2pvod::alloc::PermutationAllocator().allocate(catalog, profile, 6, rng);
+  s::PreloadingStrategy strategy;
+  s::SimulatorOptions options;
+  options.strict = false;
+  s::Simulator sim(catalog, profile, allocation, strategy, options);
+  ASSERT_TRUE(sim.sparse_active());
+  w::ZipfDemand audience(kVideos, 0.6, 0.01, 2);
+
+  std::deque<std::pair<m::Round, m::BoxId>> down;
+  m::BoxId cursor = 0;
+  std::uint64_t counted = 0;
+  std::uint64_t failures = 0;
+  for (m::Round round = 0; round < 700; ++round) {
+    const std::vector<s::Demand> demands = audience.demands(sim);
+    const std::uint64_t failures_before = sim.report().box_failures;
+    const std::uint64_t before = allocations();
+    while (!down.empty() && down.front().first <= round) {
+      sim.set_box_online(down.front().second, true);
+      down.pop_front();
+    }
+    for (std::uint32_t i = 0; i < kChurnPerRound; ++i) {
+      const m::BoxId victim = cursor;
+      cursor = (cursor + 1) % kBoxes;
+      if (!sim.box_online(victim)) continue;
+      sim.set_box_online(victim, false);
+      down.emplace_back(round + kOutage, victim);
+    }
+    sim.step(demands);
+    if (round < 200) continue;
+    counted += allocations() - before;
+    failures += sim.report().box_failures - failures_before;
+  }
+  ASSERT_GT(failures, 2000u);
+  ASSERT_GT(sim.report().sessions_aborted, 200u);
+  const double per_failure =
+      static_cast<double>(counted) / static_cast<double>(failures);
+  EXPECT_LT(per_failure, 0.1) << counted << " allocations for " << failures
+                               << " failures";
 }
 
 TEST(HeapTraffic, WarmTrialsAllocateLittle) {
@@ -188,6 +243,6 @@ TEST(HeapTraffic, WarmTrialsAllocateLittle) {
   // to the end.
   EXPECT_GT(successes, 0u);
   EXPECT_LT(successes, kTrials);
-  EXPECT_LT(per_trial, 1000.0) << "heap allocations per warm trial";
-  EXPECT_LT(bytes_per_trial, 0.5e6) << "bytes allocated per warm trial";
+  EXPECT_LT(per_trial, 300.0) << "heap allocations per warm trial";
+  EXPECT_LT(bytes_per_trial, 0.1e6) << "bytes allocated per warm trial";
 }

@@ -658,6 +658,309 @@ TEST(CsrMatcher, PassCursorPicksWhatAFullScanPicks) {
   }
 }
 
+namespace {
+
+/// The matcher as it stood with a std::vector of servings per box: the
+/// oracle for the serving lists. A new serving is appended, a displacement
+/// overwrites the child's position, a removal erases in place; no pass
+/// cursor (a pass picks what a full scan picks) and no metrics.
+class VectorMatcher {
+ public:
+  explicit VectorMatcher(std::uint32_t boxes)
+      : degree_(boxes, 0), served_by_(boxes), visit_mark_(boxes, 0) {}
+
+  void ensure_rows(std::uint32_t rows) {
+    for (auto slot = static_cast<std::uint32_t>(assignment_.size());
+         slot < rows; ++slot) {
+      assignment_.push_back(-1);
+      row_of_.push_back(slot);
+      skip_.push_back(f::CsrMatcher::kNoSkip);
+    }
+  }
+  void bind(std::uint32_t slot, std::uint32_t row, std::uint32_t skip) {
+    row_of_.at(slot) = row;
+    skip_[slot] = skip;
+  }
+  [[nodiscard]] std::int32_t assignment(std::uint32_t slot) const {
+    return assignment_.at(slot);
+  }
+  [[nodiscard]] std::uint32_t degree(std::uint32_t box) const {
+    return degree_.at(box);
+  }
+  [[nodiscard]] const std::vector<std::uint32_t>& servings(
+      std::uint32_t box) const {
+    return served_by_.at(box);
+  }
+  void unassign(std::uint32_t slot) {
+    const std::int32_t assigned = assignment_.at(slot);
+    if (assigned < 0) return;
+    assignment_[slot] = -1;
+    auto& servings = served_by_[static_cast<std::uint32_t>(assigned)];
+    servings.erase(std::find(servings.begin(), servings.end(), slot));
+    --degree_[static_cast<std::uint32_t>(assigned)];
+  }
+  void unassign_box(std::uint32_t box, std::vector<std::uint32_t>& out) {
+    for (const std::uint32_t slot : served_by_.at(box)) {
+      assignment_[slot] = -1;
+      out.push_back(slot);
+    }
+    served_by_[box].clear();
+    degree_[box] = 0;
+  }
+  bool augment(const f::CsrProblem& csr, const std::vector<std::uint32_t>& cap,
+               std::uint32_t slot) {
+    struct Frame {
+      std::uint32_t slot;
+      std::uint32_t row;
+      std::uint32_t ci;
+      std::uint32_t si;
+      bool in_box;
+    };
+    ++epoch_;
+    std::vector<Frame> stack;
+    std::uint32_t entering = slot;
+    const auto unsaturated = [&](std::uint32_t box) {
+      return degree_[box] < cap[box];
+    };
+    for (;;) {
+      const auto candidates = csr.row(row_of_[entering]);
+      auto spare =
+          std::find_if(candidates.begin(), candidates.end(), unsaturated);
+      if (spare != candidates.end() && *spare == skip_[entering])
+        spare = std::find_if(spare + 1, candidates.end(), unsaturated);
+      if (spare != candidates.end()) {
+        assignment_[entering] = static_cast<std::int32_t>(*spare);
+        served_by_[*spare].push_back(entering);
+        ++degree_[*spare];
+        for (const Frame& parent : stack) {
+          const std::uint32_t box = csr.row(parent.row)[parent.ci];
+          served_by_[box][parent.si] = parent.slot;
+          assignment_[parent.slot] = static_cast<std::int32_t>(box);
+        }
+        return true;
+      }
+      stack.push_back({entering, row_of_[entering], 0, 0, false});
+      for (;;) {
+        if (stack.empty()) return false;
+        Frame& frame = stack.back();
+        const auto boxes = csr.row(frame.row);
+        if (frame.in_box) {
+          const auto& servings = served_by_[boxes[frame.ci]];
+          if (frame.si < servings.size()) {
+            entering = servings[frame.si];
+            break;
+          }
+          frame.in_box = false;
+          ++frame.ci;
+        }
+        while (frame.ci < boxes.size() &&
+               (visit_mark_[boxes[frame.ci]] == epoch_ ||
+                boxes[frame.ci] == skip_[frame.slot]))
+          ++frame.ci;
+        if (frame.ci < boxes.size()) {
+          visit_mark_[boxes[frame.ci]] = epoch_;
+          frame.in_box = true;
+          frame.si = 0;
+          continue;
+        }
+        stack.pop_back();
+        if (!stack.empty()) ++stack.back().si;
+      }
+    }
+  }
+
+ private:
+  std::vector<std::int32_t> assignment_;
+  std::vector<std::uint32_t> row_of_;
+  std::vector<std::uint32_t> skip_;
+  std::vector<std::uint32_t> degree_;
+  std::vector<std::vector<std::uint32_t>> served_by_;
+  std::vector<std::uint32_t> visit_mark_;
+  std::uint32_t epoch_ = 0;
+};
+
+/// `box`'s servings in list order.
+std::vector<std::uint32_t> serving_list(const f::CsrMatcher& matcher,
+                                        std::uint32_t box) {
+  std::vector<std::uint32_t> slots;
+  for (std::uint32_t slot = matcher.first_serving(box);
+       slot != f::CsrMatcher::kNoSlot; slot = matcher.next_serving(slot))
+    slots.push_back(slot);
+  return slots;
+}
+
+}  // namespace
+
+TEST(CsrMatcher, ServingListsKeepTheVectorOrder) {
+  // Random sequences of binds, augments inside and outside passes, single
+  // and bulk unassigns and row edits, run on the list matcher and on the
+  // vector oracle: after every operation both hold the same assignment,
+  // degrees and serving order per box, and every augment gives the same
+  // result.
+  p2pvod::util::Rng rng(0x5E1F);
+  std::uint32_t displaced = 0;
+  std::uint32_t deep = 0;
+  for (int trial = 0; trial < 30; ++trial) {
+    constexpr std::uint32_t kBoxes = 10;
+    const auto rows = static_cast<std::uint32_t>(rng.next_between(1, 5));
+    const auto slots = static_cast<std::uint32_t>(rng.next_between(4, 36));
+    std::vector<std::uint32_t> cap(kBoxes);
+    for (auto& c : cap) c = static_cast<std::uint32_t>(rng.next_below(4));
+    f::CsrProblem csr;
+    csr.ensure_row(rows - 1);
+    for (std::uint32_t r = 0; r < rows; ++r) {
+      for (std::uint32_t b = 0; b < kBoxes; ++b) {
+        if (rng.next_bool(0.35)) csr.add_source(r, b);
+      }
+    }
+    f::CsrMatcher lists(kBoxes);
+    VectorMatcher vectors(kBoxes);
+    lists.ensure_rows(slots);
+    vectors.ensure_rows(slots);
+    std::vector<std::uint32_t> row_of(slots);
+    const auto bind = [&](std::uint32_t slot, std::uint32_t box) {
+      row_of[slot] = static_cast<std::uint32_t>(rng.next_below(rows));
+      const std::uint32_t skip =
+          rng.next_bool(0.7) ? box : f::CsrMatcher::kNoSkip;
+      lists.bind(slot, row_of[slot], skip);
+      vectors.bind(slot, row_of[slot], skip);
+    };
+    for (std::uint32_t slot = 0; slot < slots; ++slot)
+      bind(slot, static_cast<std::uint32_t>(rng.next_below(kBoxes)));
+    bool in_pass = false;
+    for (int op = 0; op < 300; ++op) {
+      const auto slot = static_cast<std::uint32_t>(rng.next_below(slots));
+      const auto box = static_cast<std::uint32_t>(rng.next_below(kBoxes));
+      const auto row = static_cast<std::uint32_t>(rng.next_below(rows));
+      switch (rng.next_below(9)) {
+        case 0:  // rebind an unassigned slot
+          if (vectors.assignment(slot) < 0) bind(slot, box);
+          break;
+        case 1:  // open or close a pass
+          if (in_pass) {
+            lists.end_pass();
+          } else {
+            lists.begin_pass();
+          }
+          in_pass = !in_pass;
+          break;
+        case 2:  // dropping a connection ends the pass
+          if (vectors.assignment(slot) >= 0) in_pass = false;
+          lists.unassign(slot);
+          vectors.unassign(slot);
+          break;
+        case 3: {
+          std::vector<std::uint32_t> from_lists;
+          std::vector<std::uint32_t> from_vectors;
+          lists.unassign_box(box, from_lists);
+          vectors.unassign_box(box, from_vectors);
+          ASSERT_EQ(from_lists, from_vectors) << "trial " << trial;
+          in_pass = false;
+          break;
+        }
+        case 4:  // rows change only between passes
+          if (in_pass) break;
+          if (rng.next_bool(0.5)) {
+            csr.add_source(row, box);
+            break;
+          }
+          if (!csr.remove_box(row, box)) break;
+          // The row's slots that box served lose their server.
+          for (const std::uint32_t t : std::vector<std::uint32_t>(
+                   vectors.servings(box))) {
+            if (row_of[t] != row) continue;
+            lists.unassign(t);
+            vectors.unassign(t);
+          }
+          break;
+        default: {  // augment
+          if (vectors.assignment(slot) >= 0) break;
+          std::vector<std::int32_t> before(slots);
+          for (std::uint32_t t = 0; t < slots; ++t)
+            before[t] = vectors.assignment(t);
+          const bool ok = vectors.augment(csr, cap, slot);
+          ASSERT_EQ(lists.augment(csr, cap, slot), ok)
+              << "trial " << trial << " op " << op;
+          std::uint32_t moved = 0;
+          for (std::uint32_t t = 0; t < slots; ++t) {
+            if (before[t] >= 0 && vectors.assignment(t) != before[t]) ++moved;
+          }
+          displaced += moved;
+          if (moved >= 2) ++deep;
+          break;
+        }
+      }
+      for (std::uint32_t t = 0; t < slots; ++t) {
+        ASSERT_EQ(lists.assignment(t), vectors.assignment(t))
+            << "trial " << trial << " op " << op << " slot " << t;
+      }
+      for (std::uint32_t b = 0; b < kBoxes; ++b) {
+        ASSERT_EQ(lists.degree(b), vectors.degree(b));
+        ASSERT_EQ(serving_list(lists, b), vectors.servings(b))
+            << "trial " << trial << " op " << op << " box " << b;
+      }
+    }
+    if (in_pass) lists.end_pass();
+  }
+  EXPECT_GT(displaced, 0u) << "no augment displaced a served slot";
+  EXPECT_GT(deep, 0u) << "no augment displaced two served slots";
+}
+
+TEST(CsrMatcher, AugmentMetricsCountEveryCall) {
+  // One scripted sequence of augments, run outside any pass and again in
+  // passes, one of which an unassign ends midway: both runs publish one
+  // flow/csr_augments per call and the same flow/csr_augment_depth
+  // observations. The chain makes one path deeper than the per-depth
+  // tallies reach, and the last call fails.
+  constexpr std::uint32_t kChain = 40;
+  f::CsrProblem csr;
+  csr.ensure_row(kChain + 1);
+  for (std::uint32_t r = 0; r < kChain; ++r) {  // slot r: boxes r and r + 1
+    csr.add_source(r, r);
+    csr.add_source(r, r + 1);
+  }
+  csr.add_source(kChain, 0);  // slot kChain: box 0, the chain's left end
+  csr.add_source(kChain + 1, kChain);  // the next: its right end
+  const std::vector<std::uint32_t> cap(kChain + 1, 1);
+  auto& registry = p2pvod::obs::MetricsRegistry::global();
+
+  const auto run = [&](bool passes) {
+    const auto before = registry.snapshot();
+    f::CsrMatcher matcher(kChain + 1);
+    matcher.ensure_rows(kChain + 2);
+    std::vector<bool> results;
+    if (passes) matcher.begin_pass();
+    for (std::uint32_t slot = 0; slot < kChain; ++slot) {
+      results.push_back(matcher.augment(csr, cap, slot));
+      if (slot == kChain / 2) {
+        matcher.unassign(2);  // ends the pass
+        results.push_back(matcher.augment(csr, cap, 2));
+        if (passes) matcher.begin_pass();
+      }
+    }
+    results.push_back(matcher.augment(csr, cap, kChain));      // kChain deep
+    results.push_back(matcher.augment(csr, cap, kChain + 1));  // no path
+    if (passes) matcher.end_pass();
+    return std::make_pair(results,
+                          registry.snapshot().delta_since(before).values);
+  };
+  const auto [plain_results, plain] = run(false);
+  const auto [pass_results, in_passes] = run(true);
+  EXPECT_EQ(pass_results, plain_results);
+  ASSERT_EQ(plain_results.size(), kChain + 3);
+  EXPECT_TRUE(plain_results[kChain + 1]);
+  EXPECT_FALSE(plain_results.back());
+
+  const auto& calls = plain.at("flow/csr_augments");
+  const auto& depth = plain.at("flow/csr_augment_depth");
+  EXPECT_EQ(calls.count, kChain + 3);
+  EXPECT_EQ(depth.count, kChain + 3);
+  EXPECT_GT(depth.sum, 2u * (kChain + 1));  // both chain searches go deep
+  EXPECT_EQ(depth.buckets.back(), 0u);      // nothing past 4096
+  EXPECT_EQ(in_passes.at("flow/csr_augments"), calls);
+  EXPECT_EQ(in_passes.at("flow/csr_augment_depth"), depth);
+}
+
 // ----------------------------------------------------- validate_assignment
 
 namespace {
@@ -778,6 +1081,74 @@ TEST(SparseRoundState, ExpiryRetiresCacheSources) {
   EXPECT_EQ(state.edge_count(), 1u);
   EXPECT_EQ(state.stats().expiry_events, 1u);
   EXPECT_EQ(state.assignment(slot), 2);
+}
+
+TEST(SparseRoundState, SolveServesUnmatchedSlotsInSlotOrder) {
+  // Box 3 holds stripe 0 and has one upload slot, so of the requests
+  // waiting for it the lowest slot wins, whichever way it came to wait: a
+  // new request, one left unmatched by a full box, one whose server left.
+  s::SparseRoundState state(/*box_count=*/4, /*stripe_count=*/1);
+  const auto collect = [](m::StripeId, m::Round, std::vector<m::BoxId>& out) {
+    out.push_back(3);
+  };
+  const std::vector<std::uint32_t> cap = {0, 0, 0, 1};
+  std::vector<s::CacheExpiry> none;
+  for (m::BoxId requester = 0; requester < 3; ++requester)
+    EXPECT_EQ(state.add_request(/*stripe=*/0, /*issue=*/1, requester),
+              requester);
+  EXPECT_EQ(state.solve(none, cap, collect), 1u);
+  EXPECT_EQ(state.assignment(0), 3);
+  EXPECT_EQ(state.assignment(2), -1);
+  state.remove_request(0);
+  EXPECT_EQ(state.solve(none, cap, collect), 1u);
+  EXPECT_EQ(state.assignment(1), 3);
+  EXPECT_EQ(state.assignment(2), -1);
+  // Slot 0 comes back; box 3 stays with slot 1, which it keeps.
+  EXPECT_EQ(state.add_request(/*stripe=*/0, /*issue=*/2, /*requester=*/0), 0u);
+  EXPECT_EQ(state.solve(none, cap, collect), 1u);
+  EXPECT_EQ(state.assignment(0), -1);
+  EXPECT_EQ(state.stats().kept_connections, 1u);
+  EXPECT_EQ(state.stats().new_connections, 2u);
+  // Box 3 fails and comes back: all three wait, and slot 0 wins.
+  const std::vector<m::StripeId> stored = {0};
+  state.on_box_offline(3, stored, {});
+  EXPECT_EQ(state.solve(none, cap, collect), 0u);
+  state.on_box_online(3, stored);
+  EXPECT_EQ(state.solve(none, cap, collect), 1u);
+  EXPECT_EQ(state.assignment(0), 3);
+  EXPECT_EQ(state.assignment(1), -1);
+  EXPECT_EQ(state.assignment(2), -1);
+}
+
+TEST(SparseRoundState, SlotsABoxLeavesAreServedAgain) {
+  // Box 1 caches stripe 0 (one slot), box 2 holds it (two slots). Both
+  // requests take a box; when box 1's entry expires, the request it served
+  // moves to box 2's spare slot in the next solve.
+  s::SparseRoundState state(/*box_count=*/4, /*stripe_count=*/1);
+  s::CacheIndex cache(4, 1, /*window=*/3);
+  m::Round now = 0;
+  const auto collect = [&](m::StripeId stripe, m::Round issue,
+                           std::vector<m::BoxId>& out) {
+    out.push_back(2);
+    cache.collect_servers(stripe, issue, now, m::kInvalidBox, out);
+  };
+  const std::vector<std::uint32_t> cap = {0, 1, 2, 0};
+  std::vector<s::CacheExpiry> expired;
+  cache.grant(/*stripe=*/0, /*box=*/1, /*entry=*/0);
+  const auto first = state.add_request(/*stripe=*/0, /*issue=*/1, 0);
+  const auto second = state.add_request(/*stripe=*/0, /*issue=*/1, 3);
+  now = 1;
+  EXPECT_EQ(state.solve(expired, cap, collect), 2u);
+  EXPECT_EQ(state.assignment(first), 1);
+  EXPECT_EQ(state.assignment(second), 2);
+  now = 4;
+  cache.prune(now, &expired);
+  ASSERT_EQ(expired.size(), 1u);
+  EXPECT_EQ(state.solve(expired, cap, collect), 2u);
+  EXPECT_EQ(state.assignment(first), 2);
+  EXPECT_EQ(state.assignment(second), 2);
+  EXPECT_EQ(state.stats().kept_connections, 1u);
+  EXPECT_EQ(state.stats().new_connections, 3u);
 }
 
 TEST(SparseRoundState, GrantWalksRowsOnlyWhenOneIsIssuedAfterItsEntry) {

@@ -57,9 +57,11 @@ struct SimWorld {
 
 TEST(Workload, IdleBoxesMatchesSimulatorState) {
   SimWorld world(6, 4, 2, 8);
-  EXPECT_EQ(w::idle_boxes(world.simulator).size(), 6u);
+  std::vector<m::BoxId> idle = {7};  // replaced, not appended to
+  world.simulator.idle_boxes(idle);
+  EXPECT_EQ(idle.size(), 6u);
   world.simulator.step({{2, 0}});
-  const auto idle = w::idle_boxes(world.simulator);
+  world.simulator.idle_boxes(idle);
   EXPECT_EQ(idle.size(), 5u);
   EXPECT_EQ(std::count(idle.begin(), idle.end(), 2u), 0);
 }
@@ -119,7 +121,9 @@ class ReferenceAvoider final : public w::DemandGenerator {
     const a::Allocation& allocation = sim.allocation();
     const std::uint32_t videos = catalog.video_count();
     std::uint32_t emitted = 0;
-    for (const m::BoxId b : w::idle_boxes(sim)) {
+    std::vector<m::BoxId> idle;
+    sim.idle_boxes(idle);
+    for (const m::BoxId b : idle) {
       if (max_per_round_ != 0 && emitted >= max_per_round_) break;
       std::vector<m::VideoId> missing;
       for (m::VideoId v = 0; v < videos; ++v) {
@@ -566,7 +570,9 @@ class Flood final : public w::DemandGenerator {
   explicit Flood(m::VideoId video) : video_(video) {}
   std::vector<s::Demand> demands(const s::Simulator& sim) override {
     std::vector<s::Demand> out;
-    for (const auto b : w::idle_boxes(sim)) out.push_back({b, video_});
+    std::vector<m::BoxId> idle;
+    sim.idle_boxes(idle);
+    for (const auto b : idle) out.push_back({b, video_});
     return out;
   }
   std::string name() const override { return "flood"; }
