@@ -4,57 +4,119 @@
 #include <numeric>
 #include <sstream>
 #include <stdexcept>
+#include <utility>
 
 namespace p2pvod::alloc {
 
-Allocation::Allocation(std::uint32_t box_count, std::uint32_t stripe_count,
-                       std::vector<Placement> placements)
-    : box_count_(box_count), stripe_count_(stripe_count) {
-  // Counting sort in both directions. Each offset array first holds counts,
-  // then (after an inclusive prefix sum) bucket ends; filling every bucket
-  // from its end leaves the offset at the bucket's start.
-  slot_usage_.assign(box_count_, 0);
-  holder_offsets_.assign(stripe_count_ + 1, 0);
-  for (const Placement& p : placements) {
-    if (p.box >= box_count_)
-      throw std::out_of_range("Allocation: box id out of range");
-    if (p.stripe >= stripe_count_)
-      throw std::out_of_range("Allocation: stripe id out of range");
-    ++slot_usage_[p.box];
-    ++holder_offsets_[p.stripe];
-  }
-  std::partial_sum(holder_offsets_.begin(), holder_offsets_.end(),
-                   holder_offsets_.begin());
-  holder_data_.resize(placements.size());
-  for (const Placement& p : placements)
-    holder_data_[--holder_offsets_[p.stripe]] = p.box;
+namespace {
 
-  // Sort each stripe's bucket (about k boxes) and compact it leftwards
-  // without its duplicates.
+/// Longest group sorted without a comparison sort.
+constexpr std::uint32_t kNetworkMax = 8;
+
+/// Puts the smaller of a and b in a. The mask makes the exchange plain
+/// arithmetic: GCC compiles the std::min/std::max form of it to a branch.
+inline void compare_exchange(model::BoxId& a, model::BoxId& b) noexcept {
+  const model::BoxId mask = 0U - static_cast<model::BoxId>(b < a);
+  const model::BoxId swap = (a ^ b) & mask;
+  a ^= swap;
+  b ^= swap;
+}
+
+/// Odd-even transposition sort of v[0, len), len <= kNetworkMax: len passes
+/// of compare-exchanges on adjacent pairs, with no branch on the data (the
+/// loop bounds depend on len alone).
+void sort_short(model::BoxId* v, std::uint32_t len) noexcept {
+  for (std::uint32_t pass = 0; pass < len; ++pass) {
+    for (std::uint32_t i = pass & 1U; i + 1 < len; i += 2)
+      compare_exchange(v[i], v[i + 1]);
+  }
+}
+
+}  // namespace
+
+StripeGroups group_by_stripe(std::uint32_t stripe_count,
+                             const std::vector<Placement>& placements) {
+  // Counts, then (after an inclusive prefix sum) bucket ends; filling every
+  // bucket from its end, in reverse placement order, keeps the placement
+  // order within a stripe and leaves each offset at its bucket's start.
+  StripeGroups groups;
+  groups.offsets.assign(static_cast<std::size_t>(stripe_count) + 1, 0);
+  for (const Placement& p : placements) {
+    if (p.stripe >= stripe_count)
+      throw std::out_of_range("group_by_stripe: stripe id out of range");
+    ++groups.offsets[p.stripe];
+  }
+  std::partial_sum(groups.offsets.begin(), groups.offsets.end(),
+                   groups.offsets.begin());
+  groups.boxes.resize(placements.size());
+  for (auto it = placements.rbegin(); it != placements.rend(); ++it)
+    groups.boxes[--groups.offsets[it->stripe]] = it->box;
+  return groups;
+}
+
+Allocation::Allocation(std::uint32_t box_count, std::uint32_t stripe_count,
+                       StripeGroups groups)
+    : box_count_(box_count),
+      stripe_count_(stripe_count),
+      holder_offsets_(std::move(groups.offsets)),
+      holder_data_(std::move(groups.boxes)) {
+  if (holder_offsets_.size() != static_cast<std::size_t>(stripe_count_) + 1 ||
+      holder_offsets_.front() != 0 ||
+      holder_offsets_.back() != holder_data_.size())
+    throw std::invalid_argument("Allocation: group offsets do not fit");
+
+  // Sort each group and compact it leftwards without its duplicates, which
+  // turns the group offsets into holder offsets. Slot usage counts every
+  // replica; a box's duplicates are tallied at stored_offsets_[b] so that
+  // its distinct count is its slot usage minus them.
+  slot_usage_.assign(box_count_, 0);
+  stored_offsets_.assign(static_cast<std::size_t>(box_count_) + 1, 0);
+  model::BoxId* const data = holder_data_.data();
+  std::uint32_t* const usage = slot_usage_.data();
+  std::uint32_t* const box_duplicates = stored_offsets_.data();
+  const std::size_t total = holder_data_.size();
   std::uint32_t kept = 0;
+  std::uint32_t begin = 0;
   for (model::StripeId s = 0; s < stripe_count_; ++s) {
-    const auto first = holder_data_.begin() + holder_offsets_[s];
-    const auto last = holder_data_.begin() + holder_offsets_[s + 1];
-    std::sort(first, last);
+    const std::uint32_t end = holder_offsets_[s + 1];
+    if (end < begin || end > total)
+      throw std::invalid_argument("Allocation: group offsets do not fit");
+    model::BoxId* const group = data + begin;
+    const std::uint32_t len = end - begin;
+    if (len <= kNetworkMax) {
+      sort_short(group, len);
+    } else {
+      std::sort(group, group + len);
+    }
+    if (len > 0 && group[len - 1] >= box_count_)
+      throw std::out_of_range("Allocation: box id out of range");
     holder_offsets_[s] = kept;
     model::BoxId prev = model::kInvalidBox;
-    for (auto it = first; it != last; ++it) {
-      if (*it == prev) {
-        ++duplicates_;
+    for (std::uint32_t i = 0; i < len; ++i) {
+      const model::BoxId b = group[i];
+      ++usage[b];
+      if (b == prev) {
+        ++box_duplicates[b];
         continue;
       }
-      holder_data_[kept++] = prev = *it;
+      data[kept++] = prev = b;
     }
+    begin = end;
   }
   holder_offsets_[stripe_count_] = kept;
+  duplicates_ = total - kept;
   holder_data_.resize(kept);
 
-  // Second direction: visiting stripes in descending order fills each box's
-  // list from its end, so the lists come out sorted and unique.
-  stored_offsets_.assign(box_count_ + 1, 0);
-  for (const model::BoxId b : holder_data_) ++stored_offsets_[b];
-  std::partial_sum(stored_offsets_.begin(), stored_offsets_.end(),
-                   stored_offsets_.begin());
+  // Second direction: each stored offset becomes its box's bucket end, and
+  // visiting stripes in descending order fills each box's list from its
+  // end, so the lists come out sorted and unique with every offset at its
+  // bucket's start.
+  std::uint32_t stored_end = 0;
+  for (model::BoxId b = 0; b < box_count_; ++b) {
+    stored_end += slot_usage_[b] - stored_offsets_[b];
+    stored_offsets_[b] = stored_end;
+  }
+  stored_offsets_[box_count_] = stored_end;
   stored_data_.resize(kept);
   for (model::StripeId s = stripe_count_; s-- > 0;) {
     for (std::uint32_t i = holder_offsets_[s]; i < holder_offsets_[s + 1]; ++i)

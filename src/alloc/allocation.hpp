@@ -8,10 +8,21 @@
 // plus raw slot-usage counts for load-balance experiments (duplicates of the
 // same stripe in one box occupy slots but add no serving power).
 //
-// Construction is a counting sort: O(P + n + S) for P placements, n boxes
-// and S stripes, plus one small sort per stripe over its own placements
-// (about k of them). Placement order does not matter: any permutation of
-// the same placements, duplicates included, builds identical arrays.
+// It is built from stripe-major replica groups (StripeGroups): group s lists
+// the boxes that store a replica of stripe s, in any order, duplicates
+// included. Construction sorts each group and deduplicates it in place into
+// the holder lists, then one counting scatter in stripe order fills the
+// sorted stored lists: O(P + n + S) for P replicas, n boxes and S stripes,
+// plus one sort per group, and no buffer beyond the two result arrays. A
+// group of at most 8 boxes (k of them in §2.1: 6 per stripe in the sparse
+// benchmark) is sorted by compare-exchange passes with no branch: its boxes
+// come in random order, so a comparison sort would mispredict on about
+// every element. Longer groups (full replication's n/c holders) use
+// std::sort.
+//
+// Allocators that place stripe by stripe emit groups directly; the others
+// (box-major, greedy order) collect Placements and group them with
+// group_by_stripe. Any order of the same replicas builds identical arrays.
 #pragma once
 
 #include <cstdint>
@@ -25,16 +36,38 @@
 
 namespace p2pvod::alloc {
 
+/// Stripe-major replica groups: stripe s's group is
+/// `boxes[offsets[s]] .. boxes[offsets[s + 1] - 1]`, in any order, and a box
+/// listed twice stores two replicas of s. `offsets` has one entry per stripe
+/// plus one, starts at 0, never decreases and ends at `boxes.size()`.
+struct StripeGroups {
+  std::vector<std::uint32_t> offsets{0};
+  std::vector<model::BoxId> boxes;
+
+  /// Close the next stripe's group: the boxes appended since the last call.
+  void end_group() {
+    offsets.push_back(static_cast<std::uint32_t>(boxes.size()));
+  }
+};
+
+/// One stored replica, for allocators that do not place stripe by stripe.
+struct Placement {
+  model::BoxId box;
+  model::StripeId stripe;
+};
+
+/// Groups placements by stripe (a counting sort; the order within a stripe
+/// is kept). Throws std::out_of_range on a stripe id >= stripe_count.
+[[nodiscard]] StripeGroups group_by_stripe(
+    std::uint32_t stripe_count, const std::vector<Placement>& placements);
+
 class Allocation {
  public:
-  /// `placements[i] = {box, stripe}` for every stored replica.
-  struct Placement {
-    model::BoxId box;
-    model::StripeId stripe;
-  };
-
+  /// Throws std::invalid_argument when `groups.offsets` does not split all
+  /// of `groups.boxes` into `stripe_count` groups, and std::out_of_range on
+  /// a box id >= box_count.
   Allocation(std::uint32_t box_count, std::uint32_t stripe_count,
-             std::vector<Placement> placements);
+             StripeGroups groups);
 
   [[nodiscard]] std::uint32_t box_count() const noexcept { return box_count_; }
   [[nodiscard]] std::uint32_t stripe_count() const noexcept {

@@ -42,12 +42,14 @@ Allocation DemandProportionalAllocator::allocate(
 
   // Round-robin striping with the per-video counts; Σ counts = k·m keeps the
   // total at (or under, when the n-cap dropped residue) the k·m·c budget.
-  std::vector<Allocation::Placement> placements;
-  placements.reserve(replicas);
+  // Stripe ids run video by video (catalog.stripe_id), so the groups close in
+  // stripe order.
+  StripeGroups groups;
+  groups.offsets.reserve(static_cast<std::size_t>(catalog.stripe_count()) + 1);
+  groups.boxes.reserve(replicas);
   std::uint64_t cursor = 0;
   for (model::VideoId v = 0; v < catalog.video_count(); ++v) {
     for (std::uint32_t index = 0; index < c; ++index) {
-      const model::StripeId s = catalog.stripe_id(v, index);
       for (std::uint32_t j = 0; j < counts[v]; ++j) {
         std::uint32_t probes = 0;
         while (free_slots[cursor % n] == 0) {
@@ -58,12 +60,13 @@ Allocation DemandProportionalAllocator::allocate(
         }
         const auto box = static_cast<model::BoxId>(cursor % n);
         --free_slots[box];
-        placements.push_back({box, s});
+        groups.boxes.push_back(box);
         ++cursor;
       }
+      groups.end_group();
     }
   }
-  return Allocation(n, catalog.stripe_count(), std::move(placements));
+  return Allocation(n, catalog.stripe_count(), std::move(groups));
 }
 
 }  // namespace p2pvod::alloc

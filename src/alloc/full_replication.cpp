@@ -26,7 +26,7 @@ Allocation FullReplicationAllocator::allocate(
         "FullReplicationAllocator: catalog exceeds per-box storage "
         "(m must be <= min_b floor(d_b*c))");
   }
-  std::vector<Allocation::Placement> placements;
+  std::vector<Placement> placements;
   placements.reserve(static_cast<std::uint64_t>(profile.size()) *
                      catalog.video_count());
   for (model::BoxId b = 0; b < profile.size(); ++b) {
@@ -36,7 +36,7 @@ Allocation FullReplicationAllocator::allocate(
     }
   }
   return Allocation(profile.size(), catalog.stripe_count(),
-                    std::move(placements));
+                    group_by_stripe(catalog.stripe_count(), placements));
 }
 
 }  // namespace p2pvod::alloc

@@ -30,8 +30,9 @@ Allocation IndependentAllocator::allocate(const model::Catalog& catalog,
   for (model::BoxId b = 0; b < profile.size(); ++b)
     free_slots[b] = profile.storage_slots(b, c);
 
-  std::vector<Allocation::Placement> placements;
-  placements.reserve(replicas);
+  StripeGroups groups;
+  groups.offsets.reserve(static_cast<std::size_t>(catalog.stripe_count()) + 1);
+  groups.boxes.reserve(replicas);
   for (model::StripeId s = 0; s < catalog.stripe_count(); ++s) {
     for (std::uint32_t r = 0; r < k; ++r) {
       model::BoxId box = slot_owner[rng.next_below(slots)];
@@ -45,11 +46,11 @@ Allocation IndependentAllocator::allocate(const model::Catalog& catalog,
         } while (free_slots[box] == 0);
       }
       --free_slots[box];
-      placements.push_back({box, s});
+      groups.boxes.push_back(box);
     }
+    groups.end_group();
   }
-  return Allocation(profile.size(), catalog.stripe_count(),
-                    std::move(placements));
+  return Allocation(profile.size(), catalog.stripe_count(), std::move(groups));
 }
 
 }  // namespace p2pvod::alloc

@@ -101,7 +101,7 @@ Allocation LpGreedyAllocator::allocate(const model::Catalog& catalog,
     return best;
   };
 
-  std::vector<Allocation::Placement> placements;
+  std::vector<Placement> placements;
   placements.reserve(replicas);
   const auto place = [&](model::StripeId s, std::uint32_t z,
                          model::BoxId box) {
@@ -164,7 +164,7 @@ Allocation LpGreedyAllocator::allocate(const model::Catalog& catalog,
     place(best_s, best_z, box);
     --remaining;
   }
-  return Allocation(n, stripes, std::move(placements));
+  return Allocation(n, stripes, group_by_stripe(stripes, placements));
 }
 
 }  // namespace p2pvod::alloc

@@ -1,6 +1,7 @@
 #include "alloc/permutation.hpp"
 
 #include <stdexcept>
+#include <utility>
 
 namespace p2pvod::alloc {
 
@@ -18,31 +19,23 @@ Allocation PermutationAllocator::allocate(const model::Catalog& catalog,
         "PermutationAllocator: k*m*c replicas exceed d*n*c slots");
   }
 
-  // Global slot array: slot -> owning box.
-  std::vector<model::BoxId> slot_owner;
-  slot_owner.reserve(slots);
-  for (model::BoxId b = 0; b < profile.size(); ++b) {
-    const std::uint32_t box_slots = profile.storage_slots(b, c);
-    slot_owner.insert(slot_owner.end(), box_slots, b);
-  }
-
-  // Draw a random permutation of slots; replica i goes to slot π(i). Only the
-  // first `replicas` entries of the permutation are consumed; the remaining
-  // slots stay empty (they model free catalog storage).
-  std::vector<std::uint32_t> perm(
-      rng.permutation(static_cast<std::uint32_t>(slots)));
-
-  std::vector<Allocation::Placement> placements;
-  placements.reserve(replicas);
-  std::uint64_t next = 0;
-  for (model::StripeId s = 0; s < catalog.stripe_count(); ++s) {
-    for (std::uint32_t r = 0; r < k; ++r) {
-      placements.push_back({slot_owner[perm[next]], s});
-      ++next;
-    }
-  }
-  return Allocation(profile.size(), catalog.stripe_count(),
-                    std::move(placements));
+  // Global slot array: slot j holds the box that owns it. Fisher–Yates
+  // applies the same swaps to it that it would apply to the identity, so
+  // afterwards entry i is the owner of slot π(i) for a uniform permutation
+  // π: replica i goes to that slot. Replica r of stripe s is replica s·k + r,
+  // so the first k·m·c entries are the stripes' groups as they stand; the
+  // remaining slots stay empty (they model free catalog storage).
+  const std::uint32_t stripes = catalog.stripe_count();
+  StripeGroups groups;
+  groups.boxes.reserve(slots);
+  for (model::BoxId b = 0; b < profile.size(); ++b)
+    groups.boxes.insert(groups.boxes.end(), profile.storage_slots(b, c), b);
+  rng.shuffle(groups.boxes);
+  groups.boxes.resize(replicas);
+  groups.offsets.resize(static_cast<std::size_t>(stripes) + 1);
+  for (std::size_t s = 0; s < groups.offsets.size(); ++s)
+    groups.offsets[s] = static_cast<std::uint32_t>(s * k);
+  return Allocation(profile.size(), stripes, std::move(groups));
 }
 
 }  // namespace p2pvod::alloc

@@ -26,8 +26,9 @@ Allocation RoundRobinAllocator::allocate(const model::Catalog& catalog,
   for (model::BoxId b = 0; b < n; ++b)
     free_slots[b] = profile.storage_slots(b, c);
 
-  std::vector<Allocation::Placement> placements;
-  placements.reserve(replicas);
+  StripeGroups groups;
+  groups.offsets.reserve(static_cast<std::size_t>(catalog.stripe_count()) + 1);
+  groups.boxes.reserve(replicas);
   std::uint64_t cursor = 0;
   for (model::StripeId s = 0; s < catalog.stripe_count(); ++s) {
     for (std::uint32_t j = 0; j < k; ++j) {
@@ -41,11 +42,12 @@ Allocation RoundRobinAllocator::allocate(const model::Catalog& catalog,
       }
       const auto box = static_cast<model::BoxId>(cursor % n);
       --free_slots[box];
-      placements.push_back({box, s});
+      groups.boxes.push_back(box);
       ++cursor;
     }
+    groups.end_group();
   }
-  return Allocation(n, catalog.stripe_count(), std::move(placements));
+  return Allocation(n, catalog.stripe_count(), std::move(groups));
 }
 
 }  // namespace p2pvod::alloc

@@ -94,14 +94,15 @@ Allocation ZoneLocalFirstAllocator::allocate(
   for (model::BoxId b = 0; b < n; ++b)
     free_slots[b] = profile.storage_slots(b, c);
 
-  std::vector<Allocation::Placement> placements;
-  placements.reserve(replicas);
+  StripeGroups groups;
+  groups.offsets.reserve(static_cast<std::size_t>(catalog.stripe_count()) + 1);
+  groups.boxes.reserve(replicas);
   std::vector<std::uint64_t> zone_cursor(zones, 0);
   std::uint64_t spill_cursor = 0;
 
   // One global replica placement onto any box with a free slot (the spill
   // path once a zone's storage is exhausted).
-  const auto place_spill = [&](model::StripeId s) {
+  const auto place_spill = [&]() {
     std::uint32_t probes = 0;
     while (free_slots[spill_cursor % n] == 0) {
       ++spill_cursor;
@@ -110,14 +111,15 @@ Allocation ZoneLocalFirstAllocator::allocate(
     }
     const auto box = static_cast<model::BoxId>(spill_cursor % n);
     --free_slots[box];
-    placements.push_back({box, s});
+    groups.boxes.push_back(box);
     ++spill_cursor;
   };
 
+  // Stripe ids run video by video (catalog.stripe_id), so the groups close
+  // in stripe order.
   for (model::VideoId v = 0; v < catalog.video_count(); ++v) {
     const std::vector<std::uint32_t> quota = zone_quotas(counts[v], sizes, n);
     for (std::uint32_t index = 0; index < c; ++index) {
-      const model::StripeId s = catalog.stripe_id(v, index);
       for (std::uint32_t z = 0; z < zones; ++z) {
         for (std::uint32_t j = 0; j < quota[z]; ++j) {
           // Pin to the zone while it has storage; spill globally otherwise.
@@ -130,17 +132,18 @@ Allocation ZoneLocalFirstAllocator::allocate(
             ++probes;
             if (free_slots[box] > 0) {
               --free_slots[box];
-              placements.push_back({box, s});
+              groups.boxes.push_back(box);
               placed = true;
               break;
             }
           }
-          if (!placed) place_spill(s);
+          if (!placed) place_spill();
         }
       }
+      groups.end_group();
     }
   }
-  return Allocation(n, catalog.stripe_count(), std::move(placements));
+  return Allocation(n, catalog.stripe_count(), std::move(groups));
 }
 
 }  // namespace p2pvod::alloc

@@ -175,10 +175,21 @@ class Parser {
         if (!consume_literal("false")) fail("bad literal");
         return Value(false);
       case '"': return Value(parse_string());
-      case '[': return parse_array();
-      case '{': return parse_object();
+      case '[': return nested([this] { return parse_array(); });
+      case '{': return nested([this] { return parse_object(); });
       default: return parse_number();
     }
+  }
+
+  /// Parses one array or object a level deeper, failing past kMaxDepth.
+  template <typename Parse>
+  Value nested(Parse parse) {
+    if (depth_ == kMaxDepth)
+      fail("nesting deeper than " + std::to_string(kMaxDepth) + " levels");
+    ++depth_;
+    Value value = parse();
+    --depth_;
+    return value;
   }
 
   Value parse_number() {
@@ -233,25 +244,30 @@ class Parser {
         case 'r': out += '\r'; break;
         case 't': out += '\t'; break;
         case 'u': {
-          if (pos_ + 4 > text_.size()) fail("truncated \\u escape");
-          unsigned code = 0;
-          for (int i = 0; i < 4; ++i) {
-            const char hex = text_[pos_++];
-            code <<= 4;
-            if (hex >= '0' && hex <= '9') code |= unsigned(hex - '0');
-            else if (hex >= 'a' && hex <= 'f') code |= unsigned(hex - 'a' + 10);
-            else if (hex >= 'A' && hex <= 'F') code |= unsigned(hex - 'A' + 10);
-            else fail("bad \\u escape digit");
+          // A UTF-16 surrogate is only half a character: a high one must be
+          // followed by a low one, and a low one never stands first.
+          unsigned code = parse_hex4();
+          if (code >= 0xDC00 && code <= 0xDFFF) fail("lone surrogate escape");
+          if (code >= 0xD800 && code <= 0xDBFF) {
+            if (text_.compare(pos_, 2, "\\u") != 0)
+              fail("lone surrogate escape");
+            pos_ += 2;
+            const unsigned low = parse_hex4();
+            if (low < 0xDC00 || low > 0xDFFF) fail("lone surrogate escape");
+            code = 0x10000 + ((code - 0xD800) << 10) + (low - 0xDC00);
           }
-          // Encode as UTF-8 (BMP only; surrogate pairs are not produced by
-          // this library's own writer).
           if (code < 0x80) {
             out += static_cast<char>(code);
           } else if (code < 0x800) {
             out += static_cast<char>(0xC0 | (code >> 6));
             out += static_cast<char>(0x80 | (code & 0x3F));
-          } else {
+          } else if (code < 0x10000) {
             out += static_cast<char>(0xE0 | (code >> 12));
+            out += static_cast<char>(0x80 | ((code >> 6) & 0x3F));
+            out += static_cast<char>(0x80 | (code & 0x3F));
+          } else {
+            out += static_cast<char>(0xF0 | (code >> 18));
+            out += static_cast<char>(0x80 | ((code >> 12) & 0x3F));
             out += static_cast<char>(0x80 | ((code >> 6) & 0x3F));
             out += static_cast<char>(0x80 | (code & 0x3F));
           }
@@ -260,6 +276,21 @@ class Parser {
         default: fail("unknown escape");
       }
     }
+  }
+
+  /// The four hex digits of a \u escape.
+  unsigned parse_hex4() {
+    if (pos_ + 4 > text_.size()) fail("truncated \\u escape");
+    unsigned code = 0;
+    for (int i = 0; i < 4; ++i) {
+      const char hex = text_[pos_++];
+      code <<= 4;
+      if (hex >= '0' && hex <= '9') code |= unsigned(hex - '0');
+      else if (hex >= 'a' && hex <= 'f') code |= unsigned(hex - 'a' + 10);
+      else if (hex >= 'A' && hex <= 'F') code |= unsigned(hex - 'A' + 10);
+      else fail("bad \\u escape digit");
+    }
+    return code;
   }
 
   Value parse_array() {
@@ -311,6 +342,7 @@ class Parser {
 
   const std::string& text_;
   std::size_t pos_ = 0;
+  int depth_ = 0;  ///< arrays and objects open around pos_
 };
 
 }  // namespace

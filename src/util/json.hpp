@@ -78,8 +78,16 @@ class Value {
   Object object_;
 };
 
+/// Deepest nesting of arrays and objects that parse accepts. The parser
+/// recurses once per level, so an unbounded depth lets a hostile document
+/// exhaust the stack; this is far above what the library writes (result
+/// files nest at most 7 levels, a profile 2 per span frame).
+inline constexpr int kMaxDepth = 256;
+
 /// Parse a complete JSON document (trailing garbage is an error). Throws
-/// std::runtime_error with a byte offset on malformed input.
+/// std::runtime_error with a byte offset on malformed input, on nesting
+/// deeper than kMaxDepth, and on a \u escape of a lone UTF-16 surrogate
+/// (a pair decodes to one four-byte UTF-8 character).
 [[nodiscard]] Value parse(const std::string& text);
 
 /// Read and parse a JSON file; throws std::runtime_error on I/O failure.

@@ -20,22 +20,6 @@ void Xoshiro256StarStar::jump() noexcept {
   state_ = acc;
 }
 
-std::uint64_t Rng::next_below(std::uint64_t bound) noexcept {
-  // Lemire 2019: multiply-shift with rejection only in the biased strip.
-  std::uint64_t x = engine_();
-  __uint128_t m = static_cast<__uint128_t>(x) * static_cast<__uint128_t>(bound);
-  auto low = static_cast<std::uint64_t>(m);
-  if (low < bound) {
-    const std::uint64_t threshold = (0 - bound) % bound;
-    while (low < threshold) {
-      x = engine_();
-      m = static_cast<__uint128_t>(x) * static_cast<__uint128_t>(bound);
-      low = static_cast<std::uint64_t>(m);
-    }
-  }
-  return static_cast<std::uint64_t>(m >> 64);
-}
-
 std::int64_t Rng::next_between(std::int64_t lo, std::int64_t hi) noexcept {
   const auto span =
       static_cast<std::uint64_t>(hi - lo) + 1ULL;  // hi == lo gives span 1

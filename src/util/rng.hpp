@@ -117,8 +117,24 @@ class Rng {
   }
 
   /// Uniform integer in [0, bound) using Lemire's nearly-divisionless method.
-  /// bound must be > 0.
-  [[nodiscard]] std::uint64_t next_below(std::uint64_t bound) noexcept;
+  /// bound must be > 0. Inline: a shuffle draws one per element, and a call
+  /// would keep the engine's state out of registers.
+  [[nodiscard]] std::uint64_t next_below(std::uint64_t bound) noexcept {
+    // Lemire 2019: multiply-shift with rejection only in the biased strip.
+    std::uint64_t x = engine_();
+    __uint128_t m =
+        static_cast<__uint128_t>(x) * static_cast<__uint128_t>(bound);
+    auto low = static_cast<std::uint64_t>(m);
+    if (low < bound) {
+      const std::uint64_t threshold = (0 - bound) % bound;
+      while (low < threshold) {
+        x = engine_();
+        m = static_cast<__uint128_t>(x) * static_cast<__uint128_t>(bound);
+        low = static_cast<std::uint64_t>(m);
+      }
+    }
+    return static_cast<std::uint64_t>(m >> 64);
+  }
 
   /// Uniform integer in [lo, hi] inclusive. Requires lo <= hi.
   [[nodiscard]] std::int64_t next_between(std::int64_t lo,

@@ -11,6 +11,11 @@
 namespace p2pvod::workload {
 
 Trace::Trace(std::vector<TraceEntry> entries) : entries_(std::move(entries)) {
+  for (const TraceEntry& e : entries_) {
+    if (e.round < 0)
+      throw std::invalid_argument("Trace: negative round " +
+                                  std::to_string(e.round));
+  }
   std::stable_sort(entries_.begin(), entries_.end(),
                    [](const TraceEntry& a, const TraceEntry& b) {
                      return a.round < b.round;
@@ -18,6 +23,9 @@ Trace::Trace(std::vector<TraceEntry> entries) : entries_(std::move(entries)) {
 }
 
 void Trace::add(model::Round round, model::BoxId box, model::VideoId video) {
+  if (round < 0)
+    throw std::invalid_argument("Trace::add: negative round " +
+                                std::to_string(round));
   if (!entries_.empty() && round < entries_.back().round)
     throw std::invalid_argument("Trace::add: rounds must be non-decreasing");
   entries_.push_back({round, box, video});
@@ -69,6 +77,9 @@ Trace Trace::load(std::istream& in) {
     };
     TraceEntry e{};
     e.round = next_field("round");
+    if (e.round < 0)
+      fail("round " + std::to_string(e.round) +
+           " is negative (a replay starts at round 0)");
     const long long box = next_field("box");
     const long long video = next_field("video");
     if (box < 0 || box > std::numeric_limits<std::uint32_t>::max())
@@ -105,6 +116,12 @@ TraceReplay::TraceReplay(Trace trace) : trace_(std::move(trace)) {}
 std::vector<sim::Demand> TraceReplay::demands(const sim::Simulator& sim) {
   std::vector<sim::Demand> out;
   const auto& entries = trace_.entries();
+  if (cursor_ < entries.size() && entries[cursor_].round < sim.now()) {
+    throw std::logic_error(
+        "TraceReplay: entry for round " +
+        std::to_string(entries[cursor_].round) + " is behind round " +
+        std::to_string(sim.now()) + " (the replay must be asked every round)");
+  }
   while (cursor_ < entries.size() && entries[cursor_].round == sim.now()) {
     out.push_back({entries[cursor_].box, entries[cursor_].video});
     ++cursor_;

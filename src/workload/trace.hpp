@@ -3,7 +3,9 @@
 // Traces make adversarial counter-examples reproducible artifacts: when a
 // random experiment finds a defeating sequence, the trace can be saved,
 // attached to a bug report, and replayed against a fixed allocation. Plain
-// text format, one demand per line: "<round> <box> <video>".
+// text format, one demand per line: "<round> <box> <video>". A simulation
+// starts at round 0, so rounds are never negative: a trace holding one could
+// never replay it, nor anything after it.
 #pragma once
 
 #include <iosfwd>
@@ -23,8 +25,11 @@ struct TraceEntry {
 class Trace {
  public:
   Trace() = default;
+  /// Throws std::invalid_argument on a negative round.
   explicit Trace(std::vector<TraceEntry> entries);
 
+  /// Throws std::invalid_argument on a negative round or one before the
+  /// last entry's.
   void add(model::Round round, model::BoxId box, model::VideoId video);
   [[nodiscard]] const std::vector<TraceEntry>& entries() const noexcept {
     return entries_;
@@ -35,8 +40,8 @@ class Trace {
   void save_file(const std::string& path) const;
   /// Parse "<round> <box> <video>" lines ('#' comments and blank lines
   /// skipped). Malformed input — truncated lines, non-numeric or
-  /// out-of-range fields, trailing garbage, rounds out of order — throws
-  /// std::runtime_error naming the offending line number.
+  /// out-of-range fields, negative rounds, trailing garbage, rounds out of
+  /// order — throws std::runtime_error naming the offending line number.
   [[nodiscard]] static Trace load(std::istream& in);
   [[nodiscard]] static Trace load_file(const std::string& path);
 
@@ -62,6 +67,8 @@ class TraceRecorder final : public DemandGenerator {
 };
 
 /// Replays a trace: demands recorded for round t are emitted at round t.
+/// It must be asked every round: asked at a round past an entry it has not
+/// emitted yet, it throws std::logic_error rather than skip the rest.
 class TraceReplay final : public DemandGenerator {
  public:
   explicit TraceReplay(Trace trace);

@@ -1,12 +1,18 @@
 // Unit tests for src/alloc: the Allocation container invariants, its
-// construction against a two-sort reference, and the four context-blind
+// construction from stripe groups against a two-sort reference and against
+// the placement-list construction it replaced, and the four context-blind
 // placement schemes (§2.1 permutation/independent, round-robin and
 // full-replication baselines).
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstddef>
+#include <functional>
 #include <limits>
+#include <numeric>
 #include <set>
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include "alloc/allocation.hpp"
@@ -26,12 +32,20 @@ struct Fixture {
   m::CapacityProfile profile{m::CapacityProfile::homogeneous(16, 1.5, 5.0)};
   p2pvod::util::Rng rng{4242};
 };
+
+using Placements = std::vector<a::Placement>;
+
+/// The allocation of a placement list, grouped by stripe.
+a::Allocation build(std::uint32_t boxes, std::uint32_t stripes,
+                    const Placements& placements) {
+  return a::Allocation(boxes, stripes, a::group_by_stripe(stripes, placements));
+}
 }  // namespace
 
 // ----------------------------------------------------------------- container
 
 TEST(Allocation, BuildsInverseMaps) {
-  a::Allocation alloc(3, 4, {{0, 1}, {1, 1}, {2, 3}, {0, 3}});
+  const auto alloc = build(3, 4, {{0, 1}, {1, 1}, {2, 3}, {0, 3}});
   EXPECT_EQ(alloc.holders(1).size(), 2u);
   EXPECT_EQ(alloc.holders(0).size(), 0u);
   EXPECT_TRUE(alloc.box_has(0, 1));
@@ -41,19 +55,50 @@ TEST(Allocation, BuildsInverseMaps) {
 }
 
 TEST(Allocation, CountsDuplicates) {
-  a::Allocation alloc(2, 2, {{0, 1}, {0, 1}, {1, 0}});
+  const auto alloc = build(2, 2, {{0, 1}, {0, 1}, {1, 0}});
   EXPECT_EQ(alloc.duplicate_replicas(), 1u);
   EXPECT_EQ(alloc.holders(1).size(), 1u);   // deduplicated
   EXPECT_EQ(alloc.slot_usage(0), 2u);        // but both slots consumed
 }
 
 TEST(Allocation, RejectsOutOfRange) {
-  EXPECT_THROW(a::Allocation(1, 1, {{2, 0}}), std::out_of_range);
-  EXPECT_THROW(a::Allocation(1, 1, {{0, 5}}), std::out_of_range);
+  EXPECT_THROW((void)build(1, 1, {{2, 0}}), std::out_of_range);
+  EXPECT_THROW((void)build(1, 1, {{0, 5}}), std::out_of_range);
+  // A bad box is found wherever it stands: alone, first of its group, in a
+  // later group, and in a group of more than 8 boxes.
+  EXPECT_THROW(a::Allocation(2, 1, {{0, 1}, {7}}), std::out_of_range);
+  EXPECT_THROW(a::Allocation(2, 1, {{0, 3}, {9, 0, 1}}), std::out_of_range);
+  EXPECT_THROW(a::Allocation(2, 2, {{0, 1, 3}, {0, 1, 5}}), std::out_of_range);
+  EXPECT_THROW(
+      a::Allocation(2, 1, {{0, 10}, {1, 0, 1, 0, 2, 0, 1, 0, 1, 0}}),
+      std::out_of_range);
+}
+
+TEST(Allocation, RejectsGroupOffsetsThatDoNotFit) {
+  const auto groups = [](std::vector<std::uint32_t> offsets,
+                         std::vector<m::BoxId> boxes) {
+    return a::StripeGroups{std::move(offsets), std::move(boxes)};
+  };
+  // One offset too few or too many for the stripe count.
+  EXPECT_THROW(a::Allocation(2, 2, groups({0, 1}, {0})),
+               std::invalid_argument);
+  EXPECT_THROW(a::Allocation(2, 1, groups({0, 0, 1}, {0})),
+               std::invalid_argument);
+  // Not starting at 0, not ending at the box count, decreasing.
+  EXPECT_THROW(a::Allocation(2, 1, groups({1, 1}, {0})),
+               std::invalid_argument);
+  EXPECT_THROW(a::Allocation(2, 1, groups({0, 2}, {0})),
+               std::invalid_argument);
+  EXPECT_THROW(a::Allocation(2, 2, groups({0, 2, 1}, {0})),
+               std::invalid_argument);
+  // Empty groups are fine, and so is no stripe at all.
+  EXPECT_EQ(a::Allocation(2, 3, groups({0, 0, 1, 1}, {1})).holders(1).size(),
+            1u);
+  EXPECT_EQ(a::Allocation(2, 0, {}).stripe_count(), 0u);
 }
 
 TEST(Allocation, ReplicationStats) {
-  a::Allocation alloc(4, 2, {{0, 0}, {1, 0}, {2, 0}, {3, 1}});
+  const auto alloc = build(4, 2, {{0, 0}, {1, 0}, {2, 0}, {3, 1}});
   EXPECT_EQ(alloc.min_replication(), 1u);
   EXPECT_EQ(alloc.max_replication(), 3u);
   EXPECT_EQ(alloc.max_slot_usage(), 1u);
@@ -62,7 +107,7 @@ TEST(Allocation, ReplicationStats) {
 
 TEST(Allocation, VideoDataQuery) {
   const m::Catalog catalog(3, 2, 8);  // stripes: v0={0,1} v1={2,3} v2={4,5}
-  a::Allocation alloc(2, 6, {{0, 2}, {1, 5}});
+  const auto alloc = build(2, 6, {{0, 2}, {1, 5}});
   EXPECT_TRUE(alloc.box_has_video_data(0, catalog, 1));
   EXPECT_FALSE(alloc.box_has_video_data(0, catalog, 0));
   EXPECT_FALSE(alloc.box_has_video_data(0, catalog, 2));
@@ -72,7 +117,7 @@ TEST(Allocation, VideoDataQuery) {
 TEST(Allocation, IntegrityDetectsOverCapacity) {
   const auto profile = m::CapacityProfile::homogeneous(1, 1.0, 0.5);
   // 0.5 videos * c=2 -> 1 slot, but two replicas placed.
-  a::Allocation alloc(1, 2, {{0, 0}, {0, 1}});
+  const auto alloc = build(1, 2, {{0, 0}, {0, 1}});
   EXPECT_THROW(alloc.check_integrity(&profile, 2), std::logic_error);
 }
 
@@ -301,8 +346,6 @@ TEST(Factory, AllSchemesProduceValidAllocations) {
 
 namespace {
 
-using Placements = std::vector<a::Allocation::Placement>;
-
 // The reference construction: two comparison sorts, by (stripe, box) and by
 // (box, stripe), each run deduplicated. Allocation used exactly this before
 // it switched to counting passes, so every array must still agree with it.
@@ -352,10 +395,120 @@ Reference reference_build(std::uint32_t boxes, std::uint32_t stripes,
   return ref;
 }
 
-// Builds the allocation and checks every array against the reference.
+// The placement-list construction Allocation used before it took stripe
+// groups, copied as it stood: a counting sort of the placements by stripe,
+// one std::sort per stripe's bucket with its duplicates compacted out, then
+// a counting scatter by box in descending stripe order. The groups
+// construction must build the same arrays and the same describe().
+struct ListBuild {
+  std::uint32_t box_count;
+  std::uint32_t stripe_count;
+  std::uint64_t duplicates = 0;
+  std::vector<std::uint32_t> holder_offsets;
+  std::vector<m::BoxId> holder_data;
+  std::vector<std::uint32_t> stored_offsets;
+  std::vector<m::StripeId> stored_data;
+  std::vector<std::uint32_t> slot_usage;
+
+  ListBuild(std::uint32_t boxes, std::uint32_t stripes,
+            const Placements& placements)
+      : box_count(boxes), stripe_count(stripes) {
+    slot_usage.assign(box_count, 0);
+    holder_offsets.assign(stripe_count + 1, 0);
+    for (const a::Placement& p : placements) {
+      if (p.box >= box_count)
+        throw std::out_of_range("Allocation: box id out of range");
+      if (p.stripe >= stripe_count)
+        throw std::out_of_range("Allocation: stripe id out of range");
+      ++slot_usage[p.box];
+      ++holder_offsets[p.stripe];
+    }
+    std::partial_sum(holder_offsets.begin(), holder_offsets.end(),
+                     holder_offsets.begin());
+    holder_data.resize(placements.size());
+    for (const a::Placement& p : placements)
+      holder_data[--holder_offsets[p.stripe]] = p.box;
+
+    std::uint32_t kept = 0;
+    for (m::StripeId s = 0; s < stripe_count; ++s) {
+      const auto first = holder_data.begin() + holder_offsets[s];
+      const auto last = holder_data.begin() + holder_offsets[s + 1];
+      std::sort(first, last);
+      holder_offsets[s] = kept;
+      m::BoxId prev = m::kInvalidBox;
+      for (auto it = first; it != last; ++it) {
+        if (*it == prev) {
+          ++duplicates;
+          continue;
+        }
+        holder_data[kept++] = prev = *it;
+      }
+    }
+    holder_offsets[stripe_count] = kept;
+    holder_data.resize(kept);
+
+    stored_offsets.assign(box_count + 1, 0);
+    for (const m::BoxId b : holder_data) ++stored_offsets[b];
+    std::partial_sum(stored_offsets.begin(), stored_offsets.end(),
+                     stored_offsets.begin());
+    stored_data.resize(kept);
+    for (m::StripeId s = stripe_count; s-- > 0;) {
+      for (std::uint32_t i = holder_offsets[s]; i < holder_offsets[s + 1]; ++i)
+        stored_data[--stored_offsets[holder_data[i]]] = s;
+    }
+  }
+
+  [[nodiscard]] std::string describe() const {
+    std::uint32_t lo = std::numeric_limits<std::uint32_t>::max();
+    std::uint32_t hi = 0;
+    for (m::StripeId s = 0; s < stripe_count; ++s) {
+      lo = std::min(lo, holder_offsets[s + 1] - holder_offsets[s]);
+      hi = std::max(hi, holder_offsets[s + 1] - holder_offsets[s]);
+    }
+    std::ostringstream out;
+    out << "allocation boxes=" << box_count << " stripes=" << stripe_count
+        << " replicas=" << stored_data.size() << " dup=" << duplicates
+        << " repl[min,max]=[" << (stripe_count == 0 ? 0 : lo) << "," << hi
+        << "] load[max]="
+        << (slot_usage.empty()
+                ? 0
+                : *std::max_element(slot_usage.begin(), slot_usage.end()));
+    return out.str();
+  }
+};
+
+// Every array of `alloc` against the placement-list build; stops at the
+// first stripe or box that differs.
+void expect_equals_list_build(const a::Allocation& alloc,
+                              const ListBuild& want) {
+  ASSERT_EQ(alloc.box_count(), want.box_count);
+  ASSERT_EQ(alloc.stripe_count(), want.stripe_count);
+  for (m::StripeId s = 0; s < want.stripe_count; ++s) {
+    const auto got = alloc.holders(s);
+    ASSERT_TRUE(std::equal(got.begin(), got.end(),
+                           want.holder_data.begin() + want.holder_offsets[s],
+                           want.holder_data.begin() +
+                               want.holder_offsets[s + 1]))
+        << "holders of stripe " << s;
+  }
+  for (m::BoxId b = 0; b < want.box_count; ++b) {
+    const auto got = alloc.stored(b);
+    ASSERT_TRUE(std::equal(got.begin(), got.end(),
+                           want.stored_data.begin() + want.stored_offsets[b],
+                           want.stored_data.begin() +
+                               want.stored_offsets[b + 1]))
+        << "stripes stored on box " << b;
+    ASSERT_EQ(alloc.slot_usage(b), want.slot_usage[b]) << "box " << b;
+  }
+  EXPECT_EQ(alloc.duplicate_replicas(), want.duplicates);
+  EXPECT_EQ(alloc.describe(), want.describe());
+}
+
+// Builds the allocation and checks every array against both references.
 void expect_matches_reference(std::uint32_t boxes, std::uint32_t stripes,
                               const Placements& placements) {
-  const a::Allocation alloc(boxes, stripes, placements);
+  const a::Allocation alloc = build(boxes, stripes, placements);
+  expect_equals_list_build(alloc, ListBuild(boxes, stripes, placements));
   const Reference ref = reference_build(boxes, stripes, placements);
   alloc.check_integrity();
   ASSERT_EQ(alloc.box_count(), boxes);
@@ -403,7 +556,7 @@ TEST(AllocationOracle, RandomPlacementSetsMatchTwoSortReference) {
            static_cast<m::StripeId>(rng.next_below(used_stripes))});
     }
     // One (box, stripe) pair three times over, wherever it lands.
-    const a::Allocation::Placement triple{
+    const a::Placement triple{
         static_cast<m::BoxId>(rng.next_below(boxes)),
         static_cast<m::StripeId>(rng.next_below(stripes))};
     placements.insert(placements.end(), 3, triple);
@@ -475,13 +628,150 @@ TEST(AllocationOracle, EverySchemeRoundTripsThroughTheReference) {
       }
       rng.shuffle(placements);
       expect_matches_reference(size.n, catalog.stripe_count(), placements);
-      const a::Allocation rebuilt(size.n, catalog.stripe_count(), placements);
+      const a::Allocation rebuilt =
+          build(size.n, catalog.stripe_count(), placements);
       EXPECT_EQ(rebuilt.duplicate_replicas(), alloc.duplicate_replicas());
+      EXPECT_EQ(rebuilt.describe(), alloc.describe());
       for (m::StripeId s = 0; s < catalog.stripe_count(); ++s) {
         const auto x = alloc.holders(s);
         const auto y = rebuilt.holders(s);
         EXPECT_TRUE(std::equal(x.begin(), x.end(), y.begin(), y.end()));
       }
+    }
+  }
+}
+
+namespace {
+
+/// Storage of a random heterogeneous profile: 0 to 4 videos a box in
+/// quarter steps, so some boxes have no slot at all.
+m::CapacityProfile random_profile(p2pvod::util::Rng& rng, std::uint32_t n) {
+  std::vector<double> upload(n, 1.0);
+  std::vector<double> storage(n);
+  for (double& d : storage) d = 0.25 * static_cast<double>(rng.next_below(17));
+  return {std::move(upload), std::move(storage)};
+}
+
+/// The placements the permutation allocator drew before it emitted stripe
+/// groups: the slot-owner array, rng.permutation over the slots, and replica
+/// i of the stripe-major order in the owner of slot π(i).
+Placements list_permutation_placements(const m::Catalog& catalog,
+                                       const m::CapacityProfile& profile,
+                                       std::uint32_t k,
+                                       p2pvod::util::Rng& rng) {
+  const std::uint32_t c = catalog.stripes_per_video();
+  std::vector<m::BoxId> slot_owner;
+  for (m::BoxId b = 0; b < profile.size(); ++b)
+    slot_owner.insert(slot_owner.end(), profile.storage_slots(b, c), b);
+  const std::vector<std::uint32_t> perm =
+      rng.permutation(static_cast<std::uint32_t>(slot_owner.size()));
+  Placements placements;
+  std::size_t next = 0;
+  for (m::StripeId s = 0; s < catalog.stripe_count(); ++s) {
+    for (std::uint32_t r = 0; r < k; ++r)
+      placements.push_back({slot_owner[perm[next++]], s});
+  }
+  return placements;
+}
+
+}  // namespace
+
+TEST(AllocationOracle, RandomGroupsMatchThePlacementListBuild) {
+  // Groups handed over directly, in random or reversed order, 0 to 12 boxes
+  // long (the compare-exchange sort up to 8, std::sort beyond), drawn from a
+  // prefix of the boxes so that duplicates are common.
+  p2pvod::util::Rng rng(20261019);
+  for (int trial = 0; trial < 400; ++trial) {
+    const auto boxes = static_cast<std::uint32_t>(1 + rng.next_below(40));
+    const auto stripes = static_cast<std::uint32_t>(rng.next_below(50));
+    const auto used_boxes =
+        static_cast<std::uint32_t>(1 + rng.next_below(boxes));
+    a::StripeGroups groups;
+    Placements placements;
+    for (m::StripeId s = 0; s < stripes; ++s) {
+      const auto len = static_cast<std::size_t>(rng.next_below(13));
+      const auto first = groups.boxes.size();
+      for (std::size_t i = 0; i < len; ++i) {
+        const auto b = static_cast<m::BoxId>(rng.next_below(used_boxes));
+        groups.boxes.push_back(b);
+        placements.push_back({b, s});
+      }
+      if (rng.next_below(4) == 0) {
+        std::sort(groups.boxes.begin() + static_cast<std::ptrdiff_t>(first),
+                  groups.boxes.end(), std::greater<>());
+      }
+      groups.end_group();
+    }
+    rng.shuffle(placements);
+    SCOPED_TRACE(::testing::Message() << "trial " << trial << ": " << boxes
+                                      << " boxes, " << stripes << " stripes, "
+                                      << placements.size() << " replicas");
+    const a::Allocation alloc(boxes, stripes, std::move(groups));
+    alloc.check_integrity();
+    expect_equals_list_build(alloc, ListBuild(boxes, stripes, placements));
+  }
+}
+
+TEST(AllocationOracle, PermutationMatchesThePlacementListBuild) {
+  // Heterogeneous storage, boxes without a slot, k from 1 to 12, and
+  // catalogs that leave slots empty: the same draws must store the same
+  // replicas as the placement-list allocator, and leave the generator in
+  // the same state.
+  p2pvod::util::Rng rng(0xA110C);
+  int built = 0;
+  for (int trial = 0; trial < 120; ++trial) {
+    const auto n = static_cast<std::uint32_t>(1 + rng.next_below(300));
+    const auto c = static_cast<std::uint32_t>(1 + rng.next_below(4));
+    const auto k = static_cast<std::uint32_t>(1 + rng.next_below(12));
+    const m::CapacityProfile profile = random_profile(rng, n);
+    const std::uint64_t videos = profile.total_storage_slots(c) / (k * c);
+    if (videos == 0) continue;
+    const auto m_videos =
+        static_cast<std::uint32_t>(1 + rng.next_below(videos));
+    const m::Catalog catalog(m_videos, c, 12);
+    SCOPED_TRACE(::testing::Message()
+                 << "trial " << trial << ": n=" << n << " c=" << c
+                 << " k=" << k << " m=" << m_videos << " slots="
+                 << profile.total_storage_slots(c));
+    const std::uint64_t seed = rng();
+    p2pvod::util::Rng draws(seed);
+    p2pvod::util::Rng list_draws(seed);
+    const auto alloc =
+        a::PermutationAllocator().allocate(catalog, profile, k, draws);
+    alloc.check_integrity(&profile, c);
+    expect_equals_list_build(
+        alloc, ListBuild(n, catalog.stripe_count(),
+                         list_permutation_placements(catalog, profile, k,
+                                                     list_draws)));
+    EXPECT_EQ(draws(), list_draws());
+    ++built;
+  }
+  EXPECT_GT(built, 100);
+}
+
+TEST(AllocationOracle, FullReplicationMatchesThePlacementListBuild) {
+  // Box-major placements through group_by_stripe: groups of about n/c
+  // boxes, past the compare-exchange sort's 8.
+  p2pvod::util::Rng rng(611);
+  for (const std::uint32_t n : {1u, 7u, 40u, 130u}) {
+    for (const std::uint32_t c : {1u, 3u, 4u}) {
+      std::vector<double> storage(n);
+      for (double& d : storage)
+        d = 2.0 + 0.5 * static_cast<double>(rng.next_below(5));
+      const m::CapacityProfile profile(std::vector<double>(n, 1.0), storage);
+      const auto videos = a::FullReplicationAllocator::max_catalog(profile, c);
+      const m::Catalog catalog(videos, c, 12);
+      SCOPED_TRACE(::testing::Message() << "n=" << n << " c=" << c);
+      Placements placements;
+      for (m::BoxId b = 0; b < n; ++b) {
+        for (m::VideoId v = 0; v < videos; ++v)
+          placements.push_back({b, catalog.stripe_id(v, b % c)});
+      }
+      const auto alloc =
+          a::FullReplicationAllocator().allocate(catalog, profile, 1, rng);
+      alloc.check_integrity(&profile, c);
+      expect_equals_list_build(
+          alloc, ListBuild(n, catalog.stripe_count(), placements));
     }
   }
 }

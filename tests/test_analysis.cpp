@@ -356,7 +356,8 @@ TEST(Obstruction, ExhaustiveFindsColdStartObstruction) {
   // uploads nothing -> any cross demand is an obstruction.
   const m::Catalog catalog(2, 1, 4);
   const auto profile = m::CapacityProfile::homogeneous(2, 0.0, 1.0);
-  a::Allocation alloc(2, 2, {{0, 0}, {1, 1}});
+  const a::Allocation alloc(
+      2, 2, a::group_by_stripe(2, {{0, 0}, {1, 1}}));
   const auto witness =
       an::ObstructionSearch::exhaustive(catalog, profile, alloc);
   ASSERT_TRUE(witness.has_value());
@@ -366,7 +367,8 @@ TEST(Obstruction, ExhaustiveCleanWhenSelfSufficient) {
   // Every box holds every stripe: demands never need the network.
   const m::Catalog catalog(2, 1, 4);
   const auto profile = m::CapacityProfile::homogeneous(2, 1.0, 2.0);
-  a::Allocation alloc(2, 2, {{0, 0}, {0, 1}, {1, 0}, {1, 1}});
+  const a::Allocation alloc(
+      2, 2, a::group_by_stripe(2, {{0, 0}, {0, 1}, {1, 0}, {1, 1}}));
   EXPECT_FALSE(an::ObstructionSearch::exhaustive(catalog, profile, alloc)
                    .has_value());
 }
@@ -374,7 +376,8 @@ TEST(Obstruction, ExhaustiveCleanWhenSelfSufficient) {
 TEST(Obstruction, ExhaustiveRespectsBudget) {
   const m::Catalog catalog(10, 1, 4);
   const auto profile = m::CapacityProfile::homogeneous(20, 1.0, 10.0);
-  a::Allocation alloc(20, 10, {{0, 0}});
+  const a::Allocation alloc(
+      20, 10, a::group_by_stripe(10, {{0, 0}}));
   EXPECT_THROW((void)an::ObstructionSearch::exhaustive(catalog, profile,
                                                        alloc, 1000),
                std::invalid_argument);
@@ -435,7 +438,8 @@ TEST(Impossibility, ConstructsAvoiderWhenCatalogLarge) {
 
 TEST(Impossibility, AvoiderImpossibleWhenFullyReplicated) {
   const m::Catalog catalog(2, 1, 4);
-  a::Allocation alloc(2, 2, {{0, 0}, {0, 1}, {1, 0}, {1, 1}});
+  const a::Allocation alloc(
+      2, 2, a::group_by_stripe(2, {{0, 0}, {0, 1}, {1, 0}, {1, 1}}));
   EXPECT_FALSE(
       an::ImpossibilityAnalyzer::construct_avoider_demands(catalog, alloc)
           .has_value());

@@ -54,12 +54,12 @@ TEST(Architectures, PureServerFleetStreamsFromStorage) {
   ASSERT_TRUE(plan.has_value());
 
   // All stripes on the server box 0.
-  std::vector<a::Allocation::Placement> placements;
+  std::vector<a::Placement> placements;
   for (m::StripeId stripe = 0; stripe < world.catalog.stripe_count(); ++stripe)
     placements.push_back({0, stripe});
-  const a::Allocation allocation(world.profile.size(),
-                                 world.catalog.stripe_count(),
-                                 std::move(placements));
+  const a::Allocation allocation(
+      world.profile.size(), world.catalog.stripe_count(),
+      a::group_by_stripe(world.catalog.stripe_count(), placements));
 
   h::RelayStrategy strategy(*plan);
   s::SimulatorOptions options;
@@ -161,10 +161,10 @@ struct TinyWorld {
         profile(m::CapacityProfile::homogeneous(3, 2.0, 10.0)),
         allocation(build()) {}
   static a::Allocation build() {
-    std::vector<a::Allocation::Placement> placements;
+    std::vector<a::Placement> placements;
     for (m::StripeId stripe = 0; stripe < 4; ++stripe)
       placements.push_back({2, stripe});
-    return a::Allocation(3, 4, std::move(placements));
+    return a::Allocation(3, 4, a::group_by_stripe(4, placements));
   }
   m::Catalog catalog;
   m::CapacityProfile profile;

@@ -33,14 +33,15 @@ struct ChurnWorld {
 
   static a::Allocation build(std::uint32_t n, std::uint32_t videos,
                              std::uint32_t c, std::uint32_t holder_count) {
-    std::vector<a::Allocation::Placement> placements;
+    std::vector<a::Placement> placements;
     for (std::uint32_t v = 0; v < videos; ++v) {
       for (std::uint32_t i = 0; i < c; ++i) {
         for (std::uint32_t h = 0; h < holder_count; ++h)
           placements.push_back({n - 1 - h, v * c + i});
       }
     }
-    return a::Allocation(n, videos * c, std::move(placements));
+    return a::Allocation(n, videos * c,
+                         a::group_by_stripe(videos * c, placements));
   }
 
   m::Catalog catalog;
@@ -198,11 +199,12 @@ TEST(Churn, RelayFailureAbortsForwardedSession) {
   // aborts the poor box's session (the reserved channel died).
   const auto profile = m::CapacityProfile::two_class(4, 1, 0.5, 2.0, 4.0, 8.0);
   const m::Catalog catalog(2, 8, 16);
-  std::vector<a::Allocation::Placement> placements;
+  std::vector<a::Placement> placements;
   for (m::StripeId stripe = 0; stripe < catalog.stripe_count(); ++stripe)
     placements.push_back({3, stripe});
-  const a::Allocation allocation(4, catalog.stripe_count(),
-                                 std::move(placements));
+  const a::Allocation allocation(
+      4, catalog.stripe_count(),
+      a::group_by_stripe(catalog.stripe_count(), placements));
   const auto plan = h::Compensator::plan(profile, 1.5, 8, 1.0);
   ASSERT_TRUE(plan.has_value());
   const m::BoxId relay = plan->relay[0];
@@ -228,11 +230,12 @@ TEST(Churn, RelayedRequestsLeaveTheRelayWhenTheyEnd) {
   // retirement or an abort trips there.
   const auto profile = m::CapacityProfile::two_class(4, 1, 0.5, 2.0, 4.0, 8.0);
   const m::Catalog catalog(2, 8, 16);
-  std::vector<a::Allocation::Placement> placements;
+  std::vector<a::Placement> placements;
   for (m::StripeId stripe = 0; stripe < catalog.stripe_count(); ++stripe)
     placements.push_back({3, stripe});
-  const a::Allocation allocation(4, catalog.stripe_count(),
-                                 std::move(placements));
+  const a::Allocation allocation(
+      4, catalog.stripe_count(),
+      a::group_by_stripe(catalog.stripe_count(), placements));
   const auto plan = h::Compensator::plan(profile, 1.5, 8, 1.0);
   ASSERT_TRUE(plan.has_value());
   const m::BoxId relay = plan->relay[0];
@@ -267,11 +270,12 @@ TEST(Churn, RelayFallbackWhenRelayAlreadyDown) {
   // direct preloading (and here succeeds: the holder has capacity).
   const auto profile = m::CapacityProfile::two_class(4, 1, 0.5, 2.0, 4.0, 8.0);
   const m::Catalog catalog(2, 8, 16);
-  std::vector<a::Allocation::Placement> placements;
+  std::vector<a::Placement> placements;
   for (m::StripeId stripe = 0; stripe < catalog.stripe_count(); ++stripe)
     placements.push_back({3, stripe});
-  const a::Allocation allocation(4, catalog.stripe_count(),
-                                 std::move(placements));
+  const a::Allocation allocation(
+      4, catalog.stripe_count(),
+      a::group_by_stripe(catalog.stripe_count(), placements));
   const auto plan = h::Compensator::plan(profile, 1.5, 8, 1.0);
   ASSERT_TRUE(plan.has_value());
   const m::BoxId relay = plan->relay[0];

@@ -179,10 +179,12 @@ struct RelayWorld {
 
   a::Allocation build() const {
     // All stripes held by box 3 (a rich box, not the relay necessarily).
-    std::vector<a::Allocation::Placement> placements;
+    std::vector<a::Placement> placements;
     for (m::StripeId stripe = 0; stripe < catalog.stripe_count(); ++stripe)
       placements.push_back({3, stripe});
-    return a::Allocation(4, catalog.stripe_count(), std::move(placements));
+    return a::Allocation(
+        4, catalog.stripe_count(),
+        a::group_by_stripe(catalog.stripe_count(), placements));
   }
 
   m::CapacityProfile profile;

@@ -142,11 +142,11 @@ struct TinyZoned {
   s::PreloadingStrategy strategy;
 
   explicit TinyZoned(std::vector<m::BoxId> holders)
-      : allocation(3, 1, [&] {
-          std::vector<a::Allocation::Placement> placements;
+      : allocation(3, 1, a::group_by_stripe(1, [&] {
+          std::vector<a::Placement> placements;
           for (const m::BoxId b : holders) placements.push_back({b, 0});
           return placements;
-        }()) {}
+        }())) {}
 
   s::RunReport run(const n::Topology& topology, bool strict = false) {
     s::SimulatorOptions options;
@@ -224,14 +224,16 @@ TEST(ZoneAwareSimulator, ZeroCostTopologyMatchesCostBlindFeasibility) {
   const m::Catalog catalog(4, 2, 6);
   const auto profile = m::CapacityProfile::homogeneous(boxes, 1.5, 4.0);
   p2pvod::util::Rng rng(0xBEEF);
-  std::vector<a::Allocation::Placement> placements;
+  std::vector<a::Placement> placements;
   for (m::StripeId stripe = 0; stripe < catalog.stripe_count(); ++stripe) {
     for (int replica = 0; replica < 3; ++replica) {
       placements.push_back(
           {static_cast<m::BoxId>(rng.next_below(boxes)), stripe});
     }
   }
-  const a::Allocation allocation(boxes, catalog.stripe_count(), placements);
+  const a::Allocation allocation(
+      boxes, catalog.stripe_count(),
+      a::group_by_stripe(catalog.stripe_count(), placements));
   const auto topology = n::Topology::uniform(boxes, 3);  // costs all zero
 
   const auto drive = [&](const n::Topology* topo) {

@@ -253,11 +253,9 @@ TEST(PlacementObjective, CountsCoveredDemandPerZone) {
   a::PlacementContext context;
   context.topology = &topology;
   context.demand = {3.0};
-  std::vector<a::Allocation::Placement> placements{{0, 0},
-                                                   {static_cast<m::BoxId>(
-                                                        topology.members(0)[1]),
-                                                    0}};
-  const a::Allocation alloc(4, 1, std::move(placements));
+  std::vector<a::Placement> placements{
+      {0, 0}, {static_cast<m::BoxId>(topology.members(0)[1]), 0}};
+  const a::Allocation alloc(4, 1, a::group_by_stripe(1, placements));
   EXPECT_DOUBLE_EQ(a::placement_objective(alloc, catalog, context), 1.5);
 }
 

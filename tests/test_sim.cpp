@@ -518,7 +518,7 @@ struct World {
   static a::Allocation build_allocation(std::uint32_t n, std::uint32_t videos,
                                         std::uint32_t c,
                                         std::uint32_t holder_count) {
-    std::vector<a::Allocation::Placement> placements;
+    std::vector<a::Placement> placements;
     for (std::uint32_t v = 0; v < videos; ++v) {
       for (std::uint32_t i = 0; i < c; ++i) {
         for (std::uint32_t h = 0; h < holder_count; ++h) {
@@ -526,7 +526,8 @@ struct World {
         }
       }
     }
-    return a::Allocation(n, videos * c, std::move(placements));
+    return a::Allocation(n, videos * c,
+                         a::group_by_stripe(videos * c, placements));
   }
 
   m::Catalog catalog;

@@ -1371,9 +1371,9 @@ TEST(Churn, CapacityTotalTracksToggleSequence) {
   // including repeated no-op toggles.
   const m::Catalog catalog(1, 4, 12);
   const auto profile = m::CapacityProfile::homogeneous(8, 1.5, 100.0);
-  std::vector<a::Allocation::Placement> placements;
+  std::vector<a::Placement> placements;
   for (std::uint32_t i = 0; i < 4; ++i) placements.push_back({7, i});
-  const a::Allocation allocation(8, 4, std::move(placements));
+  const a::Allocation allocation(8, 4, a::group_by_stripe(4, placements));
   s::PreloadingStrategy strategy;
   s::SimulatorOptions options;
   options.strict = false;
@@ -1402,9 +1402,9 @@ TEST(Churn, CapacityTotalTracksToggleSequence) {
 TEST(Churn, CapacityDeltaRespectsOverride) {
   const m::Catalog catalog(1, 4, 12);
   const auto profile = m::CapacityProfile::homogeneous(4, 2.0, 100.0);
-  std::vector<a::Allocation::Placement> placements;
+  std::vector<a::Placement> placements;
   for (std::uint32_t i = 0; i < 4; ++i) placements.push_back({3, i});
-  const a::Allocation allocation(4, 4, std::move(placements));
+  const a::Allocation allocation(4, 4, a::group_by_stripe(4, placements));
   s::PreloadingStrategy strategy;
   s::SimulatorOptions options;
   options.strict = false;
@@ -1803,9 +1803,9 @@ TEST(SparseEnv, ExplicitSparseWithTopologyIsConfigError) {
   // a config error.
   const m::Catalog catalog(1, 4, 12);
   const auto profile = m::CapacityProfile::homogeneous(4, 2.0, 100.0);
-  std::vector<a::Allocation::Placement> placements;
+  std::vector<a::Placement> placements;
   for (std::uint32_t i = 0; i < 4; ++i) placements.push_back({3, i});
-  const a::Allocation allocation(4, 4, std::move(placements));
+  const a::Allocation allocation(4, 4, a::group_by_stripe(4, placements));
   const auto topology = p2pvod::net::Topology::uniform(4, 2);
   s::PreloadingStrategy strategy;
   s::SimulatorOptions options;

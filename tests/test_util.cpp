@@ -4,9 +4,11 @@
 
 #include <atomic>
 #include <cmath>
+#include <filesystem>
 #include <functional>
 #include <set>
 #include <sstream>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -643,6 +645,86 @@ TEST(Json, MalformedInputThrows) {
   EXPECT_THROW((void)u::json::parse("1 2"), std::runtime_error);  // trailing
   EXPECT_THROW((void)u::json::parse("{}").at("missing"), std::runtime_error);
   EXPECT_THROW((void)u::json::parse("[]").as_object(), std::runtime_error);
+}
+
+namespace {
+/// The message parse throws for `text`, or "" when it parses.
+std::string json_error(const std::string& text) {
+  try {
+    (void)u::json::parse(text);
+  } catch (const std::runtime_error& error) {
+    return error.what();
+  }
+  return {};
+}
+}  // namespace
+
+TEST(Json, DeepNestingFailsWithTheByteOffset) {
+  // 50,000 open brackets used to recurse until the stack ran out.
+  const std::string deep(50000, '[');
+  const std::string what = json_error(deep);
+  EXPECT_NE(what.find("nesting deeper than 256 levels"), std::string::npos)
+      << what;
+  EXPECT_NE(what.find("at byte 256"), std::string::npos) << what;
+  // Objects count too, mixed with arrays.
+  std::string mixed;
+  for (int i = 0; i < 200; ++i) mixed += "{\"a\":[";
+  EXPECT_NE(json_error(mixed).find("nesting deeper"), std::string::npos);
+}
+
+TEST(Json, DocumentAtTheDepthLimitParses) {
+  const auto nest = [](int depth) {
+    return std::string(static_cast<std::size_t>(depth), '[') + "7" +
+           std::string(static_cast<std::size_t>(depth), ']');
+  };
+  const auto doc = u::json::parse(nest(u::json::kMaxDepth));
+  const u::json::Value* inner = &doc;
+  for (int level = 0; level < u::json::kMaxDepth; ++level) {
+    ASSERT_TRUE(inner->is_array()) << "level " << level;
+    ASSERT_EQ(inner->as_array().size(), 1u);
+    inner = &inner->as_array()[0];
+  }
+  EXPECT_DOUBLE_EQ(inner->as_number(), 7.0);
+  EXPECT_NE(json_error(nest(u::json::kMaxDepth + 1)).find("nesting deeper"),
+            std::string::npos);
+}
+
+TEST(Json, LoneSurrogateEscapesAreRejected) {
+  for (const char* text :
+       {R"("\ud800")", R"("\udbff x")", R"("\udc00")", R"("\ud800\u0041")",
+        R"("\ud800\ud800")", R"("\ud800\n")", R"("\ud83d")"}) {
+    EXPECT_NE(json_error(text).find("lone surrogate escape"),
+              std::string::npos)
+        << text;
+  }
+  // A pair is one character outside the BMP: U+1F600 as four UTF-8 bytes.
+  EXPECT_EQ(u::json::parse(R"("\ud83d\ude00")").as_string(),
+            "\xf0\x9f\x98\x80");
+  EXPECT_EQ(u::json::parse(R"("\udbff\udfff")").as_string(),
+            "\xf4\x8f\xbf\xbf");
+}
+
+TEST(Json, EveryCommittedJsonFileParses) {
+  // Baselines, benchmark digests, presets: every JSON file of the source
+  // tree outside build trees and dot directories.
+  const std::filesystem::path root(P2PVOD_SOURCE_DIR);
+  std::vector<std::filesystem::path> files;
+  for (auto it = std::filesystem::recursive_directory_iterator(root);
+       it != std::filesystem::recursive_directory_iterator(); ++it) {
+    const std::string name = it->path().filename().string();
+    if (it->is_directory() &&
+        (name.starts_with(".") || name.starts_with("build") ||
+         name.starts_with("cmake-build"))) {
+      it.disable_recursion_pending();
+      continue;
+    }
+    if (it->is_regular_file() && it->path().extension() == ".json")
+      files.push_back(it->path());
+  }
+  EXPECT_GE(files.size(), 30u);
+  for (const auto& file : files) {
+    EXPECT_NO_THROW((void)u::json::parse_file(file.string())) << file;
+  }
 }
 
 TEST(Json, ObjectKeysKeepInsertionOrder) {

@@ -178,7 +178,7 @@ TEST(Avoider, FollowsTheVideoScanDrawForDraw) {
     const auto c = static_cast<std::uint32_t>(world_rng.next_between(1, 4));
     const m::Catalog catalog(videos, c, world_rng.next_between(2, 6));
     const double density = world_rng.next_double();
-    std::vector<a::Allocation::Placement> placements;
+    std::vector<a::Placement> placements;
     for (m::BoxId b = 0; b < n; ++b) {
       for (m::StripeId stripe = 0; stripe < videos * c; ++stripe) {
         if (!world_rng.next_bool(density)) continue;
@@ -186,7 +186,8 @@ TEST(Avoider, FollowsTheVideoScanDrawForDraw) {
         if (world_rng.next_bool(0.1)) placements.push_back({b, stripe});
       }
     }
-    const a::Allocation allocation(n, videos * c, std::move(placements));
+    const a::Allocation allocation(
+        n, videos * c, a::group_by_stripe(videos * c, placements));
     const auto profile = m::CapacityProfile::homogeneous(n, 2.0, 8.0);
     for (const auto fallback : {w::AvoiderAdversary::Fallback::kStaySilent,
                                 w::AvoiderAdversary::Fallback::kLeastLocalData}) {
@@ -518,18 +519,25 @@ TEST(Trace, LoadRejectsUnsortedRounds) {
   EXPECT_NE(what.find("non-decreasing"), std::string::npos) << what;
 }
 
-TEST(Trace, LoadAcceptsNegativeRoundsInOrder) {
-  // Rounds may be negative (model::Round is signed; tests use them).
-  std::stringstream in("-3 0 1\n-1 2 3\n0 4 5\n");
-  const auto loaded = w::Trace::load(in);
-  ASSERT_EQ(loaded.size(), 3u);
-  EXPECT_EQ(loaded.entries()[0].round, -3);
+TEST(Trace, LoadRejectsNegativeRoundWithLineNumber) {
+  // A replay starts at round 0: a leading "-1 9 0" used to load, and the
+  // replay then emitted none of the demands after it.
+  const auto what = load_error("# header\n-1 9 0\n0 1 2\n3 4 5\n");
+  EXPECT_NE(what.find("line 2"), std::string::npos) << what;
+  EXPECT_NE(what.find("round -1 is negative"), std::string::npos) << what;
 }
 
 TEST(Trace, AddRejectsOutOfOrderRounds) {
   w::Trace trace;
   trace.add(5, 0, 0);
   EXPECT_THROW(trace.add(4, 0, 0), std::invalid_argument);
+}
+
+TEST(Trace, AddAndConstructorRejectNegativeRounds) {
+  w::Trace trace;
+  EXPECT_THROW(trace.add(-1, 0, 0), std::invalid_argument);
+  EXPECT_EQ(trace.size(), 0u);
+  EXPECT_THROW(w::Trace({{2, 0, 0}, {-4, 1, 0}}), std::invalid_argument);
 }
 
 TEST(Trace, RecorderCapturesReplayReproduces) {
@@ -547,6 +555,20 @@ TEST(Trace, RecorderCapturesReplayReproduces) {
     EXPECT_EQ(replayed[i].box, demands[i].box);
     EXPECT_EQ(replayed[i].video, demands[i].video);
   }
+}
+
+TEST(Trace, ReplayThrowsWhenItFallsBehind) {
+  // Asked first at round 2, the replay is past the round-1 entries: it used
+  // to emit nothing for the rest of the run.
+  w::Trace trace;
+  trace.add(1, 0, 1);
+  trace.add(1, 2, 0);
+  trace.add(3, 1, 1);
+  w::TraceReplay replay(trace);
+  SimWorld world(4, 4, 2, 8);
+  world.simulator.step({});
+  world.simulator.step({});
+  EXPECT_THROW((void)replay.demands(world.simulator), std::logic_error);
 }
 
 TEST(Trace, ReplayEmitsAtRecordedRound) {
