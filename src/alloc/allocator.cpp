@@ -1,6 +1,7 @@
 #include "alloc/allocator.hpp"
 
 #include <stdexcept>
+#include <string>
 
 #include "alloc/demand_proportional.hpp"
 #include "alloc/full_replication.hpp"
@@ -11,6 +12,22 @@
 #include "alloc/zone_local.hpp"
 
 namespace p2pvod::alloc {
+
+StorageSlots storage_for_replicas(const char* scheme,
+                                  const model::Catalog& catalog,
+                                  const model::CapacityProfile& profile,
+                                  std::uint32_t k) {
+  StorageSlots slots;
+  slots.per_box = profile.storage_slot_counts(catalog.stripes_per_video());
+  for (const std::uint32_t count : slots.per_box) slots.total += count;
+  const std::uint64_t replicas =
+      static_cast<std::uint64_t>(k) * catalog.stripe_count();
+  if (replicas > slots.total) {
+    throw std::invalid_argument(std::string(scheme) +
+                                ": k*m*c replicas exceed d*n*c slots");
+  }
+  return slots;
+}
 
 const char* scheme_name(Scheme scheme) noexcept {
   switch (scheme) {

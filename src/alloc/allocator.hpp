@@ -1,8 +1,10 @@
 // Allocator interface and factory for the schemes of §2.1 plus baselines.
 #pragma once
 
+#include <cstdint>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "alloc/allocation.hpp"
 #include "alloc/placement.hpp"
@@ -51,5 +53,19 @@ class Allocator {
 };
 
 [[nodiscard]] std::unique_ptr<Allocator> make_allocator(Scheme scheme);
+
+/// Each box's storage slots at the catalog's c, read once per allocation
+/// (CapacityProfile::storage_slot_counts), and their total.
+struct StorageSlots {
+  std::vector<std::uint32_t> per_box;
+  std::uint64_t total = 0;
+};
+
+/// The storage slots that k replicas of every stripe of `catalog` go into.
+/// Throws std::invalid_argument, naming `scheme`, when the k·m·c replicas
+/// exceed the d·n·c slots.
+[[nodiscard]] StorageSlots storage_for_replicas(
+    const char* scheme, const model::Catalog& catalog,
+    const model::CapacityProfile& profile, std::uint32_t k);
 
 }  // namespace p2pvod::alloc

@@ -28,17 +28,13 @@ Allocation DemandProportionalAllocator::allocate(
   const std::uint32_t c = catalog.stripes_per_video();
   const std::uint64_t replicas =
       static_cast<std::uint64_t>(k) * catalog.stripe_count();
-  if (replicas > profile.total_storage_slots(c)) {
-    throw std::invalid_argument(
-        "DemandProportionalAllocator: k*m*c replicas exceed d*n*c slots");
-  }
+  std::vector<std::uint32_t> free_slots =
+      storage_for_replicas("DemandProportionalAllocator", catalog, profile,
+                           k)
+          .per_box;
 
   const std::vector<std::uint32_t> counts = proportional_replica_counts(
       catalog.video_count(), k, context.demand, /*max_per_video=*/n);
-
-  std::vector<std::uint32_t> free_slots(n);
-  for (model::BoxId b = 0; b < n; ++b)
-    free_slots[b] = profile.storage_slots(b, c);
 
   // Round-robin striping with the per-video counts; Σ counts = k·m keeps the
   // total at (or under, when the n-cap dropped residue) the k·m·c budget.

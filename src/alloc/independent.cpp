@@ -1,6 +1,7 @@
 #include "alloc/independent.hpp"
 
 #include <stdexcept>
+#include <utility>
 
 namespace p2pvod::alloc {
 
@@ -9,26 +10,19 @@ Allocation IndependentAllocator::allocate(const model::Catalog& catalog,
                                           std::uint32_t k,
                                           util::Rng& rng) const {
   if (k == 0) throw std::invalid_argument("IndependentAllocator: k == 0");
-  const std::uint32_t c = catalog.stripes_per_video();
+  StorageSlots storage =
+      storage_for_replicas("IndependentAllocator", catalog, profile, k);
   const std::uint64_t replicas =
       static_cast<std::uint64_t>(k) * catalog.stripe_count();
-  const std::uint64_t slots = profile.total_storage_slots(c);
-  if (replicas > slots) {
-    throw std::invalid_argument(
-        "IndependentAllocator: k*m*c replicas exceed d*n*c slots");
-  }
+  const std::uint64_t slots = storage.total;
 
   // "Probability proportional to storage capacity" == draw a uniform global
   // slot index and take its owner (static weights, independent of fill).
   std::vector<model::BoxId> slot_owner;
   slot_owner.reserve(slots);
-  for (model::BoxId b = 0; b < profile.size(); ++b) {
-    const std::uint32_t box_slots = profile.storage_slots(b, c);
-    slot_owner.insert(slot_owner.end(), box_slots, b);
-  }
-  std::vector<std::uint32_t> free_slots(profile.size());
   for (model::BoxId b = 0; b < profile.size(); ++b)
-    free_slots[b] = profile.storage_slots(b, c);
+    slot_owner.insert(slot_owner.end(), storage.per_box[b], b);
+  std::vector<std::uint32_t> free_slots = std::move(storage.per_box);
 
   StripeGroups groups;
   groups.offsets.reserve(static_cast<std::size_t>(catalog.stripe_count()) + 1);

@@ -24,13 +24,10 @@ Allocation LpGreedyAllocator::allocate(const model::Catalog& catalog,
   if (context.topology != nullptr && context.topology->box_count() != n)
     throw std::invalid_argument(
         "LpGreedyAllocator: topology/profile size mismatch");
-  const std::uint32_t c = catalog.stripes_per_video();
   const std::uint32_t stripes = catalog.stripe_count();
   const std::uint64_t replicas = static_cast<std::uint64_t>(k) * stripes;
-  if (replicas > profile.total_storage_slots(c)) {
-    throw std::invalid_argument(
-        "LpGreedyAllocator: k*m*c replicas exceed d*n*c slots");
-  }
+  std::vector<std::uint32_t> free_slots =
+      storage_for_replicas("LpGreedyAllocator", catalog, profile, k).per_box;
   // The holder matrix and the gain scan are Θ(stripes·n); refuse instances
   // where that footprint stops being a placement-time rounding error.
   if (static_cast<std::uint64_t>(stripes) * n > (std::uint64_t{1} << 26)) {
@@ -71,9 +68,6 @@ Allocation LpGreedyAllocator::allocate(const model::Catalog& catalog,
         static_cast<double>(members[z].size()) / static_cast<double>(n);
   }
 
-  std::vector<std::uint32_t> free_slots(n);
-  for (model::BoxId b = 0; b < n; ++b)
-    free_slots[b] = profile.storage_slots(b, c);
   std::vector<char> holder(static_cast<std::size_t>(stripes) * n, 0);
   std::vector<std::uint32_t> per_zone(static_cast<std::size_t>(stripes) *
                                           zones,

@@ -10,14 +10,10 @@ Allocation PermutationAllocator::allocate(const model::Catalog& catalog,
                                           std::uint32_t k,
                                           util::Rng& rng) const {
   if (k == 0) throw std::invalid_argument("PermutationAllocator: k == 0");
-  const std::uint32_t c = catalog.stripes_per_video();
+  const StorageSlots slots =
+      storage_for_replicas("PermutationAllocator", catalog, profile, k);
   const std::uint64_t replicas =
       static_cast<std::uint64_t>(k) * catalog.stripe_count();
-  const std::uint64_t slots = profile.total_storage_slots(c);
-  if (replicas > slots) {
-    throw std::invalid_argument(
-        "PermutationAllocator: k*m*c replicas exceed d*n*c slots");
-  }
 
   // Global slot array: slot j holds the box that owns it. Fisher–Yates
   // applies the same swaps to it that it would apply to the identity, so
@@ -27,9 +23,9 @@ Allocation PermutationAllocator::allocate(const model::Catalog& catalog,
   // remaining slots stay empty (they model free catalog storage).
   const std::uint32_t stripes = catalog.stripe_count();
   StripeGroups groups;
-  groups.boxes.reserve(slots);
+  groups.boxes.reserve(slots.total);
   for (model::BoxId b = 0; b < profile.size(); ++b)
-    groups.boxes.insert(groups.boxes.end(), profile.storage_slots(b, c), b);
+    groups.boxes.insert(groups.boxes.end(), slots.per_box[b], b);
   rng.shuffle(groups.boxes);
   groups.boxes.resize(replicas);
   groups.offsets.resize(static_cast<std::size_t>(stripes) + 1);

@@ -159,9 +159,7 @@ double optimal_placement_objective(const model::Catalog& catalog,
   const std::vector<double> weights =
       forecast_or_uniform(catalog.video_count(), context.demand);
 
-  std::vector<std::uint32_t> free_slots(n);
-  for (model::BoxId b = 0; b < n; ++b)
-    free_slots[b] = profile.storage_slots(b, c);
+  std::vector<std::uint32_t> free_slots = profile.storage_slot_counts(c);
   std::uint64_t budget =
       static_cast<std::uint64_t>(k) * catalog.stripe_count();
 

@@ -14,17 +14,11 @@ Allocation RoundRobinAllocator::allocate(const model::Catalog& catalog,
     throw std::invalid_argument(
         "RoundRobinAllocator: k > n would duplicate a stripe within a box");
   }
-  const std::uint32_t c = catalog.stripes_per_video();
+  std::vector<std::uint32_t> free_slots =
+      storage_for_replicas("RoundRobinAllocator", catalog, profile, k)
+          .per_box;
   const std::uint64_t replicas =
       static_cast<std::uint64_t>(k) * catalog.stripe_count();
-  if (replicas > profile.total_storage_slots(c)) {
-    throw std::invalid_argument(
-        "RoundRobinAllocator: k*m*c replicas exceed d*n*c slots");
-  }
-
-  std::vector<std::uint32_t> free_slots(n);
-  for (model::BoxId b = 0; b < n; ++b)
-    free_slots[b] = profile.storage_slots(b, c);
 
   StripeGroups groups;
   groups.offsets.reserve(static_cast<std::size_t>(catalog.stripe_count()) + 1);

@@ -68,10 +68,9 @@ Allocation ZoneLocalFirstAllocator::allocate(
   const std::uint32_t c = catalog.stripes_per_video();
   const std::uint64_t replicas =
       static_cast<std::uint64_t>(k) * catalog.stripe_count();
-  if (replicas > profile.total_storage_slots(c)) {
-    throw std::invalid_argument(
-        "ZoneLocalFirstAllocator: k*m*c replicas exceed d*n*c slots");
-  }
+  std::vector<std::uint32_t> free_slots =
+      storage_for_replicas("ZoneLocalFirstAllocator", catalog, profile, k)
+          .per_box;
 
   const std::vector<std::uint32_t> counts = proportional_replica_counts(
       catalog.video_count(), k, context.demand, /*max_per_video=*/n);
@@ -89,10 +88,6 @@ Allocation ZoneLocalFirstAllocator::allocate(
   std::vector<std::uint32_t> sizes(zones);
   for (std::uint32_t z = 0; z < zones; ++z)
     sizes[z] = static_cast<std::uint32_t>(members[z].size());
-
-  std::vector<std::uint32_t> free_slots(n);
-  for (model::BoxId b = 0; b < n; ++b)
-    free_slots[b] = profile.storage_slots(b, c);
 
   StripeGroups groups;
   groups.offsets.reserve(static_cast<std::size_t>(catalog.stripe_count()) + 1);

@@ -76,10 +76,11 @@ std::uint32_t Compensator::direct_stripe_count(double u_b, std::uint32_t c,
 std::optional<CompensationPlan> Compensator::plan(
     const model::CapacityProfile& profile, double u_star, std::uint32_t c,
     double mu) {
-  if (u_star <= 1.0)
+  if (!(u_star > 1.0))
     throw std::invalid_argument("Compensator: u* must exceed 1");
   if (c == 0) throw std::invalid_argument("Compensator: c == 0");
-  if (mu < 1.0) throw std::invalid_argument("Compensator: mu < 1");
+  if (!(mu >= 1.0))
+    throw std::invalid_argument("Compensator: mu is NaN or < 1");
 
   const std::uint32_t n = profile.size();
   CompensationPlan out;

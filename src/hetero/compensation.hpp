@@ -51,6 +51,8 @@ class Compensator {
  public:
   /// Build a compensation plan, or nullopt when no feasible pairing exists
   /// (e.g. u < u* + Δ(u*)/n, or no box is rich enough for some reservation).
+  /// Throws std::invalid_argument unless u* > 1, c > 0 and µ >= 1 (NaN
+  /// fails each test).
   [[nodiscard]] static std::optional<CompensationPlan> plan(
       const model::CapacityProfile& profile, double u_star, std::uint32_t c,
       double mu);

@@ -39,6 +39,10 @@ std::uint32_t to_slots(double slots, const char* what, double capacity,
   return slots <= 0.0 ? 0u : static_cast<std::uint32_t>(slots);
 }
 
+std::uint32_t storage_to_slots(double storage, std::uint32_t c) {
+  return to_slots(std::round(storage * c), "storage", storage, c);
+}
+
 }  // namespace
 
 CapacityProfile::CapacityProfile(std::vector<double> upload,
@@ -137,13 +141,20 @@ std::uint32_t CapacityProfile::upload_slots(BoxId b, std::uint32_t c) const {
 }
 
 std::uint32_t CapacityProfile::storage_slots(BoxId b, std::uint32_t c) const {
-  const double storage = storage_.at(b);
-  return to_slots(std::round(storage * c), "storage", storage, c);
+  return storage_to_slots(storage_.at(b), c);
+}
+
+std::vector<std::uint32_t> CapacityProfile::storage_slot_counts(
+    std::uint32_t c) const {
+  std::vector<std::uint32_t> counts(storage_.size());
+  for (std::size_t b = 0; b < storage_.size(); ++b)
+    counts[b] = storage_to_slots(storage_[b], c);
+  return counts;
 }
 
 std::uint64_t CapacityProfile::total_storage_slots(std::uint32_t c) const {
   std::uint64_t total = 0;
-  for (BoxId b = 0; b < size(); ++b) total += storage_slots(b, c);
+  for (const double storage : storage_) total += storage_to_slots(storage, c);
   return total;
 }
 

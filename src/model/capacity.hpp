@@ -70,6 +70,9 @@ class CapacityProfile {
   /// Integral per-box storage in stripe slots: round(d_b c). Throws
   /// std::out_of_range when the count does not fit in 32 bits.
   [[nodiscard]] std::uint32_t storage_slots(BoxId b, std::uint32_t c) const;
+  /// storage_slots(b, c) of every box, by box, in one pass.
+  [[nodiscard]] std::vector<std::uint32_t> storage_slot_counts(
+      std::uint32_t c) const;
   /// Total storage slots Σ_b round(d_b c).
   [[nodiscard]] std::uint64_t total_storage_slots(std::uint32_t c) const;
 

@@ -79,6 +79,7 @@ void Simulator::reset() {
   }
   expired_.clear();
   sessions_.clear();
+  free_sessions_.clear();
   pending_.clear();
   end_events_.clear();
   live_.clear();
@@ -144,14 +145,25 @@ void Simulator::admit(const Demand& demand) {
     }
     ++network_requests;
   }
+  // With every id below kInvalidSession held, the next would be the
+  // sentinel itself.
+  if (free_sessions_.empty() && sessions_.size() >= kInvalidSession)
+    throw std::length_error("Simulator: more live sessions than ids");
   const model::Round playback_start = viewer_last_entry + 1;
   const model::Round ends = playback_start + catalog_.duration();
 
   ++report_.demands_admitted;
   swarms_.enter(demand.video, now_);
-  const auto session_id = static_cast<SessionId>(sessions_.size());
-  sessions_.push_back({demand.box, demand.video, now_, playback_start, ends,
-                       network_requests});
+  SessionId session_id = kInvalidSession;
+  if (free_sessions_.empty()) {
+    session_id = static_cast<SessionId>(sessions_.size());
+    sessions_.emplace_back();
+  } else {
+    session_id = free_sessions_.back();
+    free_sessions_.pop_back();
+  }
+  sessions_[session_id] = {report_.demands_admitted, ends, demand.box,
+                           demand.video, network_requests + 1, false};
   busy_until_[demand.box] = ends;
   last_session_[demand.box] = session_id;
   end_events_.add(ends, session_id);
@@ -403,15 +415,23 @@ void Simulator::retire_completed() {
   const model::Round last_issue = now_ + 1 - catalog_.duration();
   std::size_t done = 0;
   for (; done < live_.size() && live_.issue[done] <= last_issue; ++done) {
-    Session& session = sessions_[live_.session[done]];
-    if (session.pending_requests == 0)
+    const SessionId id = live_.session[done];
+    if (sessions_[id].refs == 0)
       throw std::logic_error("Simulator: session underflow");
-    --session.pending_requests;
-    if (live_.requester[done] != session.box)
+    if (live_.requester[done] != sessions_[id].box)
       --relayed_requests_[live_.requester[done]];
     if (sparse_ != nullptr) sparse_->remove_request(live_.slot[done]);
+    release(id);
   }
   live_.erase_front(done);
+}
+
+void Simulator::release(SessionId id) {
+  Session& session = sessions_[id];
+  if (--session.refs != 0) return;
+  if (last_session_[session.box] == id)
+    last_session_[session.box] = kInvalidSession;
+  free_sessions_.push_back(id);
 }
 
 void Simulator::abort_session(SessionId id) {
@@ -424,13 +444,14 @@ void Simulator::abort_session(SessionId id) {
   busy_until_[session.box] = std::min(busy_until_[session.box], now_);
 
   // Drop the session's live requests (order-preserving) and its
-  // not-yet-activated pending requests.
+  // not-yet-activated pending requests; the end event keeps the last ref.
   std::size_t write = 0;
   for (std::size_t i = 0; i < live_.size(); ++i) {
     if (live_.session[i] == id) {
       if (live_.requester[i] != session.box)
         --relayed_requests_[live_.requester[i]];
       if (sparse_ != nullptr) sparse_->remove_request(live_.slot[i]);
+      --session.refs;
       continue;
     }
     live_.move_to(write, i);
@@ -440,8 +461,10 @@ void Simulator::abort_session(SessionId id) {
   pending_.erase_if([&](const PendingRequest& p) {
     if (p.session != id) return false;
     if (p.requester != session.box) --relayed_requests_[p.requester];
+    --session.refs;
     return true;
   });
+  assert(session.refs == 1 && "Simulator: an aborted session kept a request");
 }
 
 void Simulator::debug_check_capacity_total() const {
@@ -510,8 +533,9 @@ void Simulator::set_box_online(model::BoxId box, bool online) {
   // still be running: the box's own requests belong to it or to sessions
   // already over) and every session of another box that relied on it as
   // the downloading requester (the §4 relay channel), which only a box with
-  // relayed requests has. Ascending id order keeps the CSR slot recycling
-  // order independent of how the set was gathered.
+  // relayed requests has. Admission order keeps the CSR slot recycling
+  // order independent of how the set was gathered and of which ids were
+  // reused.
   debug_check_relayed_requests(box);
   std::vector<SessionId>& doomed = scratch_doomed_;
   doomed.clear();
@@ -524,7 +548,9 @@ void Simulator::set_box_online(model::BoxId box, bool online) {
     pending_.for_each([&](const PendingRequest& p) {
       if (p.requester == box) doomed.push_back(p.session);
     });
-    std::sort(doomed.begin(), doomed.end());
+    std::sort(doomed.begin(), doomed.end(), [this](SessionId a, SessionId b) {
+      return sessions_[a].serial < sessions_[b].serial;
+    });
     doomed.erase(std::unique(doomed.begin(), doomed.end()), doomed.end());
   }
   for (const SessionId id : doomed) abort_session(id);
@@ -573,9 +599,11 @@ void Simulator::step(const std::vector<Demand>& demands) {
   // 1. Sessions ending now free their boxes and leave their swarms.
   end_events_.take_through(now_, [this](SessionId id) {
     const Session& session = sessions_[id];
-    if (session.aborted) return;  // churn already settled this one
-    swarms_.leave(session.video);
-    ++report_.sessions_completed;
+    if (!session.aborted) {  // churn already settled an aborted one
+      swarms_.leave(session.video);
+      ++report_.sessions_completed;
+    }
+    release(id);
   });
 
   // 2. Freeze f(t) for the growth rule, then 3./4. admit demands.

@@ -163,14 +163,23 @@ class Simulator {
   }
 
  private:
+  /// One admitted playback. Its record lives from admission until nothing
+  /// can name its id: its end event has fired and no live or pending request
+  /// refers to it. `refs` counts those names, one per request not yet
+  /// retired plus one for the end event; whichever drops it to zero releases
+  /// the record, and the next admission reuses the id. A request may retire
+  /// after the end event (a relay's plan can outlast the viewer's playback),
+  /// and an abort drops the session's requests at once, so its end event
+  /// releases it. The table thus holds the live sessions, not every session
+  /// the run admitted.
   struct Session {
+    /// Admission order, unique within a run (ids are reused, serials not).
+    std::uint64_t serial;
+    model::Round ends;  ///< first round the box is idle again
     model::BoxId box;
     model::VideoId video;
-    model::Round demand_round;
-    model::Round playback_start;
-    model::Round ends;  ///< first round the box is idle again
-    std::uint32_t pending_requests;
-    bool aborted = false;  ///< killed by churn; end event becomes a no-op
+    std::uint32_t refs;
+    bool aborted;  ///< killed by churn; the end event only releases it
   };
 
   /// A planned network request waiting for its issue round.
@@ -207,6 +216,8 @@ class Simulator {
                          flow::MatchResult& result);
   void retire_completed();
   void abort_session(SessionId id);
+  /// Drop one of the session's refs; the last one releases the record.
+  void release(SessionId id);
   /// Add each kReportCounters row's growth since the last publish to its
   /// obs counter, and the derived rows' (the round count, one |Y|
   /// observation per round). Runs at the end of step() and of
@@ -234,12 +245,13 @@ class Simulator {
   /// rounds with a live request.
   std::vector<CacheExpiry> expired_;
 
-  std::vector<Session> sessions_;
+  std::vector<Session> sessions_;  ///< by SessionId; released ids included
+  std::vector<SessionId> free_sessions_;  ///< released ids, reused last first
   std::vector<model::Round> busy_until_;
-  /// Per box: the last session admitted, or kInvalidSession. Admission
-  /// needs an idle box, so every earlier session of the box has ended or
-  /// been aborted: this is the only playback of the box that a failure can
-  /// still cut short.
+  /// Per box: the last session admitted, or kInvalidSession once that
+  /// record is released. Admission needs an idle box, so every earlier
+  /// session of the box has ended or been aborted: this is the only playback
+  /// of the box that a failure can still cut short.
   std::vector<SessionId> last_session_;
   /// Per box: live and pending requests it downloads for a session of
   /// another box (the §4 relay). A failure of the box aborts those sessions

@@ -2,8 +2,16 @@
 
 #include <algorithm>
 #include <cmath>
+#include <stdexcept>
 
 namespace p2pvod::workload {
+
+FlashCrowd::FlashCrowd(model::VideoId video, double mu,
+                       model::Round start_round, std::uint32_t max_joiners)
+    : video_(video), mu_(mu), start_(start_round), max_joiners_(max_joiners) {
+  // A NaN µ would admit the seed viewer and then no one.
+  if (std::isnan(mu)) throw std::invalid_argument("FlashCrowd: mu is NaN");
+}
 
 std::vector<sim::Demand> FlashCrowd::demands(const sim::Simulator& sim) {
   std::vector<sim::Demand> out;

@@ -15,10 +15,10 @@ namespace p2pvod::workload {
 class FlashCrowd final : public DemandGenerator {
  public:
   /// Joiners pick boxes in id order (deterministic) — box identity is
-  /// irrelevant to the matching, only the join schedule matters.
+  /// irrelevant to the matching, only the join schedule matters. µ = +inf
+  /// joins every idle box at once; a NaN µ throws std::invalid_argument.
   FlashCrowd(model::VideoId video, double mu, model::Round start_round = 0,
-             std::uint32_t max_joiners = 0)
-      : video_(video), mu_(mu), start_(start_round), max_joiners_(max_joiners) {}
+             std::uint32_t max_joiners = 0);
 
   [[nodiscard]] std::vector<sim::Demand> demands(
       const sim::Simulator& sim) override;

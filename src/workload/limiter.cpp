@@ -9,7 +9,10 @@ namespace p2pvod::workload {
 
 GrowthLimiter::GrowthLimiter(DemandGenerator& inner, double mu)
     : inner_(inner), mu_(mu), log_mu_(std::log(mu)) {
-  if (mu < 1.0) throw std::invalid_argument("GrowthLimiter: mu < 1");
+  // A NaN µ would keep every anchor at +inf, capping nothing, and µ = +inf
+  // makes cap() cast a NaN (-inf + inf) to an integer.
+  if (!(mu >= 1.0 && std::isfinite(mu)))
+    throw std::invalid_argument("GrowthLimiter: mu is NaN, infinite or < 1");
 }
 
 std::uint64_t GrowthLimiter::cap(model::VideoId v, model::Round now,

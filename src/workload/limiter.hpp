@@ -23,6 +23,7 @@ namespace p2pvod::workload {
 
 class GrowthLimiter final : public DemandGenerator {
  public:
+  /// Throws std::invalid_argument for a µ that is NaN, infinite or below 1.
   GrowthLimiter(DemandGenerator& inner, double mu);
 
   [[nodiscard]] std::vector<sim::Demand> demands(

@@ -7,7 +7,8 @@ namespace p2pvod::workload {
 
 ZipfSampler::ZipfSampler(std::uint32_t size, double alpha) {
   if (size == 0) throw std::invalid_argument("ZipfSampler: empty support");
-  if (alpha < 0.0) throw std::invalid_argument("ZipfSampler: alpha < 0");
+  if (!(alpha >= 0.0))
+    throw std::invalid_argument("ZipfSampler: alpha is NaN or < 0");
   cumulative_.resize(size);
   double acc = 0.0;
   for (std::uint32_t r = 0; r < size; ++r) {
@@ -22,6 +23,14 @@ double ZipfSampler::probability(std::uint32_t rank) const {
     throw std::out_of_range("ZipfSampler::probability");
   return rank == 0 ? cumulative_[0]
                    : cumulative_[rank] - cumulative_[rank - 1];
+}
+
+ZipfDemand::ZipfDemand(std::uint32_t catalog_size, double alpha,
+                       double demand_prob, std::uint64_t seed)
+    : sampler_(catalog_size, alpha), demand_prob_(demand_prob), rng_(seed) {
+  if (!(demand_prob >= 0.0 && demand_prob <= 1.0))
+    throw std::invalid_argument(
+        "ZipfDemand: demand probability is NaN or outside [0, 1]");
 }
 
 std::vector<sim::Demand> ZipfDemand::demands(const sim::Simulator& sim) {

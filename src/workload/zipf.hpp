@@ -16,6 +16,8 @@ namespace p2pvod::workload {
 
 /// Discrete Zipf sampler over {0, ..., size-1} with exponent alpha >= 0
 /// (alpha = 0 is uniform). Inverse-CDF over precomputed cumulative weights.
+/// Throws std::invalid_argument for an empty support or an alpha that is
+/// NaN or negative.
 class ZipfSampler {
  public:
   ZipfSampler(std::uint32_t size, double alpha);
@@ -40,9 +42,10 @@ class ZipfSampler {
 
 class ZipfDemand final : public DemandGenerator {
  public:
+  /// Throws std::invalid_argument for what ZipfSampler rejects and for a
+  /// `demand_prob` that is NaN or outside [0, 1].
   ZipfDemand(std::uint32_t catalog_size, double alpha, double demand_prob,
-             std::uint64_t seed)
-      : sampler_(catalog_size, alpha), demand_prob_(demand_prob), rng_(seed) {}
+             std::uint64_t seed);
 
   [[nodiscard]] std::vector<sim::Demand> demands(
       const sim::Simulator& sim) override;

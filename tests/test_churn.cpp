@@ -7,6 +7,10 @@
 // tested here and measured in bench E13.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <string>
+#include <vector>
+
 #include "alloc/allocation.hpp"
 #include "alloc/permutation.hpp"
 #include "hetero/compensation.hpp"
@@ -291,6 +295,108 @@ TEST(Churn, RelayFallbackWhenRelayAlreadyDown) {
   EXPECT_GT(sim.active_request_count(), 0u);
   for (int t = 1; t < 22; ++t) sim.step({});
   EXPECT_TRUE(sim.report().success);
+}
+
+namespace {
+
+/// Box 0 downloads video 0's one stripe itself at `now`, and has box 1
+/// download the same stripe `lag` rounds later into box 1's cache alone, so
+/// box 0's playback, and its end event, come T + 1 rounds after `now`, while
+/// box 1's request retires T + lag - 1 rounds after it. Every other demand
+/// preloads.
+class LateRelayStrategy final : public s::RequestStrategy {
+ public:
+  explicit LateRelayStrategy(m::Round lag) : lag_(lag) {}
+
+  void plan(m::BoxId b, m::VideoId v, std::uint64_t ticket, m::Round now,
+            s::Simulator& sim, std::vector<s::PlannedRequest>& out) override {
+    if (b != 0 || v != 0) {
+      preloading_.plan(b, v, ticket, now, sim, out);
+      return;
+    }
+    const m::StripeId stripe = sim.catalog().stripe_id(v, 0);
+    out.push_back(s::PlannedRequest::direct(0, stripe, now));
+    s::PlannedRequest relayed;
+    relayed.requester = 1;
+    relayed.stripe = stripe;
+    relayed.issue = now + lag_;
+    relayed.grants = {s::CacheGrant{1, now + lag_}};
+    out.push_back(relayed);
+  }
+  [[nodiscard]] std::string name() const override { return "late_relay"; }
+
+ private:
+  m::Round lag_;
+  s::PreloadingStrategy preloading_;
+};
+
+}  // namespace
+
+TEST(Churn, RelayedRequestOutlivingItsSessionKeepsTheRecord) {
+  // Box 0's session ends at round 5 while box 1's request for it retires
+  // at round 7. The sessions admitted in between must not take its id, and
+  // a failure of box 1 in between aborts nothing: the playback is over.
+  ChurnWorld world(6, 2, 2.0, /*T=*/4, /*videos=*/2);
+  LateRelayStrategy strategy(/*lag=*/4);
+  s::SimulatorOptions options;
+  options.verify_incremental = true;
+  s::Simulator sim(world.catalog, world.profile, world.allocation, strategy,
+                   options);
+  sim.step({{0, 0}});
+  for (int t = 1; t < 5; ++t) sim.step({});
+  ASSERT_EQ(sim.active_request_count(), 1u);  // box 1's, active since 4
+  sim.step({{2, 1}, {0, 1}});  // round 5: box 0's end event, two admissions
+  EXPECT_EQ(sim.report().sessions_completed, 1u);
+  EXPECT_EQ(sim.report().demands_admitted, 3u);
+  EXPECT_EQ(sim.active_request_count(), 3u);
+
+  sim.set_box_online(1, false);
+  EXPECT_EQ(sim.report().sessions_aborted, 0u);
+  EXPECT_EQ(sim.swarms().size(1), 2u);
+  EXPECT_EQ(sim.active_request_count(), 3u);
+
+  sim.step({});
+  sim.step({});  // round 7: box 1's request retires, the record is released
+  EXPECT_EQ(sim.active_request_count(), 2u);
+  sim.step({{3, 0}});  // a later admission, free to reuse the id
+  for (int t = 9; t < 20; ++t) sim.step({});
+  EXPECT_TRUE(sim.report().success);
+  EXPECT_EQ(sim.report().sessions_completed, 4u);
+  EXPECT_EQ(sim.report().sessions_aborted, 0u);
+  EXPECT_EQ(sim.active_request_count(), 0u);
+}
+
+TEST(Churn, FailureSparesTheSessionThatReusedItsFinishedId) {
+  // Box 0's first session ends and its record is released before box 1 is
+  // admitted, so box 1's session may take the same id. A failure of box 0
+  // then aborts only what box 0 itself watches.
+  ChurnWorld world(6, 2, 2.0, /*T=*/4, /*videos=*/2);
+  s::PreloadingStrategy strategy;
+  s::SimulatorOptions options;
+  options.verify_incremental = true;
+  s::Simulator sim(world.catalog, world.profile, world.allocation, strategy,
+                   options);
+  sim.step({{0, 0}});
+  for (int t = 1; t < 5; ++t) sim.step({});
+  sim.step({{1, 1}});  // round 5: box 0's session ends, box 1's begins
+  ASSERT_EQ(sim.report().sessions_completed, 1u);
+  ASSERT_TRUE(sim.box_idle(0));
+
+  sim.set_box_online(0, false);
+  EXPECT_EQ(sim.report().sessions_aborted, 0u);
+  EXPECT_EQ(sim.swarms().size(1), 1u);
+  EXPECT_EQ(sim.active_request_count(), 1u);
+
+  sim.set_box_online(0, true);
+  sim.step({{0, 1}});
+  sim.set_box_online(0, false);
+  EXPECT_EQ(sim.report().sessions_aborted, 1u);
+  EXPECT_EQ(sim.swarms().size(1), 1u);
+  EXPECT_EQ(sim.active_request_count(), 1u);
+  for (int t = 7; t < 16; ++t) sim.step({});
+  EXPECT_TRUE(sim.report().success);
+  EXPECT_EQ(sim.report().sessions_completed, 2u);
+  EXPECT_EQ(sim.report().sessions_aborted, 1u);
 }
 
 TEST(Churn, SoakWithRandomChurnKeepsInvariants) {

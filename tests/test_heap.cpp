@@ -105,54 +105,28 @@ TEST(HeapTraffic, PlansAllocateNothing) {
   EXPECT_EQ(plans[1].grants[1].entry, 11);
 }
 
-TEST(HeapTraffic, SparseRoundsAllocateLittlePerDemand) {
-  // sparse_5k's protocol at 1,000 boxes: d = 4, c = 4, k = 6, T = 12,
-  // u = 2, Zipf(0.6) audience with p = 0.01, non-strict CSR rounds. After
-  // 200 rounds the live set, the cache and the calendars are at steady
-  // state, so step() should reuse what it holds.
-  constexpr std::uint32_t kBoxes = 1000;
-  constexpr std::uint32_t kVideos = 4 * kBoxes / 6;
-  const m::Catalog catalog(kVideos, 4, 12);
-  const auto profile = m::CapacityProfile::homogeneous(kBoxes, 2.0, 4.0);
-  p2pvod::util::Rng rng(1);
-  const auto allocation =
-      p2pvod::alloc::PermutationAllocator().allocate(catalog, profile, 6, rng);
-  s::PreloadingStrategy strategy;
-  s::SimulatorOptions options;
-  options.strict = false;
-  s::Simulator sim(catalog, profile, allocation, strategy, options);
-  ASSERT_TRUE(sim.sparse_active());
-  w::ZipfDemand audience(kVideos, 0.6, 0.01, 2);
+namespace {
 
-  std::uint64_t warmup = 0;
-  std::uint64_t counted = 0;
+/// What the round loop allocated over a steady-state window of sparse_5k's
+/// protocol at 1,000 boxes: d = 4, c = 4, k = 6, T = 12, u = 2, Zipf(0.6)
+/// audience with p = 0.01, non-strict CSR rounds. With `churn`, churn_5k's
+/// drizzle of failures joins it: a round-robin cursor takes 5 boxes offline
+/// each round and brings each back 4 rounds later. Counts cover step() and
+/// set_box_online() from round kWarmup on; by then the live set, the cache
+/// and the calendars are at steady state, so the loop should reuse what it
+/// holds.
+struct Tally {
+  std::uint64_t warmup = 0;  ///< allocations before kWarmup
+  std::uint64_t allocations = 0;
+  std::uint64_t bytes = 0;
   std::uint64_t admitted = 0;
-  for (m::Round round = 0; round < 700; ++round) {
-    const std::vector<s::Demand> demands = audience.demands(sim);
-    const std::uint64_t admitted_before = sim.report().demands_admitted;
-    const std::uint64_t before = allocations();
-    sim.step(demands);
-    if (round < 200) {
-      warmup += allocations() - before;
-      continue;
-    }
-    counted += allocations() - before;
-    admitted += sim.report().demands_admitted - admitted_before;
-  }
-  // The counter works: the warm-up grows the simulator's storage.
-  ASSERT_GT(warmup, 0u);
-  ASSERT_GT(admitted, 2000u);
-  const double per_demand =
-      static_cast<double>(counted) / static_cast<double>(admitted);
-  EXPECT_LT(per_demand, 0.02) << counted << " allocations for " << admitted
-                              << " admitted demands";
-}
+  std::uint64_t failures = 0;
+  std::uint64_t aborted = 0;  ///< over the whole run
+};
 
-TEST(HeapTraffic, ChurnRoundsAllocateLittle) {
-  // churn_5k's protocol at 1,000 boxes: sparse_5k's world with a drizzle
-  // of failures, a round-robin cursor taking 5 boxes offline each round and
-  // each back 4 rounds later. A failure aborts the box's playback and
-  // strips the box from its rows and servings, which all reuse storage.
+constexpr m::Round kWarmup = 200;
+
+Tally run_protocol(m::Round rounds, bool churn) {
   constexpr std::uint32_t kBoxes = 1000;
   constexpr std::uint32_t kVideos = 4 * kBoxes / 6;
   constexpr std::uint32_t kChurnPerRound = 5;
@@ -166,22 +140,23 @@ TEST(HeapTraffic, ChurnRoundsAllocateLittle) {
   s::SimulatorOptions options;
   options.strict = false;
   s::Simulator sim(catalog, profile, allocation, strategy, options);
-  ASSERT_TRUE(sim.sparse_active());
+  EXPECT_TRUE(sim.sparse_active());
   w::ZipfDemand audience(kVideos, 0.6, 0.01, 2);
 
   std::deque<std::pair<m::Round, m::BoxId>> down;
   m::BoxId cursor = 0;
-  std::uint64_t counted = 0;
-  std::uint64_t failures = 0;
-  for (m::Round round = 0; round < 700; ++round) {
+  Tally tally;
+  for (m::Round round = 0; round < rounds; ++round) {
     const std::vector<s::Demand> demands = audience.demands(sim);
+    const std::uint64_t admitted_before = sim.report().demands_admitted;
     const std::uint64_t failures_before = sim.report().box_failures;
     const std::uint64_t before = allocations();
-    while (!down.empty() && down.front().first <= round) {
+    const std::uint64_t bytes_before = bytes_allocated();
+    while (churn && !down.empty() && down.front().first <= round) {
       sim.set_box_online(down.front().second, true);
       down.pop_front();
     }
-    for (std::uint32_t i = 0; i < kChurnPerRound; ++i) {
+    for (std::uint32_t i = 0; churn && i < kChurnPerRound; ++i) {
       const m::BoxId victim = cursor;
       cursor = (cursor + 1) % kBoxes;
       if (!sim.box_online(victim)) continue;
@@ -189,16 +164,59 @@ TEST(HeapTraffic, ChurnRoundsAllocateLittle) {
       down.emplace_back(round + kOutage, victim);
     }
     sim.step(demands);
-    if (round < 200) continue;
-    counted += allocations() - before;
-    failures += sim.report().box_failures - failures_before;
+    if (round < kWarmup) {
+      tally.warmup += allocations() - before;
+      continue;
+    }
+    tally.allocations += allocations() - before;
+    tally.bytes += bytes_allocated() - bytes_before;
+    tally.admitted += sim.report().demands_admitted - admitted_before;
+    tally.failures += sim.report().box_failures - failures_before;
   }
-  ASSERT_GT(failures, 2000u);
-  ASSERT_GT(sim.report().sessions_aborted, 200u);
-  const double per_failure =
-      static_cast<double>(counted) / static_cast<double>(failures);
-  EXPECT_LT(per_failure, 0.1) << counted << " allocations for " << failures
-                               << " failures";
+  tally.aborted = sim.report().sessions_aborted;
+  return tally;
+}
+
+}  // namespace
+
+TEST(HeapTraffic, SparseRoundsAllocateLittlePerDemand) {
+  const Tally tally = run_protocol(700, false);
+  // The counter works: the warm-up grows the simulator's storage.
+  ASSERT_GT(tally.warmup, 0u);
+  ASSERT_GT(tally.admitted, 2000u);
+  const double per_demand = static_cast<double>(tally.allocations) /
+                            static_cast<double>(tally.admitted);
+  EXPECT_LT(per_demand, 0.02) << tally.allocations << " allocations for "
+                              << tally.admitted << " admitted demands";
+}
+
+TEST(HeapTraffic, ChurnRoundsAllocateLittle) {
+  // A failure aborts the box's playback and strips the box from its rows
+  // and servings, which all reuse storage.
+  const Tally tally = run_protocol(700, true);
+  ASSERT_GT(tally.failures, 2000u);
+  ASSERT_GT(tally.aborted, 200u);
+  const double per_failure = static_cast<double>(tally.allocations) /
+                             static_cast<double>(tally.failures);
+  EXPECT_LT(per_failure, 0.1) << tally.allocations << " allocations for "
+                               << tally.failures << " failures";
+}
+
+TEST(HeapTraffic, MemoryFollowsLiveSessionsNotRunLength) {
+  // Over 2,000 steady rounds the simulator admits about 18,000 sessions,
+  // while about 1,000 are live at a time. Session records are recycled, so
+  // the bytes step() allocates per admitted demand stay flat however long
+  // the run (about 20); a table with one record per session ever admitted
+  // keeps doubling, at about 160 bytes per demand.
+  for (const bool churn : {false, true}) {
+    const Tally tally = run_protocol(2200, churn);
+    ASSERT_GT(tally.admitted, 10000u);
+    const double per_demand = static_cast<double>(tally.bytes) /
+                              static_cast<double>(tally.admitted);
+    EXPECT_LT(per_demand, 50.0)
+        << (churn ? "churn" : "sparse") << ": " << tally.bytes
+        << " bytes for " << tally.admitted << " admitted demands";
+  }
 }
 
 TEST(HeapTraffic, WarmTrialsAllocateLittle) {

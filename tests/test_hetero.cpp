@@ -114,6 +114,18 @@ TEST(Compensation, RejectsBadArguments) {
                std::invalid_argument);
 }
 
+TEST(Compensation, RejectsNanMu) {
+  const auto profile = m::CapacityProfile::homogeneous(4, 2.0, 4.0);
+  EXPECT_THROW((void)h::Compensator::plan(profile, 1.5, 10, std::nan("")),
+               std::invalid_argument);
+}
+
+TEST(Compensation, RejectsNanUStar) {
+  const auto profile = m::CapacityProfile::homogeneous(4, 2.0, 4.0);
+  EXPECT_THROW((void)h::Compensator::plan(profile, std::nan(""), 10, 1.0),
+               std::invalid_argument);
+}
+
 // ----------------------------------------------------------------- balance
 
 TEST(Balance, HomogeneousProportionalIsBalanced) {

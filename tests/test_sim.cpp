@@ -1282,3 +1282,59 @@ TEST(Simulator, ResetMatchesAFreshSimulator) {
     EXPECT_GT(outcome.fresh.demands_admitted, 0u);
   }
 }
+
+TEST(Simulator, ResetAfterRecycledSessionsMatchesAFreshSimulator) {
+  // Run A admits many times more sessions than are ever live at once, so
+  // its session ids are reused over and over and some are free at the
+  // reset. Run B on the reset simulator must do what it does on a new one,
+  // failures and relay aborts included.
+  {
+    SCOPED_TRACE("preloading, T = 6 over 150 rounds, churn");
+    s::PreloadingStrategy preloading;
+    const ResetWorld world = make_reset_world(40, 12, 4, 6, 1.5, 3, 0x1D5);
+    s::SimulatorOptions options;
+    options.strict = false;
+    options.verify_incremental = true;
+    ResetCheck check;
+    check.make_simulator = [&] {
+      return std::make_unique<s::Simulator>(world.catalog, world.profile,
+                                            world.allocation, preloading,
+                                            options);
+    };
+    check.feed_a = zipf_feed(world, 0.4, 101);
+    check.feed_b = zipf_feed(world, 0.4, 202);
+    check.rounds = 150;
+    check.churn = true;
+    const ResetOutcome outcome = expect_reset_matches_fresh(check);
+    EXPECT_GT(outcome.a.demands_admitted, 10u * world.profile.size());
+    EXPECT_GT(outcome.fresh.sessions_aborted, 0u);
+  }
+  {
+    SCOPED_TRACE("§4 relays, T = 8 over 120 rounds, churn");
+    ResetWorld world{m::Catalog(4, 8, 8),
+                     m::CapacityProfile::two_class(12, 4, 0.5, 2.0, 4.0, 8.0),
+                     a::Allocation(0, 0, {})};
+    const auto plan = *p2pvod::hetero::Compensator::plan(world.profile, 1.5,
+                                                         8, 1.0);
+    p2pvod::util::Rng rng(0x5E2F);
+    world.allocation = a::PermutationAllocator().allocate(
+        world.catalog, world.profile, 3, rng);
+    p2pvod::hetero::RelayStrategy relay(plan);
+    s::SimulatorOptions options;
+    options.capacity_override = plan.capacity_slots();
+    options.strict = false;
+    options.verify_incremental = true;
+    ResetCheck check;
+    check.make_simulator = [&] {
+      return std::make_unique<s::Simulator>(world.catalog, world.profile,
+                                            world.allocation, relay, options);
+    };
+    check.feed_a = zipf_feed(world, 0.4, 303);
+    check.feed_b = zipf_feed(world, 0.4, 404);
+    check.rounds = 120;
+    check.churn = true;
+    const ResetOutcome outcome = expect_reset_matches_fresh(check);
+    EXPECT_GT(outcome.a.demands_admitted, 5u * world.profile.size());
+    EXPECT_GT(outcome.fresh.sessions_aborted, 0u);
+  }
+}

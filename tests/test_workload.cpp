@@ -266,6 +266,11 @@ TEST(FlashCrowd, UnboundedGrowthJoinsEveryIdleBoxAtOnce) {
   }
 }
 
+TEST(FlashCrowd, RejectsNanMu) {
+  // A NaN µ asks for no joiner after the seed viewer.
+  EXPECT_THROW(w::FlashCrowd(0, std::nan("")), std::invalid_argument);
+}
+
 // ----------------------------------------------------------------- zipf
 
 TEST(Zipf, SamplerProbabilitiesDecreaseWithRank) {
@@ -295,6 +300,23 @@ TEST(Zipf, SampleFrequenciesTrackProbabilities) {
 TEST(Zipf, RejectsDegenerateInputs) {
   EXPECT_THROW(w::ZipfSampler(0, 1.0), std::invalid_argument);
   EXPECT_THROW(w::ZipfSampler(5, -0.1), std::invalid_argument);
+}
+
+TEST(Zipf, RejectsNanAlpha) {
+  // Every comparison with NaN fails, so the inverse CDF would draw rank 0
+  // every time.
+  EXPECT_THROW(w::ZipfSampler(5, std::nan("")), std::invalid_argument);
+  EXPECT_THROW(w::ZipfDemand(5, std::nan(""), 0.5, 1), std::invalid_argument);
+}
+
+TEST(Zipf, RejectsDemandProbabilityOutsideTheUnitInterval) {
+  for (const double p : {std::nan(""), -0.01, 1.01,
+                         std::numeric_limits<double>::infinity()}) {
+    EXPECT_THROW(w::ZipfDemand(5, 0.8, p, 1), std::invalid_argument)
+        << "p=" << p;
+  }
+  EXPECT_NO_THROW(w::ZipfDemand(5, 0.8, 0.0, 1));
+  EXPECT_NO_THROW(w::ZipfDemand(5, 0.8, 1.0, 1));
 }
 
 TEST(Zipf, GeneratorTargetsIdleBoxesOnly) {
@@ -744,4 +766,19 @@ TEST(Limiter, NameWrapsInner) {
 TEST(Limiter, RejectsMuBelowOne) {
   Flood flood(0);
   EXPECT_THROW(w::GrowthLimiter(flood, 0.5), std::invalid_argument);
+}
+
+TEST(Limiter, RejectsNanMu) {
+  // A NaN µ keeps every anchor at +inf, so nothing would be limited.
+  Flood flood(0);
+  EXPECT_THROW(w::GrowthLimiter(flood, std::nan("")), std::invalid_argument);
+}
+
+TEST(Limiter, RejectsInfiniteMu) {
+  // From the second round on, cap() would cast exp(-inf + inf) to an
+  // integer.
+  Flood flood(0);
+  EXPECT_THROW(
+      w::GrowthLimiter(flood, std::numeric_limits<double>::infinity()),
+      std::invalid_argument);
 }
