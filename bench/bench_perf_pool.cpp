@@ -1,8 +1,7 @@
 // Executor + calibration microbenchmarks (google-benchmark).
 //
 // Two parts:
-//   * raw pool throughput — submit/drain floods, parallel_for at several
-//     grain sizes, nested submission from workers (the steal-heavy path);
+//   * raw pool throughput — parallel_for at several grain sizes;
 //   * calibration searches — min_feasible_k / max_catalog at 1..8 threads.
 //     Each probe's trials run in parallel while the probes themselves run
 //     one after another, so the search's wall time has a floor of (probes x
@@ -12,10 +11,8 @@
 // benchmark uses UseRealTime().
 #include <benchmark/benchmark.h>
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <future>
 #include <vector>
 
 #include "analysis/calibrate.hpp"
@@ -24,27 +21,6 @@
 namespace {
 
 using namespace p2pvod;
-
-void BM_PoolSubmitDrain(benchmark::State& state) {
-  util::ThreadPool pool(static_cast<std::size_t>(state.range(0)));
-  constexpr int kTasks = 2048;
-  std::vector<std::future<void>> futures;
-  futures.reserve(kTasks);
-  for (auto _ : state) {
-    std::atomic<int> counter{0};
-    for (int i = 0; i < kTasks; ++i) {
-      futures.push_back(pool.submit([&counter] {
-        counter.fetch_add(1, std::memory_order_relaxed);
-      }));
-    }
-    for (auto& future : futures) pool.wait(future);
-    futures.clear();
-    benchmark::DoNotOptimize(counter.load());
-  }
-  state.SetItemsProcessed(state.iterations() * kTasks);
-}
-BENCHMARK(BM_PoolSubmitDrain)->Arg(1)->Arg(2)->Arg(4)->Arg(8)
-    ->UseRealTime()->Unit(benchmark::kMillisecond);
 
 void BM_ParallelForGrain(benchmark::State& state) {
   util::ThreadPool pool(4);
@@ -68,34 +44,6 @@ void BM_ParallelForGrain(benchmark::State& state) {
                           static_cast<std::int64_t>(kCount));
 }
 BENCHMARK(BM_ParallelForGrain)->Arg(1)->Arg(16)->Arg(256)->Arg(4096)
-    ->UseRealTime()->Unit(benchmark::kMillisecond);
-
-void BM_NestedSubmitSteal(benchmark::State& state) {
-  // Workers submit into their own deques; everyone else steals. This is the
-  // pattern the old single-queue pool serialized on its global mutex.
-  util::ThreadPool pool(static_cast<std::size_t>(state.range(0)));
-  for (auto _ : state) {
-    std::atomic<int> counter{0};
-    std::vector<std::future<void>> outer;
-    outer.reserve(16);
-    for (int i = 0; i < 16; ++i) {
-      outer.push_back(pool.submit([&pool, &counter] {
-        std::vector<std::future<void>> inner;
-        inner.reserve(64);
-        for (int j = 0; j < 64; ++j) {
-          inner.push_back(pool.submit([&counter] {
-            counter.fetch_add(1, std::memory_order_relaxed);
-          }));
-        }
-        for (auto& future : inner) pool.wait(future);
-      }));
-    }
-    for (auto& future : outer) pool.wait(future);
-    benchmark::DoNotOptimize(counter.load());
-  }
-  state.SetItemsProcessed(state.iterations() * 16 * 64);
-}
-BENCHMARK(BM_NestedSubmitSteal)->Arg(1)->Arg(4)->Arg(8)
     ->UseRealTime()->Unit(benchmark::kMillisecond);
 
 analysis::TrialSpec calibration_spec() {

@@ -495,7 +495,7 @@ Config Config::repo_default() {
   // files — including the rest of src/obs/ — must use obs::clock or an
   // inline allow() with a per-site rationale.
   config.wall_clock_allowed = {"src/obs/clock."};
-  // Threads: only the work-stealing executor may construct them.
+  // Threads: only the fork-join executor may construct them.
   config.raw_thread_allowed = {"src/util/thread_pool."};
   return config;
 }

@@ -4,7 +4,7 @@
 // byte-identical BENCH_<id>.json at any thread count. That contract dies the
 // moment a result path iterates an unordered container (iteration order is
 // implementation-defined and address-dependent), seeds from std::random_device
-// or wall time, or spawns threads outside the work-stealing executor (whose
+// or wall time, or spawns threads outside the fork-join executor (whose
 // reductions are order-invariant by construction). The runtime baseline diffs
 // catch such breaks only when a scenario happens to exercise them; this
 // scanner catches them at the source level, in every file, before they ship.

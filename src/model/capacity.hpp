@@ -56,7 +56,6 @@ class CapacityProfile {
   [[nodiscard]] double upload(BoxId b) const { return upload_.at(b); }
   [[nodiscard]] double storage(BoxId b) const { return storage_.at(b); }
   [[nodiscard]] std::span<const double> uploads() const noexcept { return upload_; }
-  [[nodiscard]] std::span<const double> storages() const noexcept { return storage_; }
 
   [[nodiscard]] double average_upload() const noexcept;
   [[nodiscard]] double average_storage() const noexcept;

@@ -10,17 +10,18 @@
 //      so as long as the *multiset* of increments is thread-count-invariant
 //      (the repo's core contract), the merged totals are bit-identical at any
 //      thread count. Metrics whose increment multiset inherently depends on
-//      scheduling (steal counts, trace-ring drops) or on wall time are tagged
-//      Stability::kScheduling / kWallClock so consumers (tests, baseline
-//      tooling) can exclude them; everything else defaults to kStable and is
-//      covered by the cross-thread-count determinism tests.
+//      the pool size (queued pool runners), on scheduling (trace-ring drops)
+//      or on wall time are tagged Stability::kScheduling / kWallClock so
+//      consumers (tests, baseline tooling) can exclude them; everything else
+//      defaults to kStable and is covered by the cross-thread-count
+//      determinism tests.
 //   2. Cost. A counter increment is one relaxed fetch_add on a cache-line-
 //      padded thread-local shard; there is no lock, no branch on an "enabled"
 //      flag, and no allocation. Handles are resolved once through a
 //      function-local static and are stable for the process lifetime.
 //
 // Naming convention: "module/name" (e.g. "flow/dinic_phases",
-// "pool/executed_stolen"). Snapshots are ordered by name, so every export is
+// "pool/submitted"). Snapshots are ordered by name, so every export is
 // deterministic as well.
 #pragma once
 
@@ -44,8 +45,8 @@ enum class Stability : std::uint8_t {
   /// Thread-count-invariant: identical at 1/4/8 threads for a fixed seed.
   /// The default; the cross-thread determinism tests assert it.
   kStable,
-  /// Depends on scheduling (steals, helping runs, ring drops). Real work
-  /// accounting, but not comparable across thread counts.
+  /// Depends on the pool size or on scheduling (queued pool runners, ring
+  /// drops). Real work accounting, but not comparable across thread counts.
   kScheduling,
   /// Derived from wall time; never comparable across runs.
   kWallClock,

@@ -6,11 +6,11 @@
 //
 //   1. Every point gets a deterministic seed child_seed(base_seed, index)
 //      (util/rng); nothing about scheduling feeds the RNG.
-//   2. Nested parallel helpers called from inside a point function on the
-//      same pool degrade to serial loops (ThreadPool::on_worker_thread), so
-//      Calibrator's internally-parallel trial loops are safe to call from a
-//      point function and consume their seeds in the same order as a serial
-//      run.
+//   2. Nested parallel helpers called from inside a point function degrade
+//      to serial loops (parallel_for runs serially on any thread already
+//      running a loop's chunks), so Calibrator's internally-parallel trial
+//      loops are safe to call from a point function and consume their seeds
+//      in the same order as a serial run.
 //
 // Figure benches therefore scale with cores across grid points while
 // producing byte-identical tables to a serial run.

@@ -59,10 +59,6 @@ double OnlineStats::stderr_mean() const noexcept {
   return stddev() / std::sqrt(static_cast<double>(count_));
 }
 
-double OnlineStats::ci95_halfwidth() const noexcept {
-  return 1.96 * stderr_mean();
-}
-
 double quantile(std::vector<double> values, double q) {
   if (values.empty()) throw std::invalid_argument("quantile: empty sample");
   q = std::clamp(q, 0.0, 1.0);
@@ -72,24 +68,6 @@ double quantile(std::vector<double> values, double q) {
   const std::size_t hi = std::min(lo + 1, values.size() - 1);
   const double frac = pos - static_cast<double>(lo);
   return values[lo] * (1.0 - frac) + values[hi] * frac;
-}
-
-QuantileSummary summarize_quantiles(std::vector<double> values) {
-  QuantileSummary s;
-  if (values.empty()) return s;
-  std::sort(values.begin(), values.end());
-  auto at = [&](double q) {
-    const double pos = q * static_cast<double>(values.size() - 1);
-    const auto lo = static_cast<std::size_t>(pos);
-    const std::size_t hi = std::min(lo + 1, values.size() - 1);
-    const double frac = pos - static_cast<double>(lo);
-    return values[lo] * (1.0 - frac) + values[hi] * frac;
-  };
-  s.p50 = at(0.50);
-  s.p90 = at(0.90);
-  s.p99 = at(0.99);
-  s.max = values.back();
-  return s;
 }
 
 Proportion wilson_interval(std::size_t successes, std::size_t trials,

@@ -30,10 +30,6 @@ class OnlineStats {
   /// amplifies by count under catastrophic cancellation.
   [[nodiscard]] double sum() const noexcept { return sum_ + comp_; }
 
-  /// Half-width of an approximate 95% confidence interval on the mean
-  /// (normal approximation; fine for the trial counts we run).
-  [[nodiscard]] double ci95_halfwidth() const noexcept;
-
  private:
   std::size_t count_ = 0;
   double mean_ = 0.0;
@@ -47,15 +43,6 @@ class OnlineStats {
 /// Exact quantile of a sample (linear interpolation between order statistics).
 /// q in [0,1]; empty input throws.
 [[nodiscard]] double quantile(std::vector<double> values, double q);
-
-/// Convenience bundle of the usual summary quantiles.
-struct QuantileSummary {
-  double p50 = 0.0;
-  double p90 = 0.0;
-  double p99 = 0.0;
-  double max = 0.0;
-};
-[[nodiscard]] QuantileSummary summarize_quantiles(std::vector<double> values);
 
 /// Wilson score interval for a binomial proportion (successes out of trials);
 /// far better behaved than the normal interval for success rates near 0 or 1,

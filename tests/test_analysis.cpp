@@ -307,6 +307,45 @@ TEST(FirstMoment, RejectsZeroParams) {
                std::invalid_argument);
 }
 
+// The proof of Theorem 1 ends by bounding the double sum with the single sum
+// Σ_i (1−ν)^i φ(i). Where ν > 0 and u′ > 0 the φ bound must dominate the
+// exact union bound; elsewhere it is vacuous and reads log 1 = 0.
+TEST(FirstMoment, PhiBoundDominatesTheUnionBound) {
+  int checked = 0;
+  int vacuous = 0;
+  for (const std::uint32_t n : {20u, 50u, 100u})
+    for (const double u : {1.25, 2.0, 3.0})
+      for (const double d : {2.0, 8.0})
+        for (const std::uint32_t c : {4u, 8u})
+          for (const std::uint32_t k : {4u, 16u, 32u})
+            for (const double mu : {1.1, 1.3}) {
+              an::FirstMomentParams p;
+              p.n = n;
+              p.u = u;
+              p.d = d;
+              p.c = c;
+              p.k = k;
+              p.mu = mu;
+              p.m = static_cast<std::uint32_t>(d * n / k);
+              SCOPED_TRACE(::testing::Message()
+                           << "n=" << n << " u=" << u << " d=" << d
+                           << " c=" << c << " k=" << k << " mu=" << mu);
+              const double phi = an::FirstMoment::log_phi_bound(p);
+              if (an::Theorem1::nu(u, mu, c) <= 0.0 ||
+                  an::Theorem1::u_prime(u, c) <= 0.0) {
+                EXPECT_EQ(phi, 0.0);
+                ++vacuous;
+                continue;
+              }
+              EXPECT_LE(an::FirstMoment::log_union_bound(p), phi);
+              ++checked;
+            }
+  // The grid reaches both branches: ν <= 0 at u = 1.25 for three of its
+  // four (c, µ) pairs.
+  EXPECT_EQ(checked, 162);
+  EXPECT_EQ(vacuous, 54);
+}
+
 // ----------------------------------------------------------------- obstruction
 
 TEST(Obstruction, BurstFeasibleWithAmpleCapacity) {

@@ -1,11 +1,11 @@
-// Concurrency stress tests for the work-stealing executor: task floods,
-// nested submission from workers, exception propagation through futures,
-// steal-path correctness under contention, and helping waits.
+// Concurrency stress tests for the fork-join executor behind parallel_for:
+// index floods, drain-then-rethrow, concurrent and nested loops, shutdown
+// with runners still queued, and the pool's runner accounting.
 //
 // These tests are the ones the TSan CI job (P2PVOD_SANITIZE=thread) runs:
-// they are written to maximize cross-thread interleavings (many more tasks
-// than workers, submitters racing workers, gates forcing queues to fill)
-// rather than to measure anything.
+// they are written to maximize cross-thread interleavings (many more chunks
+// than workers, loops racing each other, gates holding workers busy while
+// runners queue) rather than to measure anything.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -13,11 +13,8 @@
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
-#include <future>
-#include <memory>
 #include <mutex>
 #include <stdexcept>
-#include <string>
 #include <thread>
 #include <vector>
 
@@ -27,8 +24,8 @@ namespace u = p2pvod::util;
 
 namespace {
 
-/// Blocks pool workers until release() — lets a test queue work behind a
-/// running task so pop/steal behaviour becomes observable.
+/// Blocks the threads that call wait() until release() — lets a test hold
+/// workers inside a loop's chunks while other loops queue runners.
 class Gate {
  public:
   void release() {
@@ -49,84 +46,24 @@ class Gate {
   bool open_ = false;
 };
 
-/// Submit a gate-wait blocker and don't return until a worker has actually
-/// started executing it: tests that rely on "the worker is busy, the queue
-/// is backed up" would otherwise race task pickup (and a test thread helping
-/// via try_run_one() could even steal the blocker and deadlock on its own
-/// gate).
-std::future<void> submit_started_blocker(u::ThreadPool& pool, Gate& gate) {
-  // shared_ptr because submit() takes a (copyable) std::function.
-  auto started = std::make_shared<std::promise<void>>();
-  auto running = started->get_future();
-  auto blocker = pool.submit([&gate, started] {
-    started->set_value();
-    gate.wait();
-  });
-  running.get();
-  return blocker;
-}
-
 }  // namespace
 
 TEST(Concurrency, ThousandsOfTasksAllRunExactlyOnce) {
+  // Grain 1: every index is its own chunk, claimed by four runners and the
+  // caller from one counter.
   u::ThreadPool pool(4);
   constexpr std::size_t kTasks = 3000;
   std::vector<std::atomic<int>> runs(kTasks);
-  std::vector<std::future<void>> futures;
-  futures.reserve(kTasks);
-  for (std::size_t i = 0; i < kTasks; ++i) {
-    futures.push_back(pool.submit([&runs, i] { runs[i].fetch_add(1); }));
-  }
-  for (auto& future : futures) future.get();
+  u::parallel_for(
+      0, kTasks, [&runs](std::size_t i) { runs[i].fetch_add(1); }, &pool,
+      /*grain=*/1);
   for (std::size_t i = 0; i < kTasks; ++i) {
     EXPECT_EQ(runs[i].load(), 1) << "task " << i;
   }
 }
 
-TEST(Concurrency, NestedSubmitFromWorkersCompletes) {
-  // Outer tasks submit inner tasks and block on them with the helping
-  // wait(). Must complete at any pool size — including 1, where the lone
-  // worker has to execute its own nested submissions while "waiting".
-  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-    u::ThreadPool pool(threads);
-    std::atomic<int> inner_runs{0};
-    std::vector<std::future<void>> outer;
-    for (int i = 0; i < 16; ++i) {
-      outer.push_back(pool.submit([&pool, &inner_runs] {
-        EXPECT_TRUE(pool.on_worker_thread());
-        std::vector<std::future<void>> inner;
-        for (int j = 0; j < 8; ++j) {
-          inner.push_back(pool.submit([&inner_runs] { ++inner_runs; }));
-        }
-        for (auto& future : inner) pool.wait(future);
-      }));
-    }
-    for (auto& future : outer) future.get();
-    EXPECT_EQ(inner_runs.load(), 16 * 8) << "threads=" << threads;
-  }
-}
-
-TEST(Concurrency, ExceptionsPropagateThroughFutures) {
+TEST(Concurrency, LoopExceptionsDrainThenRethrow) {
   u::ThreadPool pool(2);
-  auto throwing = pool.submit(
-      [] { throw std::runtime_error("boom from worker"); });
-  EXPECT_THROW(
-      {
-        try {
-          throwing.get();
-        } catch (const std::runtime_error& error) {
-          EXPECT_STREQ(error.what(), "boom from worker");
-          throw;
-        }
-      },
-      std::runtime_error);
-
-  // The pool survives a throwing task: later tasks still run.
-  std::atomic<int> after{0};
-  auto ok = pool.submit([&after] { ++after; });
-  ok.get();
-  EXPECT_EQ(after.load(), 1);
-
   // parallel_for drains every chunk before rethrowing the first error, even
   // when several chunks throw on different workers. Chunk boundaries are
   // static: grain 4 over [0, 64) with throws at multiples of 8 means every
@@ -147,174 +84,32 @@ TEST(Concurrency, ExceptionsPropagateThroughFutures) {
   EXPECT_EQ(at_return, 40);
   std::this_thread::sleep_for(std::chrono::milliseconds(10));
   EXPECT_EQ(visited.load(), at_return) << "chunk still ran after the rethrow";
-}
 
-TEST(Concurrency, StealPathCoversWorkerLocalBacklog) {
-  // One worker builds a large local backlog (nested submits go to its own
-  // deque) while it stays busy; the other workers must steal the backlog.
-  // Every task runs exactly once and at least one steal must have happened
-  // for the producer's work to finish this fast... correctness is what we
-  // assert: exactly-once execution and no lost tasks.
-  u::ThreadPool pool(4);
-  constexpr std::size_t kTasks = 2000;
-  std::vector<std::atomic<int>> runs(kTasks);
-  Gate gate;
+  // The caller sees the exception a chunk threw, whichever thread ran it.
+  EXPECT_THROW(
+      {
+        try {
+          u::parallel_for(
+              0, 8,
+              [](std::size_t i) {
+                if (i == 5) throw std::runtime_error("boom from index 5");
+              },
+              &pool, /*grain=*/1);
+        } catch (const std::runtime_error& error) {
+          EXPECT_STREQ(error.what(), "boom from index 5");
+          throw;
+        }
+      },
+      std::runtime_error);
 
-  std::vector<std::future<void>> nested(kTasks);
-  auto producer = pool.submit([&pool, &runs, &nested, &gate] {
-    for (std::size_t i = 0; i < kTasks; ++i) {
-      nested[i] = pool.submit([&runs, i] { runs[i].fetch_add(1); });
-    }
-    gate.release();
-    // Keep the producer busy so thieves (not the local LIFO pop) get a
-    // chance at most of the backlog.
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  });
-  producer.get();
-  gate.wait();
-  for (auto& future : nested) future.get();
-  for (std::size_t i = 0; i < kTasks; ++i) {
-    EXPECT_EQ(runs[i].load(), 1) << "task " << i;
+  // The pool survives throwing loops: a later loop runs every index.
+  std::vector<std::atomic<int>> hits(64);
+  u::parallel_for(
+      0, 64, [&hits](std::size_t i) { hits[i].fetch_add(1); }, &pool,
+      /*grain=*/4);
+  for (std::size_t i = 0; i < hits.size(); ++i) {
+    EXPECT_EQ(hits[i].load(), 1) << i;
   }
-}
-
-TEST(Concurrency, ExternalSubmittersRaceWorkers) {
-  // Several plain std::threads hammer submit() concurrently; round-robin
-  // distribution plus stealing must neither lose nor duplicate tasks.
-  u::ThreadPool pool(3);
-  constexpr int kSubmitters = 4;
-  constexpr int kPerSubmitter = 500;
-  std::atomic<int> total{0};
-  std::vector<std::thread> submitters;
-  std::mutex futures_mutex;
-  std::vector<std::future<void>> futures;
-  futures.reserve(kSubmitters * kPerSubmitter);
-  for (int s = 0; s < kSubmitters; ++s) {
-    submitters.emplace_back([&pool, &total, &futures, &futures_mutex] {
-      for (int i = 0; i < kPerSubmitter; ++i) {
-        auto future = pool.submit([&total] { ++total; });
-        const std::lock_guard lock(futures_mutex);
-        futures.push_back(std::move(future));
-      }
-    });
-  }
-  for (auto& submitter : submitters) submitter.join();
-  for (auto& future : futures) future.get();
-  EXPECT_EQ(total.load(), kSubmitters * kPerSubmitter);
-}
-
-TEST(Concurrency, TryRunOneHelpsFromNonWorkerThreads) {
-  // A gated pool cannot make progress on its own; the main thread drains the
-  // backlog through try_run_one() steals.
-  u::ThreadPool pool(1);
-  Gate gate;
-  auto blocker = submit_started_blocker(pool, gate);
-  std::atomic<int> runs{0};
-  std::vector<std::future<void>> futures;
-  for (int i = 0; i < 32; ++i) {
-    futures.push_back(pool.submit([&runs] { ++runs; }));
-  }
-  EXPECT_FALSE(pool.on_worker_thread());
-  while (runs.load() < 32) {
-    if (!pool.try_run_one()) std::this_thread::yield();
-  }
-  EXPECT_EQ(runs.load(), 32);
-  gate.release();
-  blocker.get();
-  for (auto& future : futures) future.get();
-  // Nothing left: try_run_one reports idle.
-  EXPECT_FALSE(pool.try_run_one());
-}
-
-TEST(Concurrency, DestructorDrainsQueuedTasks) {
-  // Same contract as the old single-queue pool: every submitted future
-  // completes even when the pool is destroyed immediately after submission.
-  std::atomic<int> runs{0};
-  std::vector<std::future<void>> futures;
-  {
-    u::ThreadPool pool(2);
-    for (int i = 0; i < 256; ++i) {
-      futures.push_back(pool.submit([&runs] { ++runs; }));
-    }
-  }
-  for (auto& future : futures) future.get();
-  EXPECT_EQ(runs.load(), 256);
-}
-
-TEST(Concurrency, CurrentPoolIdentifiesOwningPoolOnly) {
-  u::ThreadPool pool_a(2);
-  u::ThreadPool pool_b(2);
-  auto in_a = pool_a.submit([&pool_a, &pool_b] {
-    EXPECT_TRUE(pool_a.on_worker_thread());
-    EXPECT_FALSE(pool_b.on_worker_thread());
-  });
-  in_a.get();
-}
-
-TEST(Concurrency, PoolStatsCountEveryTaskExactlyOnce) {
-  // The accounting identity: every task leaves a queue through exactly one of
-  // pop-local or steal, so after a full drain submitted == executed_local +
-  // executed_stolen, with the local/stolen split free to vary run to run.
-  u::ThreadPool pool(4);
-  constexpr std::size_t kTasks = 2000;
-  std::atomic<std::size_t> runs{0};
-  std::vector<std::future<void>> futures;
-  futures.reserve(kTasks);
-  for (std::size_t i = 0; i < kTasks; ++i) {
-    futures.push_back(pool.submit([&runs] { runs.fetch_add(1); }));
-  }
-  for (auto& future : futures) future.get();
-  EXPECT_EQ(runs.load(), kTasks);
-
-  const u::PoolStats stats = pool.stats();
-  EXPECT_EQ(stats.submitted, kTasks);
-  EXPECT_EQ(stats.executed_local + stats.executed_stolen, kTasks);
-  EXPECT_EQ(stats.executed(), kTasks);
-  // No try_run_one()/wait() in this test: nothing ran via helping.
-  EXPECT_EQ(stats.helping_runs, 0u);
-  ASSERT_EQ(stats.per_worker_executed.size(), pool.size());
-  std::uint64_t on_workers = 0;
-  for (const std::uint64_t executed : stats.per_worker_executed) {
-    on_workers += executed;
-  }
-  // Every execution happened on a worker thread (the main thread only
-  // blocked on futures).
-  EXPECT_EQ(on_workers, kTasks);
-}
-
-TEST(Concurrency, PoolStatsAttributeHelpingRunsToTheIdentity) {
-  // Block both workers, drain the backlog from the main thread: helping runs
-  // are counted separately but the dequeued tasks still land in the
-  // local/stolen split, so the exactly-once identity keeps holding.
-  u::ThreadPool pool(2);
-  Gate gate;
-  auto blocker_a = submit_started_blocker(pool, gate);
-  auto blocker_b = submit_started_blocker(pool, gate);
-  constexpr std::size_t kTasks = 64;
-  std::atomic<std::size_t> runs{0};
-  std::vector<std::future<void>> futures;
-  for (std::size_t i = 0; i < kTasks; ++i) {
-    futures.push_back(pool.submit([&runs] { runs.fetch_add(1); }));
-  }
-  while (runs.load() < kTasks) {
-    if (!pool.try_run_one()) std::this_thread::yield();
-  }
-  gate.release();
-  blocker_a.get();
-  blocker_b.get();
-  for (auto& future : futures) future.get();
-
-  const u::PoolStats stats = pool.stats();
-  EXPECT_EQ(stats.submitted, kTasks + 2);
-  EXPECT_EQ(stats.executed(), kTasks + 2);
-  // Workers were gated, so the main thread ran the entire backlog.
-  EXPECT_EQ(stats.helping_runs, kTasks);
-  std::uint64_t on_workers = 0;
-  for (const std::uint64_t executed : stats.per_worker_executed) {
-    on_workers += executed;
-  }
-  // Only the two blockers actually ran on worker threads.
-  EXPECT_EQ(on_workers, 2u);
 }
 
 TEST(Concurrency, ParallelForUnderContentionIsExactlyOnce) {
@@ -338,4 +133,125 @@ TEST(Concurrency, ParallelForUnderContentionIsExactlyOnce) {
     ASSERT_EQ(hits_a[i].load(), 1) << i;
     ASSERT_EQ(hits_b[i].load(), 1) << i;
   }
+}
+
+TEST(Concurrency, NestedLoopsRunOnTheClaimingThread) {
+  // A loop started inside another loop's chunk, on the same pool or on
+  // another, runs serially on the thread that claimed the outer chunk and
+  // queues no runner.
+  u::ThreadPool pool(4);
+  u::ThreadPool other(2);
+  constexpr std::size_t kOuter = 16;
+  constexpr std::size_t kInner = 8;
+  std::atomic<int> inner_runs{0};
+  std::atomic<int> off_thread{0};
+  u::parallel_for(
+      0, kOuter,
+      [&](std::size_t) {
+        const std::thread::id claimer = std::this_thread::get_id();
+        const auto inner = [&](std::size_t) {
+          ++inner_runs;
+          if (std::this_thread::get_id() != claimer) ++off_thread;
+        };
+        u::parallel_for(0, kInner, inner, &pool, /*grain=*/1);
+        u::parallel_for(0, kInner, inner, &other, /*grain=*/1);
+      },
+      &pool, /*grain=*/1);
+  EXPECT_EQ(inner_runs.load(), static_cast<int>(2 * kOuter * kInner));
+  EXPECT_EQ(off_thread.load(), 0);
+  // Only the outer loop queued runners.
+  EXPECT_EQ(pool.stats().submitted, pool.size());
+  EXPECT_EQ(other.stats().submitted, 0u);
+}
+
+TEST(Concurrency, DestructorDrainsQueuedTasks) {
+  // A loop can finish on its caller while its runners still sit in the
+  // queue; the pool's destructor runs them (each finds no chunk left and
+  // drops the loop's state) before joining the workers. Both workers are
+  // held inside a gated loop while more loops queue runners behind them,
+  // and the gate opens only after the destructor has begun.
+  constexpr std::size_t kLoops = 8;
+  constexpr std::size_t kCount = 64;
+  Gate gate;
+  std::atomic<int> blocked{0};
+  std::vector<std::atomic<int>> hits(kLoops * kCount);
+  std::thread holder;
+  std::thread opener;
+  {
+    u::ThreadPool pool(2);
+    holder = std::thread([&pool, &gate, &blocked] {
+      u::parallel_for(
+          0, 3,
+          [&gate, &blocked](std::size_t) {
+            blocked.fetch_add(1);
+            gate.wait();
+          },
+          &pool, /*grain=*/1);
+    });
+    // Three chunks, each held by the thread that claimed it: the holder and
+    // both workers. The holder touches the pool no more after this.
+    while (blocked.load() < 3) std::this_thread::yield();
+    for (std::size_t loop = 0; loop < kLoops; ++loop) {
+      u::parallel_for(
+          0, kCount,
+          [&hits, loop](std::size_t i) {
+            hits[loop * kCount + i].fetch_add(1);
+          },
+          &pool, /*grain=*/1);
+    }
+    const u::PoolStats stats = pool.stats();
+    EXPECT_EQ(stats.submitted, 2 + 2 * kLoops);
+    EXPECT_EQ(stats.executed(), 0u);
+    opener = std::thread([&gate] {
+      std::this_thread::sleep_for(std::chrono::milliseconds(10));
+      gate.release();
+    });
+  }
+  opener.join();
+  holder.join();
+  EXPECT_EQ(blocked.load(), 3);
+  for (std::size_t i = 0; i < hits.size(); ++i) {
+    EXPECT_EQ(hits[i].load(), 1) << i;
+  }
+}
+
+TEST(Concurrency, PoolStatsCountEveryTaskExactlyOnce) {
+  // Each parallel loop queues min(chunks, workers) runners, counted once
+  // when queued and once when a worker has run them; serial fallbacks queue
+  // none. A runner may run after its loop returned, so the finished count
+  // catches up once the queue is idle.
+  u::ThreadPool pool(4);
+  struct Loop {
+    std::size_t count;
+    std::size_t grain;
+    std::uint64_t runners;
+  };
+  const Loop loops[] = {
+      {3000, 1, 4},  // chunks >> workers
+      {2, 1, 2},     // fewer chunks than workers
+      {64, 0, 4},    // default grain: 16 chunks
+      {1, 1, 0},     // one index: serial
+      {10, 10, 0},   // one chunk: serial
+  };
+  std::uint64_t expected = 0;
+  for (const Loop& loop : loops) {
+    std::atomic<std::size_t> runs{0};
+    u::parallel_for(
+        0, loop.count, [&runs](std::size_t) { runs.fetch_add(1); }, &pool,
+        loop.grain);
+    EXPECT_EQ(runs.load(), loop.count);
+    expected += loop.runners;
+    EXPECT_EQ(pool.stats().submitted, expected) << "count=" << loop.count;
+  }
+
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (pool.stats().executed() < expected &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::yield();
+  }
+  const u::PoolStats stats = pool.stats();
+  EXPECT_EQ(stats.submitted, expected);
+  EXPECT_EQ(stats.executed(), expected);
+  EXPECT_EQ(stats.executed_stolen, 0u);
 }

@@ -13,7 +13,6 @@
 #include <cstdlib>
 #include <deque>
 #include <filesystem>
-#include <future>
 #include <latch>
 #include <optional>
 #include <set>
@@ -359,15 +358,19 @@ TEST(TraceConcurrency, WorkersRecordWhileSessionsStartAndStop) {
   u::ThreadPool pool(kWorkers);
   std::atomic<bool> done{false};
   std::atomic<std::uint64_t> recorded{0};
-  std::vector<std::future<void>> workers;
-  for (int i = 0; i < kWorkers; ++i) {
-    workers.push_back(pool.submit([&done, &recorded] {
-      while (!done.load(std::memory_order_acquire)) {
-        OBS_INSTANT("test/worker");
-        recorded.fetch_add(1, std::memory_order_acq_rel);
-      }
-    }));
-  }
+  // One grain-1 chunk per recorder, each recording until `done`. The loop's
+  // caller claims a chunk too, so the loop runs on its own thread.
+  std::thread recorders([&pool, &done, &recorded] {
+    u::parallel_for(
+        0, kWorkers,
+        [&done, &recorded](std::size_t) {
+          while (!done.load(std::memory_order_acquire)) {
+            OBS_INSTANT("test/worker");
+            recorded.fetch_add(1, std::memory_order_acq_rel);
+          }
+        },
+        &pool, /*grain=*/1);
+  });
   obs::TraceSession::Options options;
   options.ring_capacity = 64;
   std::size_t events_seen = 0;
@@ -384,7 +387,7 @@ TEST(TraceConcurrency, WorkersRecordWhileSessionsStartAndStop) {
     events_seen += events.size();
   }
   done.store(true, std::memory_order_release);
-  for (std::future<void>& worker : workers) worker.get();
+  recorders.join();
   EXPECT_GT(events_seen, 0u);
 }
 
@@ -422,7 +425,7 @@ obs::MetricsSnapshot stable_metrics_with_threads(const std::string& id,
 
 // The headline determinism contract: every kStable counter/histogram delta
 // of a scenario run is identical on sweep pools of 1, 4, and 8 threads.
-// Scheduling metrics (pool steals, trace drops) are excluded by construction
+// Scheduling metrics (pool runners, trace drops) are excluded by construction
 // via the stability tag. Covers "threshold" (E2, fixed trial set per point)
 // and the three calibration-search scenarios, "tradeoff" (E8),
 // "catalog_scaling" (E3) and "replication" (E4), whose probe sequence
@@ -734,16 +737,19 @@ TEST(AccountingConcurrency, ConcurrentRunsPublishTheSumOfTheirReports) {
   auto& registry = obs::MetricsRegistry::global();
   const obs::MetricsSnapshot before = registry.snapshot();
   {
+    // One run per grain-1 chunk. The kRuns workers and the caller claim
+    // chunks, and a claimer waits at the latch until every run has started,
+    // so each run gets a thread of its own.
     u::ThreadPool pool(kRuns);
     std::latch start(kRuns);
-    std::vector<std::future<void>> done;
-    for (std::size_t i = 0; i < kRuns; ++i) {
-      done.push_back(pool.submit([&, i] {
-        start.arrive_and_wait();
-        reports[i] = run_accounting(kAccountingConfigs[i % kConfigs], 11 + i);
-      }));
-    }
-    for (std::future<void>& run : done) run.get();
+    u::parallel_for(
+        0, kRuns,
+        [&](std::size_t i) {
+          start.arrive_and_wait();
+          reports[i] =
+              run_accounting(kAccountingConfigs[i % kConfigs], 11 + i);
+        },
+        &pool, /*grain=*/1);
   }
   expect_metrics_equal_reports(registry.snapshot().delta_since(before),
                                reports);

@@ -490,9 +490,8 @@ TEST(BaselineDiff, MissingBaselineFileReportsViolation) {
 class ScenarioDeterminism : public testing::TestWithParam<const char*> {};
 
 // Every migrated scenario must print byte-identical tables on 1, 4, and 8
-// threads (acceptance criterion for the sweep migration, re-verified on the
-// work-stealing pool: stealing order and per-worker deques must not leak
-// into output). Runs at a reduced scale to keep the suite fast; the scale
+// threads (acceptance criterion for the sweep migration: which thread
+// claims which chunk must not leak into output). Runs at a reduced scale to keep the suite fast; the scale
 // floors still exercise the real sweep paths.
 TEST_P(ScenarioDeterminism, TablesAreByteIdenticalAcrossThreadCounts) {
   const ScopedEnv scale("P2PVOD_SCALE", "0.25");

@@ -408,16 +408,6 @@ TEST(Table, ColumnsIsMaxWidth) {
 
 // ----------------------------------------------------------------- threads
 
-TEST(ThreadPool, RunsSubmittedTasks) {
-  u::ThreadPool pool(2);
-  std::atomic<int> counter{0};
-  std::vector<std::future<void>> futures;
-  for (int i = 0; i < 32; ++i)
-    futures.push_back(pool.submit([&counter] { ++counter; }));
-  for (auto& f : futures) f.get();
-  EXPECT_EQ(counter.load(), 32);
-}
-
 TEST(ThreadPool, ParallelForCoversRange) {
   std::vector<int> hits(100, 0);
   u::parallel_for(0, 100, [&](std::size_t i) { hits[i] = 1; });
